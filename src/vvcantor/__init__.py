@@ -9,7 +9,6 @@ whose growth exponent is compared against exact and Monte Carlo roots.
 
 __version__ = "0.1.0"
 
-from ._kernels import current_backend, set_backend
 from .catalog import (Catalog, ContractionMap, ScaleExtrema, ValidationReport,
                       WeightedIFS, catalog_from_dict, catalog_to_dict,
                       scale_extrema, validate_catalog)

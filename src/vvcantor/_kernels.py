@@ -1,63 +1,30 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The two hot numeric kernels, vectorized in numpy.
 
-Two kernels dominate runtime: Sturm-sequence inertia counts on symmetric
-tridiagonal pencils, and the per-type dynamic program that evaluates neck
-block sums for Monte Carlo batches. Both exist twice, once compiled with
-``numba.njit`` and once vectorized in plain numpy.
-
-Backend selection: the environment variable ``VVCANTOR_BACKEND`` may be set
-to ``numba``, ``numpy`` or ``auto`` (default). ``auto`` uses numba when it
-imports. ``set_backend`` switches at runtime; ``benchmarks/bench_kernels.py``
-compares the two paths on the same inputs.
+Sturm-sequence inertia counts on symmetric tridiagonal pencils, and the
+per-type dynamic program that evaluates neck block log-sums for Monte Carlo
+batches and for ``vtree.scale_sum_at_neck``. Each has exactly one
+implementation. The Python loop runs over pencil rows (or block levels);
+shifts (or blocks) are numpy lanes that never interact, so one batched
+inertia count gives the same counts as one call per shift.
 
 The inertia kernel replaces an exact-zero pivot with a tiny negative value,
 ``-(1e-300 + eps * (|kd_i| + |x| * md_i))``, after counting it as
-nonpositive; ties "eigenvalue == x" therefore count as "<= x". Both backends
-implement the identical recurrence, so counts agree bit for bit.
+nonpositive; ties "eigenvalue == x" therefore count as "<= x".
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _EPS = 1.1102230246251565e-16  # 2^-53
 
-_env = os.environ.get("VVCANTOR_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"VVCANTOR_BACKEND must be auto, numba or numpy, got {_env!r}")
-
-HAS_NUMBA = False
-if _env != "numpy":
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise RuntimeError("VVCANTOR_BACKEND=numba but numba is not installed")
-
-_backend = "numba" if HAS_NUMBA else "numpy"
-
-
-def current_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"backend must be numba or numpy, got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    _backend = name
-
 
 # ---------------------------------------------------------------------------
 # Sturm-sequence inertia counts for K - x*M, symmetric tridiagonal.
 
-def _sturm_counts_numpy(kd, ko, md, mo, xs):
+def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
+    """Generalized eigenvalues of (K, M) that are <= x, for each x in xs."""
+    xs = np.asarray(xs, dtype=np.float64)
     n = kd.shape[0]
     counts = np.zeros(xs.shape[0], np.int64)
     if n == 0:
@@ -76,43 +43,6 @@ def _sturm_counts_numpy(kd, ko, md, mo, xs):
     return counts
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _sturm_counts_numba(kd, ko, md, mo, xs):  # pragma: no cover - jit
-        n = kd.shape[0]
-        counts = np.zeros(xs.shape[0], np.int64)
-        for j in range(xs.shape[0]):
-            x = xs[j]
-            cnt = 0
-            d = 0.0
-            b2 = 0.0
-            for i in range(n):
-                a = kd[i] - x * md[i]
-                if i > 0:
-                    a = a - b2 / d
-                if a <= 0.0:
-                    cnt += 1
-                if a == 0.0:
-                    a = -(1e-300 + _EPS * (abs(kd[i]) + abs(x) * md[i]))
-                if i < n - 1:
-                    b = ko[i] - x * mo[i]
-                    b2 = b * b
-                d = a
-            counts[j] = cnt
-        return counts
-
-
-def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
-    """Generalized eigenvalues of (K, M) that are <= x, for each x in xs."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if _backend == "numba":
-        return _sturm_counts_numba(
-            np.ascontiguousarray(kd), np.ascontiguousarray(ko),
-            np.ascontiguousarray(md), np.ascontiguousarray(mo), xs)
-    return _sturm_counts_numpy(kd, ko, md, mo, xs)
-
-
 # ---------------------------------------------------------------------------
 # Neck block log-sums.
 #
@@ -129,8 +59,39 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 # renormalized by its sum per level and the log-sums accumulate, so the
 # result never over- or underflows.
 
-def _block_log_sums_numpy(level_sys, row_off, types_flat, block_ptr, root_types,
-                          sys_off, n_maps, fx, n_types):
+def pack_blocks(catalog, v_types: int, root_types, blocks) -> tuple:
+    """Pack blocks for ``block_log_sums``.
+
+    ``blocks[b]`` is the environment sequence of block b and
+    ``root_types[b]`` its root type. Returns ``(level_sys, row_off,
+    types_flat, block_ptr, root_types, sys_off, n_maps, rm)`` where
+    ``rm[m]`` is map m's ratio*weight; pass ``rm ** x`` as ``fx``.
+    """
+    n_maps = np.array([s.size for s in catalog.systems], np.int64)
+    sys_off = np.concatenate(([0], np.cumsum(n_maps)[:-1]))
+    rm = np.array([m.ratio * w for s in catalog.systems
+                   for m, w in zip(s.maps, s.weights)])
+    lens = np.array([len(envs) for envs in blocks], np.int64)
+    block_ptr = np.concatenate(([0], np.cumsum(lens)))
+    total_levels = int(block_ptr[-1])
+    level_sys = np.empty((total_levels, v_types), np.int64)
+    row_off = np.empty((total_levels, v_types), np.int64)
+    flat: list[int] = []
+    l = 0
+    for envs in blocks:
+        for env in envs:
+            for vt in range(v_types):
+                level_sys[l, vt] = env.indices[vt]
+                row_off[l, vt] = len(flat)
+                flat.extend(env.child_types[vt])
+            l += 1
+    return (level_sys, row_off, np.array(flat, np.int64), block_ptr,
+            np.array(root_types, np.int64), sys_off, n_maps, rm)
+
+
+def block_log_sums(level_sys, row_off, types_flat, block_ptr, root_types,
+                   sys_off, n_maps, fx, n_types) -> np.ndarray:
+    """log of sum over block paths of the per-path factor products."""
     n_blocks = root_types.shape[0]
     out = np.zeros(n_blocks, np.float64)
     lens = block_ptr[1:] - block_ptr[:-1]
@@ -155,47 +116,3 @@ def _block_log_sums_numpy(level_sys, row_off, types_flat, block_ptr, root_types,
         out[active] += np.log(sums)
         amat[active] = new / sums[:, None]
     return out
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _block_log_sums_numba(level_sys, row_off, types_flat, block_ptr,
-                              root_types, sys_off, n_maps, fx, n_types):  # pragma: no cover - jit
-        n_blocks = root_types.shape[0]
-        out = np.zeros(n_blocks, np.float64)
-        a = np.zeros(n_types, np.float64)
-        new = np.zeros(n_types, np.float64)
-        for b in range(n_blocks):
-            a[:] = 0.0
-            a[root_types[b]] = 1.0
-            acc = 0.0
-            for l in range(block_ptr[b], block_ptr[b + 1]):
-                new[:] = 0.0
-                for v in range(n_types):
-                    av = a[v]
-                    if av == 0.0:
-                        continue
-                    j = level_sys[l, v]
-                    base = sys_off[j]
-                    toff = row_off[l, v]
-                    for i in range(n_maps[j]):
-                        new[types_flat[toff + i]] += av * fx[base + i]
-                s = 0.0
-                for v in range(n_types):
-                    s += new[v]
-                acc += np.log(s)
-                for v in range(n_types):
-                    a[v] = new[v] / s
-            out[b] = acc
-        return out
-
-
-def block_log_sums(level_sys, row_off, types_flat, block_ptr, root_types,
-                   sys_off, n_maps, fx, n_types) -> np.ndarray:
-    """log of sum over block paths of the per-path factor products."""
-    if _backend == "numba":
-        return _block_log_sums_numba(level_sys, row_off, types_flat, block_ptr,
-                                     root_types, sys_off, n_maps, fx, n_types)
-    return _block_log_sums_numpy(level_sys, row_off, types_flat, block_ptr,
-                                 root_types, sys_off, n_maps, fx, n_types)

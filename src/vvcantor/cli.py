@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .assembly import DIRICHLET, NEUMANN, assemble, pencil_to_csv, refine_uniform
 from .catalog import Catalog, catalog_from_dict, scale_extrema, validate_catalog
 from .errors import VVCantorError
@@ -119,7 +119,6 @@ def _meta(cfg: RunConfig, subcommand: str) -> dict:
         "config_sha256": cfg.sha256(),
         "seed": cfg.seed,
         "package_version": __version__,
-        "backend": _kernels.current_backend(),
         "subcommand": subcommand,
     }
 
@@ -142,7 +141,7 @@ def _build(cfg: RunConfig, depth: int, env_levels: int | None = None):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_validate(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     rep = validate_catalog(cfg.catalog)
     obj = {"meta": _meta(cfg, "validate"),
            "valid": rep.ok,
@@ -156,7 +155,7 @@ def _cmd_validate(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0 if rep.ok else 1
 
 
-def _cmd_tree(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_tree(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.depth)
     with open(out / "tree.jsonl", "w") as fp:
         tree_to_jsonl(tree, fp)
@@ -170,7 +169,7 @@ def _cmd_tree(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_measure(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_measure(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.level)
     dec = decompose(tree, cfg.level)
     meta = _meta(cfg, "measure")
@@ -181,26 +180,26 @@ def _cmd_measure(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_count(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_count(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.level)
     dec = refine_uniform(decompose(tree, cfg.level), cfg.splits)
     xs = cfg.grid()
-    counts_d = inertia_counts(assemble(dec, DIRICHLET), xs)
+    dirichlet = assemble(dec, DIRICHLET)
+    counts_d = inertia_counts(dirichlet, xs)
     counts_n = inertia_counts(assemble(dec, NEUMANN), xs)
     with open(out / "counting.csv", "w", newline="") as fp:
         counting_to_csv(fp, xs, counts_d, counts_n, cfg.level, cfg.splits,
                         _meta(cfg, "count"))
     with open(out / "pencil_dirichlet.csv", "w", newline="") as fp:
-        pencil_to_csv(assemble(dec, DIRICHLET), fp, _meta(cfg, "count"))
+        pencil_to_csv(dirichlet, fp, _meta(cfg, "count"))
     return 0
 
 
-def _cmd_exponent(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
     exact = gamma_exact_homogeneous(cfg.catalog)
     recursive = solve_gamma_recursive(cfg.catalog)
 
-    evaluator = MonteCarloNeckEvaluator(cfg.catalog, cfg.v, cfg.mc_blocks,
-                                        cfg.seed, threads=threads)
+    evaluator = MonteCarloNeckEvaluator(cfg.catalog, cfg.v, cfg.mc_blocks, cfg.seed)
     mc = solve_gamma(evaluator)
 
     tree = _build(cfg, cfg.level)
@@ -231,7 +230,7 @@ def _cmd_exponent(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_bracket(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_bracket(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.level)
     xs = cfg.grid()
     results = []
@@ -243,7 +242,7 @@ def _cmd_bracket(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_cutsets(cfg: RunConfig, out: Path, threads: int) -> int:
+def _cmd_cutsets(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.depth)
     ks = range(cfg.k_range[0], cfg.k_range[1] + 1)
     rows = cutset_stats_check(tree, ks, level=min(cfg.level, tree.depth),
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
                         help="override the config seed (64-bit unsigned)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; outputs do not depend on it")
+                        help="accepted and ignored; every subcommand runs in one thread")
     args = parser.parse_args(argv)
 
     try:
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
-        code = _COMMANDS[args.subcommand](cfg, out, max(1, args.threads))
+        code = _COMMANDS[args.subcommand](cfg, out)
     except VVCantorError as exc:
         print(f"{args.subcommand} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ reported confidence interval.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,15 +67,13 @@ class MonteCarloNeckEvaluator:
     """
 
     def __init__(self, catalog: Catalog, v_types: int, blocks: int,
-                 master_seed: int, env_cap: int = DEFAULT_ENV_CAP,
-                 threads: int = 1):
+                 master_seed: int, env_cap: int = DEFAULT_ENV_CAP):
         if blocks < 2:
             raise ValueError("at least 2 blocks are required")
         self.catalog = catalog
         self.v_types = v_types
         self.master_seed = master_seed
         self.env_cap = env_cap
-        self.threads = max(1, threads)
         self._root_types: list[int] = []
         self._envs: list[list] = []
         self._packed = None
@@ -98,12 +95,7 @@ class MonteCarloNeckEvaluator:
                     f"block {b} saw no neck within {self.env_cap} levels")
 
     def _simulate(self, start: int, stop: int) -> None:
-        indices = range(start, stop)
-        if self.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(self._simulate_block, indices))
-        else:
-            results = [self._simulate_block(b) for b in indices]
+        results = [self._simulate_block(b) for b in range(start, stop)]
         for root, envs in results:
             self._root_types.append(root)
             self._envs.append(envs)
@@ -122,42 +114,14 @@ class MonteCarloNeckEvaluator:
         """Sample additional blocks; existing blocks are untouched."""
         self._simulate(self.blocks, self.blocks + extra)
 
-    # -- packing for the kernels --------------------------------------------
-
-    def _pack(self):
-        if self._packed is not None:
-            return self._packed
-        cat = self.catalog
-        n_maps = np.array([s.size for s in cat.systems], np.int64)
-        sys_off = np.concatenate(([0], np.cumsum(n_maps)[:-1]))
-        rm = np.array([m.ratio * w for s in cat.systems
-                       for m, w in zip(s.maps, s.weights)])
-        v = self.v_types
-        lens = np.array([len(e) for e in self._envs], np.int64)
-        block_ptr = np.concatenate(([0], np.cumsum(lens)))
-        total_levels = int(block_ptr[-1])
-        level_sys = np.empty((total_levels, v), np.int64)
-        row_off = np.empty((total_levels, v), np.int64)
-        flat: list[int] = []
-        l = 0
-        for envs in self._envs:
-            for env in envs:
-                for vt in range(v):
-                    level_sys[l, vt] = env.indices[vt]
-                    row_off[l, vt] = len(flat)
-                    flat.extend(env.child_types[vt])
-                l += 1
-        self._packed = (level_sys, row_off, np.array(flat, np.int64), block_ptr,
-                        np.array(self._root_types, np.int64), sys_off, n_maps, rm)
-        return self._packed
-
     # -- evaluation ----------------------------------------------------------
 
     def log_sums(self, x: float) -> np.ndarray:
-        level_sys, row_off, flat, ptr, roots, sys_off, n_maps, rm = self._pack()
-        fx = rm ** x
-        return _kernels.block_log_sums(level_sys, row_off, flat, ptr, roots,
-                                       sys_off, n_maps, fx, self.v_types)
+        if self._packed is None:
+            self._packed = _kernels.pack_blocks(self.catalog, self.v_types,
+                                                self._root_types, self._envs)
+        *arrays, rm = self._packed
+        return _kernels.block_log_sums(*arrays, rm ** x, self.v_types)
 
     def f(self, x: float) -> tuple[float, float]:
         """Estimate of f(x) with its standard error."""
@@ -504,20 +468,22 @@ def cutset_stats_check(tree: VTree, ks, level: int | None = None,
         cs = cut_set(tree, k)
         mn, mx = float(cs.products.min()), float(cs.products.max())
         ek = math.exp(-float(k))
-        row = CutsetStatsRow(
+        rows.append(CutsetStatsRow(
             k=k, size=cs.size, harmonic_scale=cs.harmonic_scale, max_gap=cs.max_gap,
             min_product=mn, max_product=mx,
             chain_lower_ok=bool(mn >= ek * eta ** cs.max_gap),
             chain_upper_ok=bool(mx <= ek),
             scale_lower_ok=bool(cs.harmonic_scale >= math.exp(float(k))),
-        )
-        if pencil is not None:
-            nd_t = int(inertia_counts(pencil, [cs.harmonic_scale])[0])
+        ))
+    if pencil is not None and rows:
+        # One batched count: N_D at every harmonic scale, then at k times it.
+        scaled = [r for r in rows if r.k >= 1]
+        counts = inertia_counts(pencil, [r.harmonic_scale for r in rows]
+                                + [r.k * r.harmonic_scale for r in scaled]).tolist()
+        for row, nd_t in zip(rows, counts[:len(rows)]):
             row.nd_at_scale = nd_t
-            row.ratio_nd_over_size = nd_t / cs.size
-            if k >= 1:
-                nd_kt = int(inertia_counts(pencil, [k * cs.harmonic_scale])[0])
-                row.nd_at_k_scale = nd_kt
-                row.ratio_size_over_nd = (cs.size / nd_kt) if nd_kt else None
-        rows.append(row)
+            row.ratio_nd_over_size = nd_t / row.size
+        for row, nd_kt in zip(scaled, counts[len(rows):]):
+            row.nd_at_k_scale = nd_kt
+            row.ratio_size_over_nd = (row.size / nd_kt) if nd_kt else None
     return rows

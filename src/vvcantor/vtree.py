@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .catalog import Catalog, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
 from .rng import Xoshiro256StarStar
@@ -309,32 +310,6 @@ def cut_set(tree: VTree, k: int) -> CutSet:
 # ---------------------------------------------------------------------------
 # Block sums of (ratio*weight)**x at neck levels
 
-def _env_weight_matrix(catalog: Catalog, env: Environment, x: float) -> np.ndarray:
-    v_types = env.n_types
-    w = np.zeros((v_types, v_types))
-    for v, j in enumerate(env.indices):
-        sys_ = catalog.systems[j]
-        row = env.child_types[v]
-        for i, m in enumerate(sys_.maps):
-            w[v, row[i]] += (m.ratio * sys_.weights[i]) ** x
-    return w
-
-
-def _dp_log_sum(catalog: Catalog, v_types: int, start_type: int,
-                environments, x: float) -> float:
-    """log sum over paths of the (ratio*weight)**x products, renormalized
-    per level so deep runs neither overflow nor underflow."""
-    a = np.zeros(v_types)
-    a[start_type] = 1.0
-    acc = 0.0
-    for env in environments:
-        a = a @ _env_weight_matrix(catalog, env, x)
-        s = float(a.sum())
-        acc += math.log(s)
-        a /= s
-    return acc
-
-
 @dataclass
 class NeckSums:
     """Direct and block-factorized evaluations of the neck-level sums."""
@@ -378,19 +353,18 @@ def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
             f"tree has {len(necks)} neck levels within {tree.env_levels} "
             f"environments, need {k}", extra_depth_hint=0)
     bounds = (0,) + tuple(necks[:k])
-    blocks = []
-    for j in range(1, k + 1):
-        lo, hi = bounds[j - 1], bounds[j]
-        if lo == 0:
-            start = tree.root_type
-        else:
-            start = tree.environments[lo - 1].child_types[0][0]  # common neck type
-        blocks.append(_dp_log_sum(tree.catalog, tree.v_types, start,
-                                  tree.environments[lo:hi], x))
-    direct = _dp_log_sum(tree.catalog, tree.v_types, tree.root_type,
-                         tree.environments[:bounds[-1]], x)
+    envs = tree.environments
+    # A neck block starts at the common child type of the neck above it (the
+    # root type for the first); one extra block runs from the root straight
+    # to the k-th neck.
+    roots = [tree.root_type] + [envs[lo - 1].child_types[0][0] for lo in bounds[1:-1]]
+    blocks = [envs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    *arrays, rm = _kernels.pack_blocks(tree.catalog, tree.v_types,
+                                       roots + [tree.root_type],
+                                       blocks + [envs[:bounds[-1]]])
+    sums = _kernels.block_log_sums(*arrays, rm ** x, tree.v_types).tolist()
     return NeckSums(x=x, k=k, neck_levels=tuple(necks[:k]),
-                    block_log_sums=blocks, log_direct=direct)
+                    block_log_sums=sums[:-1], log_direct=sums[-1])
 
 
 def neck_subtree(tree: VTree, level: int, depth: int,

@@ -97,8 +97,9 @@ def test_singular_mass_detected():
                  kd=np.array([1.0, 2.0, 2.0, 1.0]), ko=np.array([-1.0, -1.0, -1.0]),
                  md=np.array([1.0, 0.0, 1.0, 1.0]), mo=np.zeros(3),
                  provenance={})
-    with pytest.raises(SingularMassError):
+    with pytest.raises(SingularMassError) as err:
         _check_mass_definite(pen)
+    assert err.value.node == 1
 
 
 def test_pencil_csv_export(cantor):

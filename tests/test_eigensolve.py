@@ -8,7 +8,6 @@ from vvcantor import (DIRICHLET, NEUMANN, InvalidInputError, Pencil,
                       counting_function, decompose, eigenvalue,
                       first_eigenvalue_bounds, inertia_count, inertia_counts,
                       refine_uniform, spectral_upper_bound, stream_seed)
-from vvcantor import _kernels
 from conftest import dense_counts, dense_eigenvalues, make_two_system
 
 
@@ -128,24 +127,6 @@ def test_upper_bound_covers_spectrum():
         pen = random_pencil(rng, int(rng.integers(2, 30)))
         ub = spectral_upper_bound(pen)
         assert inertia_count(pen, ub) == pen.dim
-
-
-def test_backends_agree_exactly():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(13)
-    saved = _kernels.current_backend()
-    try:
-        for _ in range(20):
-            pen = random_pencil(rng, int(rng.integers(1, 40)))
-            xs = np.sort(rng.uniform(-5, 5, 16))
-            _kernels.set_backend("numba")
-            a = inertia_counts(pen, xs)
-            _kernels.set_backend("numpy")
-            b = inertia_counts(pen, xs)
-            assert np.array_equal(a, b)
-    finally:
-        _kernels.set_backend(saved)
 
 
 def test_first_eigenvalue_bounds_hold(two_system):

@@ -151,13 +151,6 @@ def test_neck_timeout_with_tiny_cap(two_system):
         MonteCarloNeckEvaluator(two_system, 2, 50, master_seed=1, env_cap=1)
 
 
-def test_thread_count_does_not_change_results(two_system):
-    a = MonteCarloNeckEvaluator(two_system, 2, 200, master_seed=31, threads=1)
-    b = MonteCarloNeckEvaluator(two_system, 2, 200, master_seed=31, threads=4)
-    assert np.array_equal(a.neck_waits, b.neck_waits)
-    assert a.f(0.5) == b.f(0.5)
-
-
 def test_noisy_root_raised_when_growth_capped():
     # mixture dominated by a system whose root sits exactly on a probe point
     cat = Catalog(0.0, 1.0, (
