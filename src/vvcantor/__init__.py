@@ -19,8 +19,8 @@ from .errors import (DepthExhaustedError, EmptyCatalogError,
 from .rng import Xoshiro256StarStar, splitmix64_next, stream_seed
 from .vtree import (CutSet, Environment, NeckSums, VTree, build_tree, cut_set,
                     neck_subtree, sample_environment, scale_sum_at_neck)
-from .measure import (Cell, CellDecomposition, cell_mass, cells_from_csv,
-                      cells_to_csv, decompose, gaps_to_csv, measure_of_interval)
+from .measure import (CellDecomposition, cell_mass, cells_from_csv, cells_to_csv,
+                      decompose, gaps_to_csv, measure_of_interval)
 from .assembly import (DIRICHLET, NEUMANN, Pencil, assemble, pencil_to_csv,
                        refine_uniform)
 from .eigensolve import (CountingSample, counting_function, eigenvalue,
@@ -29,8 +29,7 @@ from .eigensolve import (CountingSample, counting_function, eigenvalue,
 from .spectral import (BracketingResult, CutsetStatsRow, EmpiricalFit,
                        ExponentReport, FEval, MonteCarloNeckEvaluator,
                        bracketing_check, cutset_stats_check, empirical_exponent,
-                       f_exact_homogeneous, f_monte_carlo,
-                       gamma_exact_homogeneous, solve_gamma,
+                       f_exact_homogeneous, gamma_exact_homogeneous, solve_gamma,
                        solve_gamma_recursive)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

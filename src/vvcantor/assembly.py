@@ -13,13 +13,12 @@ all element integrals are exact.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMassError, TreeTooLargeError
-from .measure import CellDecomposition
+from .measure import CellDecomposition, write_csv
 from .vtree import DEFAULT_NODE_CAP
 
 DIRICHLET = "dirichlet"
@@ -69,9 +68,7 @@ def refine_uniform(decomposition: CellDecomposition, splits: int) -> CellDecompo
         masses=np.repeat(decomposition.masses / splits, splits),
         gap_lefts=decomposition.gap_lefts.copy(),
         gap_rights=decomposition.gap_rights.copy(),
-        splits=decomposition.splits * splits,
-        node_index=None,
-        tree=decomposition.tree)
+        splits=decomposition.splits * splits)
 
 
 def assemble(decomposition: CellDecomposition, bc: str) -> Pencil:
@@ -139,12 +136,6 @@ def _check_mass_definite(pencil: Pencil) -> None:
 
 def pencil_to_csv(pencil: Pencil, fp, meta: dict | None = None) -> None:
     """Rows (i, K_diag, K_off, M_diag, M_off); the last off entries are 0."""
-    for key, value in (meta or {}).items():
-        fp.write(f"# {key}={value}\n")
-    writer = csv.writer(fp)
-    writer.writerow(("i", "k_diag", "k_off", "m_diag", "m_off"))
-    for i in range(pencil.dim):
-        ko = pencil.ko[i] if i < pencil.dim - 1 else 0.0
-        mo = pencil.mo[i] if i < pencil.dim - 1 else 0.0
-        writer.writerow([str(i), f"{pencil.kd[i]:.17g}", f"{ko:.17g}",
-                         f"{pencil.md[i]:.17g}", f"{mo:.17g}"])
+    write_csv(fp, "i,k_diag,k_off,m_diag,m_off", "{},{:.17g},{:.17g},{:.17g},{:.17g}",
+              (range(pencil.dim), pencil.kd.tolist(), pencil.ko.tolist() + [0.0],
+               pencil.md.tolist(), pencil.mo.tolist() + [0.0]), meta)

@@ -3,9 +3,16 @@ bracket, cutsets.
 
 Configs are strict JSON (unknown fields are rejected so typos in experiment
 sweeps fail loudly). Scientific outputs are deterministic functions of
-(config, seed): JSON is written with sorted keys, CSVs with 17 significant
-digits, and wall-clock metadata lives in a separate ``*_meta.json`` sidecar
-so the main outputs are hash-comparable across runs.
+(config, seed), byte for byte, and wall-clock metadata lives in a separate
+``*_meta.json`` sidecar so the main outputs are hash-comparable across runs:
+
+- ``tree.jsonl``: one JSON object per node, generation by generation and
+  left to right within one, keys sorted, floats as ``repr``, LF line ends.
+- ``cells.csv``, ``gaps.csv``, ``pencil_dirichlet.csv``, ``counting.csv``:
+  ``# key=value`` meta lines (LF), then a header and rows ending in CRLF,
+  floats with 17 significant digits (``.17g``).
+- ``cutsets.csv``: the same meta lines and ``.17g`` floats, LF rows.
+- JSON documents: sorted keys, indent 2, a final newline.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .assembly import DIRICHLET, NEUMANN, assemble, pencil_to_csv, refine_unifor
 from .catalog import Catalog, catalog_from_dict, scale_extrema, validate_catalog
 from .errors import VVCantorError
 from .eigensolve import counting_to_csv, inertia_counts
-from .measure import cells_to_csv, decompose, gaps_to_csv
+from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
 from .rng import Xoshiro256StarStar, stream_seed
 from .spectral import (MonteCarloNeckEvaluator, TREE_STREAM, bracketing_check,
                        cutset_stats_check, empirical_exponent,
@@ -131,10 +138,9 @@ def _tree_rng(cfg: RunConfig) -> Xoshiro256StarStar:
     return Xoshiro256StarStar(stream_seed(cfg.seed, TREE_STREAM))
 
 
-def _build(cfg: RunConfig, depth: int, env_levels: int | None = None):
+def _build(cfg: RunConfig, depth: int):
     return build_tree(cfg.catalog, cfg.v, depth, root_type=cfg.root_type,
-                      rng=_tree_rng(cfg),
-                      env_levels=env_levels if env_levels is not None else cfg.env_levels,
+                      rng=_tree_rng(cfg), env_levels=cfg.env_levels,
                       node_cap=cfg.node_cap)
 
 
@@ -247,10 +253,8 @@ def _cmd_cutsets(cfg: RunConfig, out: Path) -> int:
     ks = range(cfg.k_range[0], cfg.k_range[1] + 1)
     rows = cutset_stats_check(tree, ks, level=min(cfg.level, tree.depth),
                               splits=cfg.splits)
-    meta = _meta(cfg, "cutsets")
     with open(out / "cutsets.csv", "w", newline="") as fp:
-        for key, value in meta.items():
-            fp.write(f"# {key}={value}\n")
+        write_meta(fp, _meta(cfg, "cutsets"))
         fp.write("k,size,harmonic_scale,max_gap,min_product,max_product,"
                  "chain_lower_ok,chain_upper_ok,scale_lower_ok,"
                  "nd_at_scale,ratio_nd_over_size,nd_at_k_scale,ratio_size_over_nd\n")

@@ -8,14 +8,15 @@ Full spectra are never formed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import _kernels
 from .assembly import Pencil
 from .errors import InvalidInputError
+from .measure import write_csv
 
 # Interior points per bracket-shrinking round of the eigenvalue search; one
 # batched inertia pass shrinks the bracket 16x.
@@ -121,10 +122,8 @@ def first_eigenvalue_bounds(catalog, interval=None) -> tuple[float, float]:
 
 def counting_to_csv(fp, xs, counts_d, counts_n, level: int, splits: int,
                     meta: dict | None = None) -> None:
-    for key, value in (meta or {}).items():
-        fp.write(f"# {key}={value}\n")
-    writer = csv.writer(fp)
-    writer.writerow(("x", "n_dirichlet", "n_neumann", "level", "splits"))
-    for x, cd, cn in zip(xs, counts_d, counts_n):
-        writer.writerow([f"{float(x):.17g}", str(int(cd)), str(int(cn)),
-                         str(level), str(splits)])
+    write_csv(fp, "x,n_dirichlet,n_neumann,level,splits", "{:.17g},{},{},{},{}",
+              (np.asarray(xs, np.float64).tolist(),
+               np.asarray(counts_d, np.int64).tolist(),
+               np.asarray(counts_n, np.int64).tolist(), repeat(level), repeat(splits)),
+              meta)

@@ -10,7 +10,7 @@ cells) are dropped.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,15 +21,6 @@ from .vtree import VTree
 # interval indicate broken input; smaller overlaps are rounding debris from
 # composing affine maps and get clamped to touching.
 _OVERLAP_ULPS = 64
-
-
-@dataclass(frozen=True)
-class Cell:
-    path: tuple[int, ...] | None
-    left: float
-    right: float
-    mass: float
-    density: float
 
 
 @dataclass
@@ -44,8 +35,6 @@ class CellDecomposition:
     gap_lefts: np.ndarray
     gap_rights: np.ndarray
     splits: int = 1
-    node_index: np.ndarray | None = None
-    tree: VTree | None = field(default=None, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -54,16 +43,6 @@ class CellDecomposition:
     @property
     def densities(self) -> np.ndarray:
         return self.masses / (self.rights - self.lefts)
-
-    def cell(self, index: int) -> Cell:
-        if not 0 <= index < self.n_cells:
-            raise IndexError(f"cell index {index} out of range")
-        path = None
-        if self.tree is not None and self.node_index is not None:
-            path = self.tree.node_path(self.level, int(self.node_index[index]))
-        length = self.rights[index] - self.lefts[index]
-        return Cell(path, float(self.lefts[index]), float(self.rights[index]),
-                    float(self.masses[index]), float(self.masses[index] / length))
 
 
 def decompose(tree: VTree, level: int) -> CellDecomposition:
@@ -101,8 +80,7 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
 
     return CellDecomposition(
         level=level, interval=(a, b), lefts=lefts, rights=rights, masses=masses,
-        gap_lefts=gap_lefts, gap_rights=gap_rights, splits=1,
-        node_index=np.arange(gen.size, dtype=np.int64), tree=tree)
+        gap_lefts=gap_lefts, gap_rights=gap_rights, splits=1)
 
 
 def cell_mass(decomposition: CellDecomposition, index: int) -> float:
@@ -125,24 +103,33 @@ def measure_of_interval(decomposition: CellDecomposition, lo: float, hi: float) 
 # ---------------------------------------------------------------------------
 # CSV export / import
 
+def write_meta(fp, meta: dict | None) -> None:
+    """One ``# key=value`` line (LF-terminated) per meta entry."""
+    fp.writelines(f"# {key}={value}\n" for key, value in (meta or {}).items())
+
+
+def write_csv(fp, header: str, row: str, columns, meta: dict | None = None) -> None:
+    """The layout of every table output: meta lines, then ``header`` and one
+    line per position of the ``columns`` sequences, formatted by the ``row``
+    template (``str.format`` fields, ``{:.17g}`` for floats); table lines end
+    in CRLF, as ``csv.writer`` ends them.
+    """
+    write_meta(fp, meta)
+    fp.write(f"{header}\r\n")
+    fp.writelines(map(f"{row}\r\n".format, *columns))
+
+
 def cells_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
-    _write_csv(fp, ("left", "right", "mass", "density"),
-               zip(decomposition.lefts, decomposition.rights,
-                   decomposition.masses, decomposition.densities), meta)
+    d = decomposition
+    write_csv(fp, "left,right,mass,density", "{:.17g},{:.17g},{:.17g},{:.17g}",
+              (d.lefts.tolist(), d.rights.tolist(), d.masses.tolist(),
+               d.densities.tolist()), meta)
 
 
 def gaps_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
-    _write_csv(fp, ("left", "right"),
-               zip(decomposition.gap_lefts, decomposition.gap_rights), meta)
-
-
-def _write_csv(fp, header, rows, meta) -> None:
-    for key, value in (meta or {}).items():
-        fp.write(f"# {key}={value}\n")
-    writer = csv.writer(fp)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{float(v):.17g}" for v in row])
+    d = decomposition
+    write_csv(fp, "left,right", "{:.17g},{:.17g}",
+              (d.gap_lefts.tolist(), d.gap_rights.tolist()), meta)
 
 
 def cells_from_csv(fp, level: int, interval: tuple[float, float],

@@ -22,7 +22,7 @@ from . import _kernels
 from .assembly import DIRICHLET, NEUMANN, assemble, refine_uniform
 from .catalog import Catalog, scale_extrema
 from .errors import InsufficientDataError, NeckTimeoutError, NoisyRootError
-from .eigensolve import CountingSample, inertia_counts
+from .eigensolve import inertia_counts
 from .measure import decompose
 from .rng import Xoshiro256StarStar, stream_seed
 from .vtree import VTree, cut_set, neck_subtree, sample_environment
@@ -95,8 +95,8 @@ class MonteCarloNeckEvaluator:
                     f"block {b} saw no neck within {self.env_cap} levels")
 
     def _simulate(self, start: int, stop: int) -> None:
-        results = [self._simulate_block(b) for b in range(start, stop)]
-        for root, envs in results:
+        for b in range(start, stop):
+            root, envs = self._simulate_block(b)
             self._root_types.append(root)
             self._envs.append(envs)
         self._packed = None
@@ -136,13 +136,6 @@ class MonteCarloNeckEvaluator:
         roots = np.array(self._root_types)
         return {int(t): float(ls[roots == t].mean())
                 for t in np.unique(roots)}
-
-
-def f_monte_carlo(catalog: Catalog, v_types: int, x: float, blocks: int,
-                  master_seed: int) -> tuple[float, float]:
-    """One-shot Monte Carlo estimate; repeated calls with the same seed share
-    the same blocks regardless of x."""
-    return MonteCarloNeckEvaluator(catalog, v_types, blocks, master_seed).f(x)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +300,11 @@ def gamma_exact_homogeneous(catalog: Catalog, tolerance: float = 1e-10) -> Expon
 def empirical_exponent(samples, window: tuple[float, float]) -> EmpiricalFit:
     """Least-squares slope of log N against log x inside the window.
 
-    Accepts a list of CountingSample or an (xs, counts) pair. Requires at
-    least 8 in-window samples with count >= 1 and at least two distinct
-    counts; otherwise raises InsufficientDataError.
+    ``samples`` is an (xs, counts) pair. Requires at least 8 in-window
+    samples with count >= 1 and at least two distinct counts; otherwise
+    raises InsufficientDataError.
     """
-    if isinstance(samples, tuple):
-        xs, counts = np.asarray(samples[0], float), np.asarray(samples[1], float)
-    else:
-        xs = np.array([s.x for s in samples], float)
-        counts = np.array([s.count for s in samples], float)
+    xs, counts = np.asarray(samples[0], float), np.asarray(samples[1], float)
     lo, hi = window
     mask = (xs >= lo) & (xs <= hi) & (counts >= 1)
     xs, counts = xs[mask], counts[mask]

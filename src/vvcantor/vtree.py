@@ -14,7 +14,6 @@ Monte Carlo estimates) only need the environments.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -110,15 +109,6 @@ class VTree:
     @property
     def node_count(self) -> int:
         return sum(g.size for g in self.generations)
-
-    def node_path(self, level: int, index: int) -> tuple[int, ...]:
-        """Child positions from the root down to the given node."""
-        path = []
-        for g in range(level, 0, -1):
-            gen = self.generations[g]
-            path.append(int(gen.pos[index]))
-            index = int(gen.parent[index])
-        return tuple(reversed(path))
 
 
 def _require_positive_types(env: Environment, v_types: int, catalog: Catalog) -> None:
@@ -394,19 +384,27 @@ def neck_subtree(tree: VTree, level: int, depth: int,
 # Exports
 
 def tree_to_jsonl(tree: VTree, fp) -> None:
-    """One node per line: path, type, system index, ratio and weight products."""
-    for level in range(tree.depth + 1):
-        gen = tree.generations[level]
-        for i in range(gen.size):
-            sys_idx = int(gen.system[i])
-            fp.write(json.dumps({
-                "path": list(tree.node_path(level, i)),
-                "type": int(gen.types[i]),
-                "system": None if sys_idx < 0 else sys_idx,
-                "r_product": float(gen.rprod[i]),
-                "m_product": float(gen.mprod[i]),
-            }, sort_keys=True))
-            fp.write("\n")
+    """One node per line, generation by generation, left to right: path
+    (child positions from the root), type, system index (null in the last
+    generation, which no system splits), ratio and weight products.
+
+    Lines are JSON objects with sorted keys, ``", "``/``": "`` separators
+    and ``repr`` floats, as ``json.dumps(..., sort_keys=True)`` writes them.
+    Each node's path text extends its parent's, so the cost is linear in
+    the node count.
+    """
+    paths, sep = [""], ""
+    for level, gen in enumerate(tree.generations):
+        if level:
+            paths = [f"{paths[p]}{sep}{q}"
+                     for p, q in zip(gen.parent.tolist(), gen.pos.tolist())]
+            sep = ", "
+        fp.writelines(
+            f'{{"m_product": {m!r}, "path": [{path}], "r_product": {r!r}, '
+            f'"system": {"null" if s < 0 else s}, "type": {t}}}\n'
+            for path, t, s, r, m in zip(paths, gen.types.tolist(),
+                                        gen.system.tolist(), gen.rprod.tolist(),
+                                        gen.mprod.tolist()))
 
 
 def environments_to_obj(tree: VTree) -> list:

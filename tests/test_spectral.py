@@ -8,7 +8,7 @@ from vvcantor import (Catalog, ContractionMap, DIRICHLET,
                       NoisyRootError, WeightedIFS, Xoshiro256StarStar,
                       assemble, bracketing_check, build_tree,
                       cutset_stats_check, cut_set, decompose,
-                      empirical_exponent, f_exact_homogeneous, f_monte_carlo,
+                      empirical_exponent, f_exact_homogeneous,
                       gamma_exact_homogeneous, inertia_counts, solve_gamma,
                       solve_gamma_recursive, stream_seed)
 from vvcantor.vtree import sample_environment
@@ -115,8 +115,8 @@ def test_monte_carlo_matches_exact_within_3se(two_system):
 
 
 def test_monte_carlo_deterministic(two_system):
-    a = f_monte_carlo(two_system, 2, 0.4, 300, master_seed=9)
-    b = f_monte_carlo(two_system, 2, 0.4, 300, master_seed=9)
+    a = MonteCarloNeckEvaluator(two_system, 2, 300, master_seed=9).f(0.4)
+    b = MonteCarloNeckEvaluator(two_system, 2, 300, master_seed=9).f(0.4)
     assert a == b
 
 

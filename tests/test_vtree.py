@@ -276,6 +276,13 @@ def test_jsonl_export_and_environments(two_system):
     tree_to_jsonl(tree, buf)
     lines = [json.loads(l) for l in buf.getvalue().splitlines()]
     assert len(lines) == tree.node_count
+    assert buf.getvalue() == "".join(json.dumps(l, sort_keys=True) + "\n" for l in lines)
+    start = np.cumsum([0] + [g.size for g in tree.generations]).tolist()
+    for level in range(1, tree.depth + 1):  # a path extends its parent's
+        gen = tree.generations[level]
+        for i, (p, q) in enumerate(zip(gen.parent.tolist(), gen.pos.tolist())):
+            parent_path = lines[start[level - 1] + p]["path"]
+            assert lines[start[level] + i]["path"] == parent_path + [q]
     assert lines[0]["path"] == [] and lines[0]["r_product"] == 1.0
     deepest = [l for l in lines if len(l["path"]) == tree.depth]
     assert len(deepest) == tree.generations[tree.depth].size
