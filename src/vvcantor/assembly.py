@@ -66,8 +66,6 @@ def refine_uniform(decomposition: CellDecomposition, splits: int) -> CellDecompo
         lefts=edges[:, :-1].ravel(),
         rights=edges[:, 1:].ravel(),
         masses=np.repeat(decomposition.masses / splits, splits),
-        gap_lefts=decomposition.gap_lefts.copy(),
-        gap_rights=decomposition.gap_rights.copy(),
         splits=decomposition.splits * splits)
 
 

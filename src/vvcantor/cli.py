@@ -11,8 +11,13 @@ sweeps fail loudly). Scientific outputs are deterministic functions of
 - ``cells.csv``, ``gaps.csv``, ``pencil_dirichlet.csv``, ``counting.csv``:
   ``# key=value`` meta lines (LF), then a header and rows ending in CRLF,
   floats with 17 significant digits (``.17g``).
-- ``cutsets.csv``: the same meta lines and ``.17g`` floats, LF rows.
-- JSON documents: sorted keys, indent 2, a final newline.
+- ``cutsets.csv``: the same meta lines and ``.17g`` floats, LF rows; its
+  columns are the ``CutsetStatsRow`` fields in declaration order.
+- JSON documents: sorted keys, indent 2, a final newline. Their keys are the
+  field names of the result dataclasses (``ExponentReport``, ``FEval``,
+  ``EmpiricalFit``, ``ScaleExtrema``, ``BracketingResult``, ``Environment``,
+  ``Violation``). Renaming a field, or reordering ``CutsetStatsRow``, is
+  therefore an output change, and ``tests/test_golden.py`` fails on it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +39,8 @@ from .errors import VVCantorError
 from .eigensolve import counting_to_csv, inertia_counts
 from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
 from .rng import Xoshiro256StarStar, stream_seed
-from .spectral import (MonteCarloNeckEvaluator, TREE_STREAM, bracketing_check,
-                       cutset_stats_check, empirical_exponent,
+from .spectral import (CutsetStatsRow, MonteCarloNeckEvaluator, TREE_STREAM,
+                       bracketing_check, cutset_stats_check, empirical_exponent,
                        gamma_exact_homogeneous, solve_gamma,
                        solve_gamma_recursive)
 from .vtree import build_tree, environments_to_obj, tree_to_jsonl
@@ -130,8 +135,20 @@ def _meta(cfg: RunConfig, subcommand: str) -> dict:
     }
 
 
+def _dumps(obj) -> str:
+    """Every JSON output: sorted keys, indent 2; numpy arrays and scalars
+    are written as their ``tolist()``."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=lambda a: a.tolist())
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(_dumps(obj) + "\n")
+
+
+def _csv_value(value) -> str:
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def _tree_rng(cfg: RunConfig) -> Xoshiro256StarStar:
@@ -151,13 +168,10 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     rep = validate_catalog(cfg.catalog)
     obj = {"meta": _meta(cfg, "validate"),
            "valid": rep.ok,
-           "violations": [{"system": v.system, "message": v.message}
-                          for v in rep.violations]}
+           "violations": [asdict(v) for v in rep.violations]}
     if rep.ok:
-        ex = scale_extrema(cfg.catalog)
-        obj["extrema"] = {"r_inf": ex.r_inf, "r_sup": ex.r_sup,
-                          "m_inf": ex.m_inf, "m_sup": ex.m_sup, "eta": ex.eta}
-    print(json.dumps(obj, sort_keys=True, indent=2))
+        obj["extrema"] = asdict(scale_extrema(cfg.catalog))
+    print(_dumps(obj))
     return 0 if rep.ok else 1
 
 
@@ -219,14 +233,10 @@ def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
         "meta": _meta(cfg, "exponent"),
         "gamma": primary.gamma,
         "method": primary.method,
-        "exact_homogeneous": exact.to_obj(),
-        "monte_carlo": mc.to_obj(),
+        "exact_homogeneous": asdict(exact),
+        "monte_carlo": asdict(mc),
         "recursive_oracle": recursive,
-        "empirical": {
-            "slope": fit.slope, "intercept": fit.intercept,
-            "residual": fit.residual, "n_points": fit.n_points,
-            "window": list(fit.window), "level": cfg.level, "splits": cfg.splits,
-        },
+        "empirical": {**asdict(fit), "level": cfg.level, "splits": cfg.splits},
         "mean_first_neck": float(evaluator.neck_waits.mean()),
         "f_by_root_type_at_gamma": {
             str(t): v for t, v in evaluator.f_by_root_type(mc.gamma).items()
@@ -242,7 +252,7 @@ def _cmd_bracket(cfg: RunConfig, out: Path) -> int:
     results = []
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
         res = bracketing_check(tree, k, xs, cfg.level, cfg.splits)
-        results.append(res.to_obj())
+        results.append({**asdict(res), "n_warn": res.n_warn, "n_fail": res.n_fail})
     _write_json(out / "bracketing.json",
                 {"meta": _meta(cfg, "bracket"), "results": results})
     return 0
@@ -255,22 +265,8 @@ def _cmd_cutsets(cfg: RunConfig, out: Path) -> int:
                               splits=cfg.splits)
     with open(out / "cutsets.csv", "w", newline="") as fp:
         write_meta(fp, _meta(cfg, "cutsets"))
-        fp.write("k,size,harmonic_scale,max_gap,min_product,max_product,"
-                 "chain_lower_ok,chain_upper_ok,scale_lower_ok,"
-                 "nd_at_scale,ratio_nd_over_size,nd_at_k_scale,ratio_size_over_nd\n")
-        for r in rows:
-            fields = [str(r.k), str(r.size), f"{r.harmonic_scale:.17g}",
-                      str(r.max_gap), f"{r.min_product:.17g}", f"{r.max_product:.17g}",
-                      str(r.chain_lower_ok), str(r.chain_upper_ok), str(r.scale_lower_ok)]
-            for v in (r.nd_at_scale, r.ratio_nd_over_size, r.nd_at_k_scale,
-                      r.ratio_size_over_nd):
-                if v is None:
-                    fields.append("")
-                elif isinstance(v, float):
-                    fields.append(f"{v:.17g}")
-                else:
-                    fields.append(str(v))
-            fp.write(",".join(fields) + "\n")
+        fp.write(",".join(f.name for f in fields(CutsetStatsRow)) + "\n")
+        fp.writelines(",".join(map(_csv_value, astuple(r))) + "\n" for r in rows)
     return 0
 
 

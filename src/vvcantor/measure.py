@@ -18,8 +18,10 @@ from .errors import DepthExhaustedError, InvalidInputError
 from .vtree import VTree
 
 # Consecutive cells overlapping by more than this many ulps of the base
-# interval indicate broken input; smaller overlaps are rounding debris from
-# composing affine maps and get clamped to touching.
+# interval indicate broken input; smaller overlaps and gaps are rounding
+# debris from composing affine maps and get clamped to touching. A debris gap
+# kept as an element would put 1/h ~ 1e16 into the stiffness matrix and spoil
+# the inertia counts.
 _OVERLAP_ULPS = 64
 
 
@@ -32,8 +34,6 @@ class CellDecomposition:
     lefts: np.ndarray
     rights: np.ndarray
     masses: np.ndarray
-    gap_lefts: np.ndarray
-    gap_rights: np.ndarray
     splits: int = 1
 
     @property
@@ -43,6 +43,19 @@ class CellDecomposition:
     @property
     def densities(self) -> np.ndarray:
         return self.masses / (self.rights - self.lefts)
+
+    @property
+    def _gap_mask(self) -> np.ndarray:
+        """True between consecutive cells that do not touch."""
+        return self.lefts[1:] > self.rights[:-1]
+
+    @property
+    def gap_lefts(self) -> np.ndarray:
+        return self.rights[:-1][self._gap_mask]
+
+    @property
+    def gap_rights(self) -> np.ndarray:
+        return self.lefts[1:][self._gap_mask]
 
 
 def decompose(tree: VTree, level: int) -> CellDecomposition:
@@ -59,28 +72,19 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
     rights = gen.rprod * b + gen.shift
     masses = gen.mprod.copy()
 
-    if lefts.shape[0] > 1:
-        gaps = lefts[1:] - rights[:-1]
-        tol = _OVERLAP_ULPS * np.finfo(float).eps * max(abs(a), abs(b), b - a)
-        if (gaps < -tol).any():
-            worst = float(gaps.min())
-            raise InvalidInputError(
-                f"consecutive cells overlap by {-worst!r} at level {level}")
-        clamp = gaps < 0
-        if clamp.any():  # sub-ulp overlap from affine composition: snap to touching
-            lefts = lefts.copy()
-            lefts[1:][clamp] = rights[:-1][clamp]
-            gaps = lefts[1:] - rights[:-1]
-        keep = gaps > 0
-        gap_lefts = rights[:-1][keep]
-        gap_rights = lefts[1:][keep]
-    else:
-        gap_lefts = np.zeros(0)
-        gap_rights = np.zeros(0)
+    gaps = lefts[1:] - rights[:-1]
+    tol = _OVERLAP_ULPS * np.finfo(float).eps * max(abs(a), abs(b), b - a)
+    if (gaps < -tol).any():
+        worst = float(gaps.min())
+        raise InvalidInputError(
+            f"consecutive cells overlap by {-worst!r} at level {level}")
+    clamp = (gaps != 0) & (gaps <= tol)
+    if clamp.any():  # rounding debris from affine composition: snap to touching
+        lefts = lefts.copy()
+        lefts[1:][clamp] = rights[:-1][clamp]
 
     return CellDecomposition(
-        level=level, interval=(a, b), lefts=lefts, rights=rights, masses=masses,
-        gap_lefts=gap_lefts, gap_rights=gap_rights, splits=1)
+        level=level, interval=(a, b), lefts=lefts, rights=rights, masses=masses)
 
 
 def cell_mass(decomposition: CellDecomposition, index: int) -> float:
@@ -134,16 +138,11 @@ def gaps_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) 
 
 def cells_from_csv(fp, level: int, interval: tuple[float, float],
                    splits: int = 1) -> CellDecomposition:
-    """Rebuild a decomposition from its cells CSV; gaps are recomputed."""
+    """Rebuild a decomposition from its cells CSV; gaps follow from the cells."""
     rows = [r for r in csv.reader(line for line in fp if not line.startswith("#"))]
     body = rows[1:]
     lefts = np.array([float(r[0]) for r in body])
     rights = np.array([float(r[1]) for r in body])
     masses = np.array([float(r[2]) for r in body])
-    gaps = lefts[1:] - rights[:-1] if lefts.shape[0] > 1 else np.zeros(0)
-    keep = gaps > 0
-    return CellDecomposition(
-        level=level, interval=interval, lefts=lefts, rights=rights, masses=masses,
-        gap_lefts=(rights[:-1][keep] if lefts.shape[0] > 1 else np.zeros(0)),
-        gap_rights=(lefts[1:][keep] if lefts.shape[0] > 1 else np.zeros(0)),
-        splits=splits)
+    return CellDecomposition(level=level, interval=interval, lefts=lefts,
+                             rights=rights, masses=masses, splits=splits)

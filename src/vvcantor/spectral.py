@@ -168,26 +168,6 @@ class ExponentReport:
     ci: tuple[float, float] | None = None
     empirical: EmpiricalFit | None = None
 
-    def to_obj(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "method": self.method,
-            "ci": list(self.ci) if self.ci else None,
-            "blocks": self.blocks,
-            "seed": self.seed,
-            "f_evaluations": [
-                {"x": e.x, "value": e.value, "se": e.se} for e in self.f_evaluations
-            ],
-            "trace": self.trace,
-            "empirical": None if self.empirical is None else {
-                "slope": self.empirical.slope,
-                "intercept": self.empirical.intercept,
-                "residual": self.empirical.residual,
-                "n_points": self.empirical.n_points,
-                "window": list(self.empirical.window),
-            },
-        }
-
 
 def solve_gamma(evaluator, tolerance: float | None = None, *,
                 method: str | None = None, z: float = 3.0,
@@ -337,7 +317,7 @@ class BracketingResult:
     k: int
     level: int
     splits: int
-    xs: np.ndarray
+    x: np.ndarray
     lower: np.ndarray
     center_dirichlet: np.ndarray
     center_neumann: np.ndarray
@@ -355,18 +335,6 @@ class BracketingResult:
     @property
     def ok(self) -> bool:
         return self.n_fail == 0
-
-    def to_obj(self) -> dict:
-        return {
-            "k": self.k, "level": self.level, "splits": self.splits,
-            "x": [float(v) for v in self.xs],
-            "lower": [int(v) for v in self.lower],
-            "center_dirichlet": [int(v) for v in self.center_dirichlet],
-            "center_neumann": [int(v) for v in self.center_neumann],
-            "upper": [int(v) for v in self.upper],
-            "status": list(self.status),
-            "n_warn": self.n_warn, "n_fail": self.n_fail,
-        }
 
 
 def bracketing_check(tree: VTree, k: int, xs, level: int,
@@ -414,7 +382,7 @@ def bracketing_check(tree: VTree, k: int, xs, level: int,
         if status[i] == "warn" and status[i - 1] == "warn":
             status[i] = status[i - 1] = "fail"
 
-    return BracketingResult(k=k, level=level, splits=splits, xs=xs,
+    return BracketingResult(k=k, level=level, splits=splits, x=xs,
                             lower=lower, center_dirichlet=center_d,
                             center_neumann=center_n, upper=upper, status=status)
 
@@ -439,18 +407,16 @@ class CutsetStatsRow:
     ratio_size_over_nd: float | None = None
 
 
-def cutset_stats_check(tree: VTree, ks, level: int | None = None,
+def cutset_stats_check(tree: VTree, ks, level: int,
                        splits: int = 1) -> list[CutsetStatsRow]:
-    """Exact product-chain checks per cut set plus counting diagnostics.
+    """Exact product-chain checks per cut set plus counting diagnostics,
+    with N_D counted on the Dirichlet pencil of ``level`` (and ``splits``).
 
     The count ratios (existential constants in the underlying growth
     estimates) are reported for inspection only; the second uses exponent 1
     on the k factor as a convention.
     """
-    pencil = None
-    if level is not None:
-        dec = refine_uniform(decompose(tree, level), splits)
-        pencil = assemble(dec, DIRICHLET)
+    pencil = assemble(refine_uniform(decompose(tree, level), splits), DIRICHLET)
     eta = scale_extrema(tree.catalog).eta
     rows = []
     for k in ks:
@@ -464,15 +430,14 @@ def cutset_stats_check(tree: VTree, ks, level: int | None = None,
             chain_upper_ok=bool(mx <= ek),
             scale_lower_ok=bool(cs.harmonic_scale >= math.exp(float(k))),
         ))
-    if pencil is not None and rows:
-        # One batched count: N_D at every harmonic scale, then at k times it.
-        scaled = [r for r in rows if r.k >= 1]
-        counts = inertia_counts(pencil, [r.harmonic_scale for r in rows]
-                                + [r.k * r.harmonic_scale for r in scaled]).tolist()
-        for row, nd_t in zip(rows, counts[:len(rows)]):
-            row.nd_at_scale = nd_t
-            row.ratio_nd_over_size = nd_t / row.size
-        for row, nd_kt in zip(scaled, counts[len(rows):]):
-            row.nd_at_k_scale = nd_kt
-            row.ratio_size_over_nd = (row.size / nd_kt) if nd_kt else None
+    # One batched count: N_D at every harmonic scale, then at k times it.
+    scaled = [r for r in rows if r.k >= 1]
+    counts = inertia_counts(pencil, [r.harmonic_scale for r in rows]
+                            + [r.k * r.harmonic_scale for r in scaled]).tolist()
+    for row, nd_t in zip(rows, counts[:len(rows)]):
+        row.nd_at_scale = nd_t
+        row.ratio_nd_over_size = nd_t / row.size
+    for row, nd_kt in zip(scaled, counts[len(rows):]):
+        row.nd_at_k_scale = nd_kt
+        row.ratio_size_over_nd = (row.size / nd_kt) if nd_kt else None
     return rows

@@ -15,7 +15,7 @@ Monte Carlo estimates) only need the environments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -319,10 +319,6 @@ class NeckSums:
         return math.exp(self.log_direct)
 
     @property
-    def block_product(self) -> float:
-        return math.exp(self.log_block_product)
-
-    @property
     def rel_gap(self) -> float:
         """Relative disagreement between the two evaluations."""
         return abs(self.log_direct - self.log_block_product) / max(1.0, abs(self.log_direct))
@@ -408,7 +404,4 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
 
 
 def environments_to_obj(tree: VTree) -> list:
-    return [
-        {"indices": list(env.indices), "child_types": [list(r) for r in env.child_types]}
-        for env in tree.environments
-    ]
+    return [asdict(env) for env in tree.environments]
