@@ -26,9 +26,10 @@ from .assembly import (DIRICHLET, NEUMANN, Pencil, assemble, pencil_to_csv,
 from .eigensolve import (CountingSample, counting_function, eigenvalue,
                          first_eigenvalue_bounds, inertia_count, inertia_counts,
                          spectral_upper_bound)
-from .spectral import (BracketingResult, CutsetStatsRow, EmpiricalFit,
-                       ExponentReport, FEval, MonteCarloNeckEvaluator,
-                       bracketing_check, cutset_stats_check, empirical_exponent,
+from .spectral import (BracketingResult, CenterCounts, CutsetStatsRow,
+                       EmpiricalFit, ExponentReport, FEval,
+                       MonteCarloNeckEvaluator, bracketing_check, center_counts,
+                       cutset_stats_check, empirical_exponent,
                        f_exact_homogeneous, gamma_exact_homogeneous, solve_gamma,
                        solve_gamma_recursive)
 

@@ -3,13 +3,27 @@
 Sturm-sequence inertia counts on symmetric tridiagonal pencils, and the
 per-type dynamic program that evaluates neck block log-sums for Monte Carlo
 batches and for ``vtree.scale_sum_at_neck``. Each has exactly one
-implementation. The Python loop runs over pencil rows (or block levels);
-shifts (or blocks) are numpy lanes that never interact, so one batched
-inertia count gives the same counts as one call per shift.
+implementation. Shifts (or blocks) are numpy lanes that never interact, so
+one batched call gives the same result as one call per shift.
 
-The inertia kernel replaces an exact-zero pivot with a tiny negative value,
-``-(1e-300 + eps * (|kd_i| + |x| * md_i))``, after counting it as
-nonpositive; ties "eigenvalue == x" therefore count as "<= x".
+The inertia count is the row recurrence ``d_i = (kd_i - x md_i) -
+(ko_{i-1} - x mo_{i-1})^2 / d_{i-1}``, evaluated in row chunks of at most
+about ``_CHUNK`` rows x shifts. Each chunk fills two reused buffers with
+``a = kd - x md`` and ``bb = (ko - x mo)^2`` for all its rows at once (row
+0 gets ``bb = 0`` and enters with ``d = +inf``), then runs the recurrence in
+place, two ufunc calls per row, and counts its nonpositive pivots in one
+pass. The pivot leaving a chunk is copied out before the next chunk
+overwrites the buffer. These are the same IEEE operations on the same
+operands in the same order as a row-by-row loop, so the counts are
+bit-identical to it. A prefix scan over 2x2 transfer matrices is not: it
+regroups the products and loses the tiny entry perturbations that decide
+the count when ``x md`` is far below ``kd``.
+
+An exact-zero pivot is counted as nonpositive and then replaced by a tiny
+negative value, ``-(1e-300 + eps * (|kd_i| + |x| * md_i))``, before it
+divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
+loop does not replace: a chunk that produced an exact zero is refilled and
+re-run with the replacement, row by row.
 """
 
 from __future__ import annotations
@@ -17,29 +31,58 @@ from __future__ import annotations
 import numpy as np
 
 _EPS = 1.1102230246251565e-16  # 2^-53
+_CHUNK = 1 << 16  # rows x shifts per chunk buffer
 
 
 # ---------------------------------------------------------------------------
 # Sturm-sequence inertia counts for K - x*M, symmetric tridiagonal.
 
+def _fill_chunk(kd, ko, md, mo, xs, r0, a, bb) -> None:
+    """a = kd - x*md and bb = (ko - x*mo)**2 for rows r0 .. r0 + len(a)."""
+    m = a.shape[0]
+    np.multiply(md[r0:r0 + m, None], xs, out=a)
+    np.subtract(kd[r0:r0 + m, None], a, out=a)
+    j0 = 1 if r0 == 0 else 0  # row 0 has no off-diagonal term
+    bb[:j0] = 0.0
+    b = bb[j0:]
+    off = slice(r0 + j0 - 1, r0 + m - 1)
+    np.multiply(mo[off, None], xs, out=b)
+    np.subtract(ko[off, None], b, out=b)
+    np.multiply(b, b, out=b)
+
+
 def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
     """Generalized eigenvalues of (K, M) that are <= x, for each x in xs."""
     xs = np.asarray(xs, dtype=np.float64)
-    n = kd.shape[0]
-    counts = np.zeros(xs.shape[0], np.int64)
-    if n == 0:
+    n, s = kd.shape[0], xs.shape[0]
+    counts = np.zeros(s, np.int64)
+    if n == 0 or s == 0:
         return counts
+    rows = max(1, _CHUNK // s)
+    abuf = np.empty((min(rows, n), s))
+    bbuf = np.empty_like(abuf)
+    t = np.empty(s)
+    d = np.full(s, np.inf)  # pivot entering the chunk
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = kd[0] - xs * md[0]
-        counts += a <= 0.0
-        repl = -(1e-300 + _EPS * (abs(kd[0]) + np.abs(xs) * md[0]))
-        d = np.where(a == 0.0, repl, a)
-        for i in range(1, n):
-            b = ko[i - 1] - xs * mo[i - 1]
-            a = kd[i] - xs * md[i] - (b * b) / d
-            counts += a <= 0.0
-            repl = -(1e-300 + _EPS * (abs(kd[i]) + np.abs(xs) * md[i]))
-            d = np.where(a == 0.0, repl, a)
+        for r0 in range(0, n, rows):
+            m = min(rows, n - r0)
+            a, bb = abuf[:m], bbuf[:m]
+            _fill_chunk(kd, ko, md, mo, xs, r0, a, bb)
+            prev = d
+            for ai, bi in zip(a, bb):
+                np.divide(bi, prev, out=t)
+                np.subtract(ai, t, out=ai)
+                prev = ai
+            if (a == 0.0).any():
+                _fill_chunk(kd, ko, md, mo, xs, r0, a, bb)
+                for i, (ai, bi) in enumerate(zip(a, bb), r0):
+                    np.divide(bi, d, out=t)
+                    np.subtract(ai, t, out=ai)
+                    repl = -(1e-300 + _EPS * (abs(kd[i]) + np.abs(xs) * md[i]))
+                    d = np.where(ai == 0.0, repl, ai)
+            else:
+                np.copyto(d, a[-1])
+            counts += (a <= 0.0).sum(axis=0)
     return counts
 
 

@@ -40,8 +40,8 @@ from .eigensolve import counting_to_csv, inertia_counts
 from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
 from .rng import Xoshiro256StarStar, stream_seed
 from .spectral import (CutsetStatsRow, MonteCarloNeckEvaluator, TREE_STREAM,
-                       bracketing_check, cutset_stats_check, empirical_exponent,
-                       gamma_exact_homogeneous, solve_gamma,
+                       bracketing_check, center_counts, cutset_stats_check,
+                       empirical_exponent, gamma_exact_homogeneous, solve_gamma,
                        solve_gamma_recursive)
 from .vtree import build_tree, environments_to_obj, tree_to_jsonl
 
@@ -248,10 +248,10 @@ def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_bracket(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.level)
-    xs = cfg.grid()
+    center = center_counts(tree, cfg.grid(), cfg.level, cfg.splits)
     results = []
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
-        res = bracketing_check(tree, k, xs, cfg.level, cfg.splits)
+        res = bracketing_check(tree, k, center)
         results.append({**asdict(res), "n_warn": res.n_warn, "n_fail": res.n_fail})
     _write_json(out / "bracketing.json",
                 {"meta": _meta(cfg, "bracket"), "results": results})

@@ -337,28 +337,45 @@ class BracketingResult:
         return self.n_fail == 0
 
 
-def bracketing_check(tree: VTree, k: int, xs, level: int,
-                     splits: int = 1) -> BracketingResult:
+@dataclass
+class CenterCounts:
+    """N_D and N_N of the center pencils at ascending shifts ``x``."""
+
+    level: int
+    splits: int
+    x: np.ndarray
+    dirichlet: np.ndarray
+    neumann: np.ndarray
+
+
+def center_counts(tree: VTree, xs, level: int, splits: int = 1) -> CenterCounts:
+    """Count the center Dirichlet and Neumann pencils of ``tree`` at
+    ``level`` (plus ``splits`` uniform splits) at the sorted shifts; one
+    result serves ``bracketing_check`` for every k."""
+    xs = np.sort(np.asarray(xs, dtype=np.float64))
+    center = refine_uniform(decompose(tree, level), splits)
+    return CenterCounts(level=level, splits=splits, x=xs,
+                        dirichlet=inertia_counts(assemble(center, DIRICHLET), xs),
+                        neumann=inertia_counts(assemble(center, NEUMANN), xs))
+
+
+def bracketing_check(tree: VTree, k: int, center: CenterCounts) -> BracketingResult:
     """Verify lower <= N_D <= N_N <= upper at matched resolution.
 
-    Every cut-set member at neck level l contributes the counting functions
-    of the shared subtree, discretized at level ``level - l`` (plus the same
-    uniform splits as the center), evaluated at its rescaled shifts. With
-    this resolution matching the member meshes are exactly the center mesh
-    restricted to the member cells, so the chain holds up to rounding ties.
+    The center counts come from ``center_counts``. Every cut-set member at
+    neck level l contributes the counting functions of the shared subtree,
+    discretized at level ``level - l`` (plus the same uniform splits as the
+    center), evaluated at its rescaled shifts. With this resolution matching
+    the member meshes are exactly the center mesh restricted to the member
+    cells, so the chain holds up to rounding ties.
     """
-    xs = np.sort(np.asarray(xs, dtype=np.float64))
+    level, splits, xs = center.level, center.splits, center.x
+    center_d, center_n = center.dirichlet, center.neumann
     cs = cut_set(tree, k)
     max_level = int(cs.levels.max())
     if level < max_level:
         raise ValueError(
             f"level {level} is shallower than the deepest cut-set member ({max_level})")
-
-    center = refine_uniform(decompose(tree, level), splits)
-    pd = assemble(center, DIRICHLET)
-    pn = assemble(center, NEUMANN)
-    center_d = inertia_counts(pd, xs)
-    center_n = inertia_counts(pn, xs)
 
     lower = np.zeros(xs.shape[0], np.int64)
     upper = np.zeros(xs.shape[0], np.int64)

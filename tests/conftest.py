@@ -60,3 +60,29 @@ def dense_eigenvalues(pencil):
 def dense_counts(pencil, xs):
     """Number of dense-oracle eigenvalues <= x, for each x."""
     return np.searchsorted(dense_eigenvalues(pencil), np.atleast_1d(xs), side="right")
+
+
+_EPS = 1.1102230246251565e-16  # 2^-53
+
+
+def sequential_sturm_counts(kd, ko, md, mo, xs):
+    """Oracle for ``_kernels.sturm_counts``: the plain row-by-row Sturm
+    recurrence, one row of every shift per step, with the kernel's
+    exact-zero pivot replacement."""
+    xs = np.asarray(xs, dtype=np.float64)
+    n = kd.shape[0]
+    counts = np.zeros(xs.shape[0], np.int64)
+    if n == 0:
+        return counts
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = kd[0] - xs * md[0]
+        counts += a <= 0.0
+        repl = -(1e-300 + _EPS * (abs(kd[0]) + np.abs(xs) * md[0]))
+        d = np.where(a == 0.0, repl, a)
+        for i in range(1, n):
+            b = ko[i - 1] - xs * mo[i - 1]
+            a = kd[i] - xs * md[i] - (b * b) / d
+            counts += a <= 0.0
+            repl = -(1e-300 + _EPS * (abs(kd[i]) + np.abs(xs) * md[i]))
+            d = np.where(a == 0.0, repl, a)
+    return counts

@@ -13,8 +13,8 @@ import pytest
 from vvcantor import (DIRICHLET, NEUMANN, DepthExhaustedError,
                       MonteCarloNeckEvaluator, TreeTooLargeError,
                       Xoshiro256StarStar, assemble, bracketing_check,
-                      build_tree, cell_mass, cut_set, decompose, eigenvalue,
-                      empirical_exponent, f_exact_homogeneous,
+                      build_tree, cell_mass, center_counts, cut_set, decompose,
+                      eigenvalue, empirical_exponent, f_exact_homogeneous,
                       gamma_exact_homogeneous, inertia_counts,
                       measure_of_interval, refine_uniform, scale_extrema,
                       scale_sum_at_neck, solve_gamma, stream_seed)
@@ -150,7 +150,7 @@ def test_criterion_6_bracketing():
             for k in (1, 2, 3):
                 cs = cut_set(tree, k)
                 level = min(tree.depth, int(cs.levels.max()) + 3)
-                res = bracketing_check(tree, k, xs, level)
+                res = bracketing_check(tree, k, center_counts(tree, xs, level))
                 assert res.n_fail == 0, f"failures at k={k}: {res.status}"
 
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from vvcantor import DIRICHLET, MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
-from conftest import dense_counts, make_two_system
+from conftest import dense_counts, make_two_system, sequential_sturm_counts
 
 
 def test_sturm_tie_counts_as_at_or_below():
@@ -25,6 +28,73 @@ def test_sturm_zero_pivot_after_first_row():
         assert inertia_counts(pen, [1.0]).tolist() == [1]
         xs = np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.5, 3.0 - 1e-9, 3.0 + 1e-9, 4.0])
         assert np.array_equal(inertia_counts(pen, xs), dense_counts(pen, xs))
+
+
+def _integer_pencil(rng, n):
+    # small integer entries make exact-zero pivots common
+    m = max(n - 1, 0)
+    return (rng.integers(-3, 4, n).astype(float), rng.integers(-2, 3, m).astype(float),
+            rng.integers(1, 3, n).astype(float), rng.integers(0, 2, m).astype(float))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_sturm_matches_sequential_oracle_at_zero_pivots(monkeypatch, chunk):
+    # budgets of 1-7 rows x shifts put zero pivots on the first and last
+    # rows of chunks, where the re-run and the carried pivot meet
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for _ in range(400):
+        pencil = _integer_pencil(rng, int(rng.integers(1, 12)))
+        xs = rng.integers(-4, 5, int(rng.integers(1, 4))).astype(float)
+        assert np.array_equal(_kernels.sturm_counts(*pencil, xs),
+                              sequential_sturm_counts(*pencil, xs))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_sturm_matches_sequential_oracle_on_tiny_pencils(n):
+    rng = np.random.default_rng(n)
+    xs = np.concatenate((np.arange(-4.0, 5.0), rng.normal(0.0, 3.0, 20)))
+    for _ in range(50):
+        pencil = _integer_pencil(rng, n)
+        assert np.array_equal(_kernels.sturm_counts(*pencil, xs),
+                              sequential_sturm_counts(*pencil, xs))
+
+
+def test_sturm_matches_sequential_oracle_with_one_row_chunks():
+    # more shifts than the chunk budget: every chunk is a single row
+    # K = [[1, -2], [-2, 4]], M = I: eigenvalues 0 and 5
+    kd, ko, md, mo = np.array([1.0, 4.0]), np.array([-2.0]), np.ones(2), np.zeros(1)
+    assert 200_000 > _kernels._CHUNK
+    # exact ties only in the second row, which the carried first pivot
+    # reaches by the fast path; then a zero first pivot too
+    for zeros in ([0.0, 5.0], [0.0, 5.0, 1.0]):
+        xs = np.random.default_rng(3).uniform(-1.0, 6.0, 200_000)
+        xs[:len(zeros)] = zeros
+        assert np.array_equal(_kernels.sturm_counts(kd, ko, md, mo, xs),
+                              sequential_sturm_counts(kd, ko, md, mo, xs))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sturm_working_memory_is_bounded():
+    rng = np.random.default_rng(4)
+    n = 100_000
+    long = (2.0 + rng.random(n), -rng.random(n - 1), 1e-3 * rng.random(n) + 1e-4,
+            1e-4 * rng.random(n - 1))
+    xs = np.geomspace(1.0, 1e4, 16)
+    # a full n x s buffer would be 12.8 MB
+    assert _peak_bytes(_kernels.sturm_counts, *long, xs) < 4_000_000
+    short = (np.array([2.0, 2.0]), np.array([-1.0]), np.ones(2), np.array([0.25]))
+    xs = np.linspace(0.0, 5.0, 810_000)
+    assert (_peak_bytes(_kernels.sturm_counts, *short, xs)
+            <= _peak_bytes(sequential_sturm_counts, *short, xs))
 
 
 def test_numpy_dp_handles_unit_blocks():

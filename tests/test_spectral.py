@@ -6,7 +6,7 @@ import pytest
 from vvcantor import (Catalog, ContractionMap, DIRICHLET,
                       InsufficientDataError, MonteCarloNeckEvaluator,
                       NoisyRootError, WeightedIFS, Xoshiro256StarStar,
-                      assemble, bracketing_check, build_tree,
+                      assemble, bracketing_check, build_tree, center_counts,
                       cutset_stats_check, cut_set, decompose,
                       empirical_exponent, f_exact_homogeneous,
                       gamma_exact_homogeneous, inertia_counts, solve_gamma,
@@ -234,7 +234,7 @@ def _feasible_tree(catalog, v, k, depth, seeds, node_cap=2_000_000):
 def test_bracketing_k0_reduces_to_center(two_system):
     tree, _ = _feasible_tree(two_system, 2, 1, 10, range(40))
     xs = np.geomspace(2.0, 1e4, 8)
-    res = bracketing_check(tree, 0, xs, 8)
+    res = bracketing_check(tree, 0, center_counts(tree, xs, 8))
     assert np.array_equal(res.lower, res.center_dirichlet)
     assert np.array_equal(res.upper, res.center_neumann)
     assert res.n_fail == 0 and res.n_warn == 0
@@ -246,7 +246,7 @@ def test_bracketing_holds_on_random_trees(two_system):
     for k in (1, 2, 3):
         cs = cut_set(tree, k)
         level = min(tree.depth, int(cs.levels.max()) + 3)
-        res = bracketing_check(tree, k, xs, level)
+        res = bracketing_check(tree, k, center_counts(tree, xs, level))
         assert res.n_fail == 0
         assert (res.lower <= res.center_dirichlet).all()
         assert (res.center_dirichlet <= res.center_neumann).all()
@@ -256,7 +256,7 @@ def test_bracketing_holds_on_random_trees(two_system):
 def test_bracketing_small_shift_zeroes_dirichlet_side(two_system):
     tree, _ = _feasible_tree(two_system, 2, 1, 10, range(40))
     xs = np.array([0.25, 0.5])  # below 1/(b-a) = 1
-    res = bracketing_check(tree, 1, xs, min(tree.depth, 9))
+    res = bracketing_check(tree, 1, center_counts(tree, xs, min(tree.depth, 9)))
     assert (res.lower == 0).all()
     assert (res.center_dirichlet == 0).all()
 
