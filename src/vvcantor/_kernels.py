@@ -24,9 +24,21 @@ negative value, ``-(1e-300 + eps * (|kd_i| + |x| * md_i))``, before it
 divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
 loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
+
+The neck-block DP reads environments packed once into dense per-level
+arrays: each type's system and child-type row, padded to the widest
+system. A new per-type entry sums ``A[v] * (ratio*weight)**x`` over types
+v ascending, then map slots ascending: the order of an ``np.add.at``
+scatter over a flat (CSR) list of the same products, so the sums are
+bit-identical to it. A padded slot's factor is masked to exactly 0, never
+computed as ``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative
+entry, which changes no bit, and x = 0 still gives log node counts.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -87,74 +99,54 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Neck block log-sums.
-#
-# A batch of blocks is packed level-major:
-#   level_sys[l, v]   system index assigned to type v at packed level l
-#   row_off[l, v]     start of the child-type row for (l, v) in types_flat
-#   types_flat[t]     concatenated child-type rows
-#   block_ptr[b]      half-open level range [block_ptr[b], block_ptr[b+1])
-#   root_types[b]     type of the block's root
-#   sys_off[j], n_maps[j]   per-system slice of the map table
-#   fx[m]             per-map factor (ratio*weight)**x, precomputed
-#
-# Each block runs the per-type vector A through its levels; the vector is
-# renormalized by its sum per level and the log-sums accumulate, so the
-# result never over- or underflows.
+# Neck block log-sums. Each block runs the per-type vector A through its
+# levels, renormalized by its sum per level while the log-sums accumulate,
+# so the result never over- or underflows.
 
-def pack_blocks(catalog, v_types: int, root_types, blocks) -> tuple:
-    """Pack blocks for ``block_log_sums``.
-
-    ``blocks[b]`` is the environment sequence of block b and
-    ``root_types[b]`` its root type. Returns ``(level_sys, row_off,
-    types_flat, block_ptr, root_types, sys_off, n_maps, rm)`` where
-    ``rm[m]`` is map m's ratio*weight; pass ``rm ** x`` as ``fx``.
-    """
-    n_maps = np.array([s.size for s in catalog.systems], np.int64)
-    sys_off = np.concatenate(([0], np.cumsum(n_maps)[:-1]))
-    rm = np.array([m.ratio * w for s in catalog.systems
-                   for m, w in zip(s.maps, s.weights)])
-    lens = np.array([len(envs) for envs in blocks], np.int64)
-    block_ptr = np.concatenate(([0], np.cumsum(lens)))
-    total_levels = int(block_ptr[-1])
-    level_sys = np.empty((total_levels, v_types), np.int64)
-    row_off = np.empty((total_levels, v_types), np.int64)
-    flat: list[int] = []
-    l = 0
-    for envs in blocks:
-        for env in envs:
-            for vt in range(v_types):
-                level_sys[l, vt] = env.indices[vt]
-                row_off[l, vt] = len(flat)
-                flat.extend(env.child_types[vt])
-            l += 1
-    return (level_sys, row_off, np.array(flat, np.int64), block_ptr,
-            np.array(root_types, np.int64), sys_off, n_maps, rm)
+PackedBlocks = namedtuple("PackedBlocks", "level_sys child lens roots")
 
 
-def block_log_sums(level_sys, row_off, types_flat, block_ptr, root_types,
-                   sys_off, n_maps, fx, n_types) -> np.ndarray:
-    """log of sum over block paths of the per-path factor products."""
-    n_blocks = root_types.shape[0]
-    out = np.zeros(n_blocks, np.float64)
-    lens = block_ptr[1:] - block_ptr[:-1]
-    amat = np.zeros((n_blocks, n_types), np.float64)
-    amat[np.arange(n_blocks), root_types] = 1.0
-    max_len = int(lens.max()) if n_blocks else 0
-    for p in range(max_len):
+def pack_blocks(v_types: int, width: int, root_types, blocks) -> PackedBlocks:
+    """Pack environment sequences level-major: block b, ``blocks[b]`` with
+    root type ``roots[b] = root_types[b]``, is ``lens[b]`` levels following
+    those of blocks 0..b-1. ``level_sys[l, v]`` is the system of type v at
+    level l and ``child[l, v, i]`` the type of its child i, 0 past the
+    system's maps; ``width`` is the catalog's largest map count."""
+    lens = np.fromiter(map(len, blocks), np.int64, len(blocks))
+    n = int(lens.sum())
+    envs = [env for envs in blocks for env in envs]
+    pads = [(0,) * (width - k) for k in range(width + 1)]
+    level_sys = np.fromiter(chain.from_iterable(env.indices for env in envs),
+                            np.int64, n * v_types).reshape(n, v_types)
+    child = np.fromiter(chain.from_iterable(row + pads[len(row)] for env in envs
+                                            for row in env.child_types),
+                        np.int64, n * v_types * width).reshape(n, v_types, width)
+    return PackedBlocks(level_sys, child, lens, np.array(root_types, np.int64))
+
+
+def block_log_sums(level_sys, child, lens, roots, table, x: float) -> np.ndarray:
+    """log of sum over block paths of the per-path (ratio*weight)**x
+    products; ``table`` is ``catalog.map_table``."""
+    rm = table[..., 0] * table[..., 1]
+    real = table[..., 0] > 0.0
+    fx = np.zeros(rm.shape)
+    fx[real] = rm[real] ** x
+    n_blocks, n_types = roots.shape[0], level_sys.shape[1]
+    starts = np.cumsum(lens) - lens
+    out = np.zeros(n_blocks)
+    amat = np.zeros((n_blocks, n_types))
+    amat[np.arange(n_blocks), roots] = 1.0
+    for p in range(int(lens.max(initial=0))):
         active = np.nonzero(lens > p)[0]
-        levels = block_ptr[active] + p
-        new = np.zeros((active.shape[0], n_types), np.float64)
+        levels = starts[active] + p
+        rows = np.arange(active.shape[0])
+        new = np.zeros((active.shape[0], n_types))
         for v in range(n_types):
             av = amat[active, v]
-            sysv = level_sys[levels, v]
-            cnt = n_maps[sysv]
-            rep = np.repeat(np.arange(active.shape[0]), cnt)
-            starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-            local = np.arange(cnt.sum()) - np.repeat(starts, cnt)
-            targets = types_flat[np.repeat(row_off[levels, v], cnt) + local]
-            vals = av[rep] * fx[np.repeat(sys_off[sysv], cnt) + local]
-            np.add.at(new, (rep, targets), vals)
+            fv = fx[level_sys[levels, v]]
+            cv = child[levels, v]
+            for i in range(fx.shape[1]):
+                new[rows, cv[:, i]] += av * fv[:, i]
         sums = new.sum(axis=1)
         out[active] += np.log(sums)
         amat[active] = new / sums[:, None]

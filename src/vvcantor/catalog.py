@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EmptyCatalogError
 
 WEIGHT_TOL = 1e-12
@@ -115,6 +117,18 @@ def scale_extrema(catalog: Catalog) -> ScaleExtrema:
     r_inf, r_sup = min(ratios), max(ratios)
     m_inf, m_sup = min(weights), max(weights)
     return ScaleExtrema(r_inf, r_sup, m_inf, m_sup, r_inf * m_inf)
+
+
+@functools.lru_cache(maxsize=256)
+def map_table(catalog: Catalog) -> np.ndarray:
+    """(n_systems, width, 3) array of each map's (ratio, weight, offset),
+    zero past a system's maps (a real map's ratio is positive). Read-only,
+    since the cached array is shared."""
+    table = np.zeros((catalog.n_systems, max(s.size for s in catalog.systems), 3))
+    for j, s in enumerate(catalog.systems):
+        table[j, :s.size] = [(m.ratio, w, m.offset) for m, w in zip(s.maps, s.weights)]
+    table.setflags(write=False)
+    return table
 
 
 def validate_catalog(catalog: Catalog) -> ValidationReport:

@@ -110,6 +110,8 @@ class RunConfig:
                 raise ValueError("root_type outside {0..v-1}")
         node_cap = int(doc.get("node_cap", 10_000_000))
         env_levels = doc.get("env_levels")
+        if env_levels is not None and int(env_levels) < max(depth, level):
+            raise ValueError("env_levels must be >= depth and level")
         return cls(catalog=catalog, v=v, seed=seed, depth=depth, level=level,
                    splits=splits, k_range=(int(k_range[0]), int(k_range[1])),
                    x_grid=(float(grid["lo"]), float(grid["hi"]), int(grid["count"])),

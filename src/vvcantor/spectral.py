@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .assembly import DIRICHLET, NEUMANN, assemble, refine_uniform
-from .catalog import Catalog, scale_extrema
+from .catalog import Catalog, map_table, scale_extrema
 from .errors import InsufficientDataError, NeckTimeoutError, NoisyRootError
 from .eigensolve import inertia_counts
 from .measure import decompose
@@ -74,54 +74,46 @@ class MonteCarloNeckEvaluator:
         self.v_types = v_types
         self.master_seed = master_seed
         self.env_cap = env_cap
-        self._root_types: list[int] = []
-        self._envs: list[list] = []
-        self._packed = None
-        self._simulate(0, blocks)
+        self._packed = _kernels.pack_blocks(v_types, map_table(catalog).shape[1], [], [])
+        self._simulate(blocks)
 
     # -- simulation ---------------------------------------------------------
 
-    def _simulate_block(self, b: int):
-        rng = Xoshiro256StarStar(stream_seed(self.master_seed, MC_BLOCK_STREAM_BASE + b))
-        root = rng.randint(self.v_types)
-        envs = []
-        while True:
-            env = sample_environment(self.catalog, self.v_types, rng)
-            envs.append(env)
-            if env.is_neck:
-                return root, envs
-            if len(envs) >= self.env_cap:
-                raise NeckTimeoutError(
-                    f"block {b} saw no neck within {self.env_cap} levels")
-
-    def _simulate(self, start: int, stop: int) -> None:
-        for b in range(start, stop):
-            root, envs = self._simulate_block(b)
-            self._root_types.append(root)
-            self._envs.append(envs)
-        self._packed = None
+    def _simulate(self, extra: int) -> None:
+        """Draw ``extra`` more blocks and append them, packed."""
+        roots, blocks = [], []
+        for b in range(self.blocks, self.blocks + extra):
+            rng = Xoshiro256StarStar(stream_seed(self.master_seed, MC_BLOCK_STREAM_BASE + b))
+            roots.append(rng.randint(self.v_types))
+            envs = [sample_environment(self.catalog, self.v_types, rng)]
+            while not envs[-1].is_neck:
+                if len(envs) >= self.env_cap:
+                    raise NeckTimeoutError(
+                        f"block {b} saw no neck within {self.env_cap} levels")
+                envs.append(sample_environment(self.catalog, self.v_types, rng))
+            blocks.append(envs)
+        packed = _kernels.pack_blocks(self.v_types, map_table(self.catalog).shape[1],
+                                      roots, blocks)
+        del roots, blocks  # free the Environment objects before the copy below
+        self._packed = _kernels.PackedBlocks(*map(np.concatenate, zip(self._packed, packed)))
 
     @property
     def blocks(self) -> int:
-        return len(self._envs)
+        return self._packed.lens.shape[0]
 
     @property
     def neck_waits(self) -> np.ndarray:
         """First neck level per block."""
-        return np.array([len(e) for e in self._envs], np.int64)
+        return self._packed.lens.copy()
 
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
-        self._simulate(self.blocks, self.blocks + extra)
+        self._simulate(extra)
 
     # -- evaluation ----------------------------------------------------------
 
     def log_sums(self, x: float) -> np.ndarray:
-        if self._packed is None:
-            self._packed = _kernels.pack_blocks(self.catalog, self.v_types,
-                                                self._root_types, self._envs)
-        *arrays, rm = self._packed
-        return _kernels.block_log_sums(*arrays, rm ** x, self.v_types)
+        return _kernels.block_log_sums(*self._packed, map_table(self.catalog), x)
 
     def f(self, x: float) -> tuple[float, float]:
         """Estimate of f(x) with its standard error."""
@@ -133,7 +125,7 @@ class MonteCarloNeckEvaluator:
     def f_by_root_type(self, x: float) -> dict[int, float]:
         """Conditional block means given the root type (diagnostic)."""
         ls = self.log_sums(x)
-        roots = np.array(self._root_types)
+        roots = self._packed.roots
         return {int(t): float(ls[roots == t].mean())
                 for t in np.unique(roots)}
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels
-from .catalog import Catalog, scale_extrema
+from .catalog import Catalog, map_table, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
 from .rng import Xoshiro256StarStar
 
@@ -159,16 +159,21 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     for env in environments:
         _require_positive_types(env, v_types, catalog)
 
+    table = map_table(catalog)
+    width = table.shape[1]
+    ratio, weight, offset = (table[..., c].ravel() for c in range(3))
+    n_maps = np.array([s.size for s in catalog.systems], np.int64)
+    level_sys, child = _kernels.pack_blocks(v_types, width, [root_type], [environments[:depth]])[:2]
+
     # Size precheck from per-type counts (Python ints, no overflow).
     counts = [0] * v_types
     counts[root_type] = 1
     total_nodes = 1
     for g in range(depth):
-        env = environments[g]
         nxt = [0] * v_types
         for v in range(v_types):
             if counts[v]:
-                for t in env.child_types[v]:
+                for t in child[g, v, :n_maps[level_sys[g, v]]].tolist():
                     nxt[t] += counts[v]
         counts = nxt
         total_nodes += sum(counts)
@@ -187,31 +192,22 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     )
     generations = [root]
     for g in range(depth):
-        env = environments[g]
         gen = generations[-1]
-        sizes = np.array([catalog.systems[j].size for j in env.indices], np.int64)
-        type_rows = np.concatenate([np.array(row, np.int64) for row in env.child_types])
-        row_off = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        fr = np.concatenate([[m.ratio for m in catalog.systems[j].maps] for j in env.indices])
-        fm = np.concatenate([list(catalog.systems[j].weights) for j in env.indices])
-        fc = np.concatenate([[m.offset for m in catalog.systems[j].maps] for j in env.indices])
-        sysv = np.array(env.indices, np.int64)
-
-        gen.system = sysv[gen.types]  # the system that splits this generation
-        n_children = sizes[gen.types]
+        gen.system = level_sys[g][gen.types]  # the system that splits this generation
+        n_children = n_maps[gen.system]
         total = int(n_children.sum())
         parent = np.repeat(np.arange(gen.size, dtype=np.int64), n_children)
-        starts = np.concatenate(([0], np.cumsum(n_children)[:-1]))
+        starts = np.cumsum(n_children) - n_children
         pos = np.arange(total, dtype=np.int64) - np.repeat(starts, n_children)
-        slot = np.repeat(row_off[gen.types], n_children) + pos
+        slot = gen.system[parent] * width + pos  # 1-D slots into the map columns
         generations.append(Generation(
             parent=parent,
             pos=pos,
-            types=type_rows[slot],
+            types=child[g].ravel()[gen.types[parent] * width + pos],
             system=np.full(total, -1, np.int64),
-            rprod=gen.rprod[parent] * fr[slot],
-            mprod=gen.mprod[parent] * fm[slot],
-            shift=gen.rprod[parent] * fc[slot] + gen.shift[parent],
+            rprod=gen.rprod[parent] * ratio[slot],
+            mprod=gen.mprod[parent] * weight[slot],
+            shift=gen.rprod[parent] * offset[slot] + gen.shift[parent],
         ))
     return VTree(catalog, v_types, root_type, environments, generations)
 
@@ -345,10 +341,10 @@ def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
     # to the k-th neck.
     roots = [tree.root_type] + [envs[lo - 1].child_types[0][0] for lo in bounds[1:-1]]
     blocks = [envs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    *arrays, rm = _kernels.pack_blocks(tree.catalog, tree.v_types,
-                                       roots + [tree.root_type],
-                                       blocks + [envs[:bounds[-1]]])
-    sums = _kernels.block_log_sums(*arrays, rm ** x, tree.v_types).tolist()
+    table = map_table(tree.catalog)
+    packed = _kernels.pack_blocks(tree.v_types, table.shape[1], roots + [tree.root_type],
+                                  blocks + [envs[:bounds[-1]]])
+    sums = _kernels.block_log_sums(*packed, table, x).tolist()
     return NeckSums(x=x, k=k, neck_levels=tuple(necks[:k]),
                     block_log_sums=sums[:-1], log_direct=sums[-1])
 

@@ -86,3 +86,72 @@ def sequential_sturm_counts(kd, ko, md, mo, xs):
             repl = -(1e-300 + _EPS * (abs(kd[i]) + np.abs(xs) * md[i]))
             d = np.where(a == 0.0, repl, a)
     return counts
+
+
+# The CSR neck-block DP that ``_kernels.block_log_sums`` replaced, kept
+# verbatim as its oracle. A batch of blocks is packed level-major:
+#   level_sys[l, v]   system index assigned to type v at packed level l
+#   row_off[l, v]     start of the child-type row for (l, v) in types_flat
+#   types_flat[t]     concatenated child-type rows
+#   block_ptr[b]      half-open level range [block_ptr[b], block_ptr[b+1])
+#   root_types[b]     type of the block's root
+#   sys_off[j], n_maps[j]   per-system slice of the map table
+#   fx[m]             per-map factor (ratio*weight)**x, precomputed
+
+def csr_pack_blocks(catalog, v_types: int, root_types, blocks) -> tuple:
+    """Pack blocks for ``csr_block_log_sums``.
+
+    ``blocks[b]`` is the environment sequence of block b and
+    ``root_types[b]`` its root type. Returns ``(level_sys, row_off,
+    types_flat, block_ptr, root_types, sys_off, n_maps, rm)`` where
+    ``rm[m]`` is map m's ratio*weight; pass ``rm ** x`` as ``fx``.
+    """
+    n_maps = np.array([s.size for s in catalog.systems], np.int64)
+    sys_off = np.concatenate(([0], np.cumsum(n_maps)[:-1]))
+    rm = np.array([m.ratio * w for s in catalog.systems
+                   for m, w in zip(s.maps, s.weights)])
+    lens = np.array([len(envs) for envs in blocks], np.int64)
+    block_ptr = np.concatenate(([0], np.cumsum(lens)))
+    total_levels = int(block_ptr[-1])
+    level_sys = np.empty((total_levels, v_types), np.int64)
+    row_off = np.empty((total_levels, v_types), np.int64)
+    flat: list[int] = []
+    l = 0
+    for envs in blocks:
+        for env in envs:
+            for vt in range(v_types):
+                level_sys[l, vt] = env.indices[vt]
+                row_off[l, vt] = len(flat)
+                flat.extend(env.child_types[vt])
+            l += 1
+    return (level_sys, row_off, np.array(flat, np.int64), block_ptr,
+            np.array(root_types, np.int64), sys_off, n_maps, rm)
+
+
+def csr_block_log_sums(level_sys, row_off, types_flat, block_ptr, root_types,
+                       sys_off, n_maps, fx, n_types) -> np.ndarray:
+    """log of sum over block paths of the per-path factor products."""
+    n_blocks = root_types.shape[0]
+    out = np.zeros(n_blocks, np.float64)
+    lens = block_ptr[1:] - block_ptr[:-1]
+    amat = np.zeros((n_blocks, n_types), np.float64)
+    amat[np.arange(n_blocks), root_types] = 1.0
+    max_len = int(lens.max()) if n_blocks else 0
+    for p in range(max_len):
+        active = np.nonzero(lens > p)[0]
+        levels = block_ptr[active] + p
+        new = np.zeros((active.shape[0], n_types), np.float64)
+        for v in range(n_types):
+            av = amat[active, v]
+            sysv = level_sys[levels, v]
+            cnt = n_maps[sysv]
+            rep = np.repeat(np.arange(active.shape[0]), cnt)
+            starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+            local = np.arange(cnt.sum()) - np.repeat(starts, cnt)
+            targets = types_flat[np.repeat(row_off[levels, v], cnt) + local]
+            vals = av[rep] * fx[np.repeat(sys_off[sysv], cnt) + local]
+            np.add.at(new, (rep, targets), vals)
+        sums = new.sum(axis=1)
+        out[active] += np.log(sums)
+        amat[active] = new / sums[:, None]
+    return out

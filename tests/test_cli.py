@@ -68,6 +68,14 @@ def test_unknown_field_rejected(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["tree", "exponent"])
+def test_env_levels_below_depth_is_a_config_error(tmp_path, capsys, subcommand):
+    cfg = write_cfg(tmp_path, small_cantor_doc(depth=6, level=4, env_levels=5))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "env_levels" in capsys.readouterr().err
+    assert not (tmp_path / "exponent.json").exists()
+
+
 def test_invalid_catalog_blocks_other_commands(tmp_path, capsys):
     doc = small_cantor_doc()
     doc["catalog"]["systems"][0]["weights"] = [0.5, 0.4]

@@ -143,6 +143,17 @@ def test_f_by_root_type_reports_every_type(two_system):
     assert set(cond) == {0, 1}
 
 
+def test_extend_matches_fresh_evaluator(two_system):
+    grown = MonteCarloNeckEvaluator(two_system, 2, 30, master_seed=17)
+    grown.extend(25)
+    fresh = MonteCarloNeckEvaluator(two_system, 2, 55, master_seed=17)
+    assert grown.blocks == fresh.blocks == 55
+    assert np.array_equal(grown.neck_waits, fresh.neck_waits)
+    for x in (0.0, 0.4, 1.3):
+        assert grown.log_sums(x).tobytes() == fresh.log_sums(x).tobytes()
+    assert grown.f_by_root_type(0.4) == fresh.f_by_root_type(0.4)
+
+
 def test_neck_timeout_with_tiny_cap(two_system):
     from vvcantor import NeckTimeoutError
 
