@@ -24,8 +24,12 @@ from .catalog import Catalog, map_table, scale_extrema
 from .errors import InsufficientDataError, NeckTimeoutError, NoisyRootError
 from .eigensolve import inertia_counts
 from .measure import decompose
-from .rng import Xoshiro256StarStar, stream_seed
-from .vtree import VTree, cut_set, neck_subtree, sample_environment
+from .rng import (Xoshiro256StarStarLanes, categorical_index, cumulative_probs,
+                  stream_seeds)
+from .vtree import VTree, cut_set, neck_subtree
+# Not called here since the Monte Carlo lanes; perfbench/tracing.py still
+# wraps vvcantor.spectral.sample_environment and its self-check expects it.
+from .vtree import sample_environment  # noqa: F401
 
 # Stream ids (reproducibility contract): the main tree uses stream 0, Monte
 # Carlo block b uses stream 1 + b.
@@ -33,6 +37,7 @@ TREE_STREAM = 0
 MC_BLOCK_STREAM_BASE = 1
 
 DEFAULT_ENV_CAP = 100_000
+_ROW_BUDGET = 1 << 20  # rows held for Monte Carlo lanes still running
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +63,97 @@ def _recursive_mean(catalog: Catalog, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluator
 
+class _BlockDraws:
+    """Neck blocks ``first + k`` for k in ``range(count)``, drawn in lockstep
+    lanes and held as level rows until ``packed`` orders them.
+
+    Lane k draws from stream ``MC_BLOCK_STREAM_BASE + first + k`` in the
+    order of ``vtree.sample_environment``: the root type ``(u*V)``, then
+    per level V categorical system draws, then the child types type by
+    type and slot by slot, each lane drawing only the slots its system has.
+    Rows are held in the smallest unsigned dtype that fits a type or a
+    system, and widened to int64 once, in ``packed``."""
+
+    def __init__(self, catalog: Catalog, v_types: int, master_seed: int,
+                 first: int, count: int, env_cap: int):
+        self.v_types = v_types
+        self.master_seed = master_seed
+        self.first = first
+        self.env_cap = env_cap
+        self.width = map_table(catalog).shape[1]
+        self.sizes = np.array([s.size for s in catalog.systems], np.int64)
+        self.cum = cumulative_probs(catalog.index_probs)
+        self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
+        self.lens = np.zeros(count, np.int64)
+        self.roots = np.zeros(count, np.int64)
+        self.rows = [(np.zeros(0, np.int64), np.zeros((0, v_types), self.dtype),
+                      np.zeros((0, v_types, self.width), self.dtype))]
+
+    def run(self, ks: np.ndarray) -> np.ndarray:
+        """Draw blocks ``ks`` (ascending) until each necks.
+
+        Whenever the rows held for running lanes pass ``_ROW_BUDGET`` at
+        level l, all but the lowest ``_ROW_BUDGET // (8 l)`` running blocks
+        are shed: their rows are dropped and they are returned, to be drawn
+        again from their seeds. A block shed at level l runs past it, so
+        the next pass sheds again early unless far fewer lanes are kept.
+        At least ``_ROW_BUDGET // env_cap`` lanes are kept, and that many
+        cannot pass the budget.
+
+        Raises ``NeckTimeoutError`` for the lowest block that saw no neck
+        within ``env_cap`` levels; every lower block has necked by then."""
+        v, width, min_size = self.v_types, self.width, int(self.sizes.min())
+        floor = max(1, _ROW_BUDGET // self.env_cap)
+        rng = Xoshiro256StarStarLanes(
+            stream_seeds(self.master_seed, MC_BLOCK_STREAM_BASE + self.first + ks))
+        self.roots[ks] = rng.uniform() * v
+        lane, shed, slots, held = ks, ks[:0], np.arange(width), len(self.rows)
+        for level in range(1, self.env_cap + 1):
+            u = rng.uniforms([None] * v)
+            sys_ = categorical_index(self.cum, u.T).astype(self.dtype)
+            real = slots < self.sizes[sys_][..., None]
+            u = rng.uniforms([None if i < min_size else real[:, t, i]  # has slot i
+                              for t in range(v) for i in range(width)])
+            child = np.where(real, u.T.reshape(real.shape) * v, 0.0).astype(self.dtype)
+            self.rows.append((lane, sys_, child))
+            neck = ((child == child[:, :1, :1]) | ~real).all(axis=(1, 2))
+            if neck.any():
+                self.lens[lane[neck]] = level
+                running = ~neck
+                lane = lane[running]
+                if not lane.shape[0]:
+                    return shed
+                rng.keep(running)
+            if lane.shape[0] > floor and lane.shape[0] * level > _ROW_BUDGET:
+                keep = max(floor, _ROW_BUDGET // (8 * level))
+                lane, shed = lane[:keep], np.concatenate((lane[keep:], shed))
+                rng.keep(slice(keep))
+                self.rows[held:] = [(k[m], s[m], c[m]) for k, s, c in self.rows[held:]
+                                    for m in [(k < shed[0]) | (self.lens[k] > 0)]]
+        raise NeckTimeoutError(f"block {self.first + int(lane[0])} saw no neck "
+                               f"within {self.env_cap} levels")
+
+    def packed(self) -> _kernels.PackedBlocks:
+        """The drawn blocks, block-major: a stable sort by block keeps each
+        block's levels in the order they were drawn."""
+        lane, sys_, child = (np.concatenate(col) for col in zip(*self.rows))
+        order = np.argsort(lane, kind="stable")
+        return _kernels.PackedBlocks(sys_[order].astype(np.int64),
+                                     child[order].astype(np.int64),
+                                     self.lens, self.roots)
+
+
 class MonteCarloNeckEvaluator:
     """Estimates f(x) from independently seeded neck blocks.
 
     Block b draws its root type and environments from the stream
-    ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment. The
-    blocks are sampled once and shared by all x (common random numbers).
+    ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
+    draw order of ``vtree.sample_environment``. All requested blocks are
+    drawn at once in lockstep ``Xoshiro256StarStarLanes``, one lane per
+    block, straight into the packed table; they are sampled once and shared
+    by all x (common random numbers). ``NeckTimeoutError`` names the lowest
+    block that saw no neck within ``env_cap`` levels, the one drawing the
+    blocks one by one would fail on.
     """
 
     def __init__(self, catalog: Catalog, v_types: int, blocks: int,
@@ -74,28 +164,20 @@ class MonteCarloNeckEvaluator:
         self.v_types = v_types
         self.master_seed = master_seed
         self.env_cap = env_cap
-        self._packed = _kernels.pack_blocks(v_types, map_table(catalog).shape[1], [], [])
-        self._simulate(blocks)
+        self._packed = self._simulate(0, blocks)
 
     # -- simulation ---------------------------------------------------------
 
-    def _simulate(self, extra: int) -> None:
-        """Draw ``extra`` more blocks and append them, packed."""
-        roots, blocks = [], []
-        for b in range(self.blocks, self.blocks + extra):
-            rng = Xoshiro256StarStar(stream_seed(self.master_seed, MC_BLOCK_STREAM_BASE + b))
-            roots.append(rng.randint(self.v_types))
-            envs = [sample_environment(self.catalog, self.v_types, rng)]
-            while not envs[-1].is_neck:
-                if len(envs) >= self.env_cap:
-                    raise NeckTimeoutError(
-                        f"block {b} saw no neck within {self.env_cap} levels")
-                envs.append(sample_environment(self.catalog, self.v_types, rng))
-            blocks.append(envs)
-        packed = _kernels.pack_blocks(self.v_types, map_table(self.catalog).shape[1],
-                                      roots, blocks)
-        del roots, blocks  # free the Environment objects before the copy below
-        self._packed = _kernels.PackedBlocks(*map(np.concatenate, zip(self._packed, packed)))
+    def _simulate(self, first: int, count: int) -> _kernels.PackedBlocks:
+        """Blocks ``first .. first + count - 1``, packed. Each pass draws
+        every block not yet drawn, so the blocks a pass sheds to stay
+        within ``_ROW_BUDGET`` are drawn by the next."""
+        draws = _BlockDraws(self.catalog, self.v_types, self.master_seed,
+                            first, count, self.env_cap)
+        todo = np.arange(count)
+        while todo.size:
+            todo = draws.run(todo)
+        return draws.packed()
 
     @property
     def blocks(self) -> int:
@@ -108,7 +190,8 @@ class MonteCarloNeckEvaluator:
 
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
-        self._simulate(extra)
+        self._packed = _kernels.PackedBlocks(*map(
+            np.concatenate, zip(self._packed, self._simulate(self.blocks, extra))))
 
     # -- evaluation ----------------------------------------------------------
 

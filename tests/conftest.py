@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from vvcantor import Catalog, ContractionMap, WeightedIFS
+from vvcantor import (Catalog, ContractionMap, NeckTimeoutError, WeightedIFS,
+                      Xoshiro256StarStar, sample_environment, stream_seed)
+from vvcantor import _kernels
+from vvcantor.catalog import map_table
+from vvcantor.spectral import DEFAULT_ENV_CAP, MC_BLOCK_STREAM_BASE
 
 
 def make_cantor() -> Catalog:
@@ -155,3 +159,24 @@ def csr_block_log_sums(level_sys, row_off, types_flat, block_ptr, root_types,
         out[active] += np.log(sums)
         amat[active] = new / sums[:, None]
     return out
+
+
+# The scalar Monte Carlo block loop that the lockstep lanes of
+# ``MonteCarloNeckEvaluator`` replaced, kept verbatim as their oracle:
+# block b draws its root type and environments one scalar call at a time.
+
+def scalar_neck_blocks(catalog, v_types: int, master_seed: int, first: int,
+                       count: int, env_cap: int = DEFAULT_ENV_CAP) -> _kernels.PackedBlocks:
+    """Blocks ``first .. first + count - 1``, packed."""
+    roots, blocks = [], []
+    for b in range(first, first + count):
+        rng = Xoshiro256StarStar(stream_seed(master_seed, MC_BLOCK_STREAM_BASE + b))
+        roots.append(rng.randint(v_types))
+        envs = [sample_environment(catalog, v_types, rng)]
+        while not envs[-1].is_neck:
+            if len(envs) >= env_cap:
+                raise NeckTimeoutError(
+                    f"block {b} saw no neck within {env_cap} levels")
+            envs.append(sample_environment(catalog, v_types, rng))
+        blocks.append(envs)
+    return _kernels.pack_blocks(v_types, map_table(catalog).shape[1], roots, blocks)

@@ -1,17 +1,23 @@
 """Properties that must hold on every valid catalog, checked on random ones:
-1-3 systems of 2-4 maps, V = 1-3 types, trees of depth <= 5 and neck-block
-batches of up to 8 blocks of up to 12 levels."""
+1-3 systems of 2-4 maps, V = 1-3 types, trees of depth <= 5, neck-block
+batches of up to 8 blocks of up to 12 levels, and Monte Carlo draws of up
+to 40 blocks."""
+
+from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
-from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap, WeightedIFS,
+from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap,
+                      MonteCarloNeckEvaluator, NeckTimeoutError, WeightedIFS,
                       Xoshiro256StarStar, assemble, build_tree, decompose,
                       inertia_counts, stream_seed, validate_catalog)
-from vvcantor import _kernels
+from vvcantor import _kernels, spectral
 from vvcantor.catalog import map_table
 from vvcantor.vtree import sample_environment
-from conftest import csr_block_log_sums, csr_pack_blocks, dense_counts, make_two_system
+from conftest import (csr_block_log_sums, csr_pack_blocks, dense_counts,
+                      make_two_system, scalar_neck_blocks)
 
 XS = np.geomspace(1.0, 1e6, 25)
 MAX_CELLS = 256  # keeps the dense oracle cheap
@@ -110,3 +116,41 @@ def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
                                   table, x)
     *csr, rm = csr_pack_blocks(catalog, v, roots, blocks)
     assert got.tobytes() == csr_block_log_sums(*csr, rm ** x, v).tobytes()
+
+
+# Three systems whose index probabilities add up, left to right, to
+# 0.9999999999999999: a draw above that sum takes the last system.
+SHORT_SUM = Catalog(0.0, 1.0, make_two_system().systems + (WeightedIFS(
+    (ContractionMap(0.25, 0.0), ContractionMap(0.25, 0.75)), (0.5, 0.5)),), (0.7, 0.2, 0.1))
+MC_ENV_CAP = 150  # keeps the scalar oracle cheap where necks are rare
+
+
+def _assert_packed_equal(got, want):
+    for name, g, w in zip(_kernels.PackedBlocks._fields, got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert np.array_equal(g, w), name
+
+
+@settings(deadline=None, max_examples=40)
+@example(catalog=SHORT_SUM, v=3, n=12, k=5, seed=4, budget=1 << 20)
+@example(catalog=make_two_system(), v=2, n=30, k=10, seed=1, budget=50)
+@given(catalog=catalogs(), v=st.integers(1, 3), n=st.integers(2, 40),
+       k=st.integers(1, 10), seed=st.integers(0, 2 ** 64 - 1),
+       budget=st.sampled_from([1 << 20, 400, 1]))
+def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
+    """Lockstep lanes draw exactly the scalar oracle's blocks, also after
+    ``extend`` and when a small row budget sheds and redraws lanes; a
+    timeout names the oracle's block."""
+    with mock.patch.object(spectral, "_ROW_BUDGET", budget):
+        try:
+            want = scalar_neck_blocks(catalog, v, seed, 0, n + k, MC_ENV_CAP)
+        except NeckTimeoutError as err:
+            event("timeout")
+            with pytest.raises(NeckTimeoutError, match=f"^{err}$"):
+                MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP).extend(k)
+            return
+        _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed, MC_ENV_CAP)._packed,
+                             want)
+        grown = MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP)
+        grown.extend(k)
+        _assert_packed_equal(grown._packed, want)

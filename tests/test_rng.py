@@ -1,4 +1,11 @@
-from vvcantor.rng import Xoshiro256StarStar, splitmix64_next, stream_seed
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+from vvcantor.rng import (Xoshiro256StarStar, Xoshiro256StarStarLanes,
+                          categorical_index, cumulative_probs, splitmix64_next,
+                          stream_seed, stream_seeds)
 
 
 def test_splitmix64_reference_vector():
@@ -41,3 +48,76 @@ def test_categorical_walks_cumulative_sums():
         counts[g.categorical([0.2, 0.5, 0.3])] += 1
     assert abs(counts[0] / 30_000 - 0.2) < 0.02
     assert abs(counts[1] / 30_000 - 0.5) < 0.02
+
+
+# Reference C xoshiro256** outputs from the state (1, 2, 3, 4).
+STATE_1234 = (1, 2, 3, 4)
+OUTPUTS_1234 = [11520, 0, 1509978240, 1215971899390074240]
+
+
+def test_known_answer_from_state_1234():
+    g = Xoshiro256StarStar(0)
+    g._s = list(STATE_1234)
+    assert [g.next_u64() for _ in OUTPUTS_1234] == OUTPUTS_1234
+
+
+def test_lane_known_answer_beside_a_different_lane():
+    other = (5, 6, 7, 8)
+    g = Xoshiro256StarStar(0)
+    g._s = list(other)
+    lanes = Xoshiro256StarStarLanes([0, 0])
+    lanes._s[:4] = np.array([STATE_1234, other], np.uint64).T
+    got = [lanes.next_u64().tolist() for _ in OUTPUTS_1234]
+    assert [a for a, _ in got] == OUTPUTS_1234
+    assert [b for _, b in got] == [g.next_u64() for _ in OUTPUTS_1234]
+
+
+@pytest.mark.parametrize("master", [0, 1, 2 ** 64 - 1])
+def test_stream_seeds_match_scalar(master):
+    ids = [0, 1, 2, 1000, 2 ** 63, 2 ** 64 - 2]  # master + (id + 1) * GOLDEN wraps
+    assert stream_seeds(master, ids).tolist() == [stream_seed(master, i) for i in ids]
+
+
+def test_masked_lanes_follow_their_scalar_streams():
+    """A lane advances only on the draws its mask selects, and the all-zero
+    state fallback holds per lane."""
+    seeds = [stream_seed(3, i) for i in range(12)] + [0]
+    lanes = Xoshiro256StarStarLanes(seeds)
+    scalar = [Xoshiro256StarStar(s) for s in seeds]
+    pick = np.random.default_rng(0)
+    for step in range(60):
+        mask = None if step % 3 == 0 else pick.random(len(seeds)) < 0.5
+        u = lanes.uniform(mask)
+        for k, g in enumerate(scalar):
+            if mask is None or mask[k]:
+                assert u[k] == g.uniform()
+    u = lanes.uniforms([None, np.arange(len(seeds)) % 2 == 0, None])
+    for k, g in enumerate(scalar):
+        assert u[0, k] == g.uniform()
+        if k % 2 == 0:
+            assert u[1, k] == g.uniform()
+        assert u[2, k] == g.uniform()
+
+
+class _FixedDraw(Xoshiro256StarStar):
+    """A generator whose every uniform draw is ``u``."""
+
+    __slots__ = ("u",)
+
+    def uniform(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("probs", [(0.7, 0.2, 0.1), (0.5, 0.0, 0.5)])
+def test_lane_categorical_walks_like_scalar(probs):
+    cum = cumulative_probs(probs)
+    assert cum.tolist() == list(accumulate(probs))
+    if probs == (0.7, 0.2, 0.1):
+        assert cum[-1] == 0.9999999999999999  # a draw can pass the last sum
+    us = np.concatenate((cum, np.nextafter(cum, 0.0), [1.0 - 2.0 ** -53, 0.0]))
+    g = _FixedDraw(0)
+    want = []
+    for u in us.tolist():
+        g.u = u
+        want.append(g.categorical(probs))
+    assert categorical_index(cum, us).tolist() == want

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vvcantor import (Catalog, ContractionMap, DIRICHLET,
                       gamma_exact_homogeneous, inertia_counts, solve_gamma,
                       solve_gamma_recursive, stream_seed)
 from vvcantor.vtree import sample_environment
+from conftest import scalar_neck_blocks
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
 
@@ -160,6 +162,30 @@ def test_neck_timeout_with_tiny_cap(two_system):
     with pytest.raises(NeckTimeoutError):
         # V=2 first environments are rarely necks; a cap of 1 trips fast
         MonteCarloNeckEvaluator(two_system, 2, 50, master_seed=1, env_cap=1)
+
+
+def test_neck_timeout_names_scalar_block_within_row_budget(two_system, monkeypatch):
+    """At V = 4 almost no block necks within a few thousand levels. The
+    lanes must fail on the block that drawing blocks one by one fails on
+    (here block 2: blocks 0 and 1 neck in time), while the rows held for
+    running lanes stay within the row budget, far below the table that
+    running all 40 lanes to the cap would need."""
+    from vvcantor import NeckTimeoutError, spectral
+
+    blocks, cap = 40, 3000
+    with pytest.raises(NeckTimeoutError) as scalar:
+        scalar_neck_blocks(two_system, 4, 379, 0, blocks, cap)
+    assert str(scalar.value).startswith("block 2 ")
+    monkeypatch.setattr(spectral, "_ROW_BUDGET", 3 * cap)
+    naive = blocks * cap * (4 + 4 * 3) * 8  # int64 level_sys and child rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(NeckTimeoutError, match=f"^{scalar.value}$"):
+            MonteCarloNeckEvaluator(two_system, 4, blocks, master_seed=379, env_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < naive / 8
 
 
 def test_noisy_root_raised_when_growth_capped():
