@@ -16,7 +16,7 @@ from .errors import (DepthExhaustedError, EmptyCatalogError,
                      InsufficientDataError, InvalidInputError, NeckTimeoutError,
                      NoisyRootError, SingularMassError, TreeTooLargeError,
                      VVCantorError)
-from .rng import Xoshiro256StarStar, splitmix64_next, stream_seed
+from .rng import Xoshiro256StarStar, stream_seed
 from .vtree import (CutSet, Environment, NeckSums, VTree, build_tree, cut_set,
                     neck_subtree, sample_environment, scale_sum_at_neck)
 from .measure import (CellDecomposition, cell_mass, cells_from_csv, cells_to_csv,

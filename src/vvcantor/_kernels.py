@@ -25,12 +25,12 @@ divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
 loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
 
-The neck-block DP reads environments packed once into dense per-level
-arrays: each type's system and child-type row, padded to the widest
-system. A new per-type entry sums ``A[v] * (ratio*weight)**x`` over types
-v ascending, then map slots ascending: the order of an ``np.add.at``
-scatter over a flat (CSR) list of the same products, so the sums are
-bit-identical to it. A padded slot's factor is masked to exactly 0, never
+The neck-block DP reads the environment table of ``vtree``: each level's
+per-type system and child-type row, padded to the widest system. A new
+per-type entry sums ``A[v] * (ratio*weight)**x`` over types v ascending,
+then map slots ascending: the order of an ``np.add.at`` scatter over a
+flat (CSR) list of the same products, so the sums are bit-identical to
+it. A padded slot's factor is masked to exactly 0, never
 computed as ``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative
 entry, which changes no bit, and x = 0 still gives log node counts.
 """
@@ -38,7 +38,6 @@ entry, which changes no bit, and x = 0 still gives log node counts.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
 
 import numpy as np
 
@@ -103,25 +102,10 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 # levels, renormalized by its sum per level while the log-sums accumulate,
 # so the result never over- or underflows.
 
+# Blocks stacked level-major: block b, with root type ``roots[b]``, is
+# ``lens[b]`` levels of the environment table (``vtree``) following those of
+# blocks 0..b-1.
 PackedBlocks = namedtuple("PackedBlocks", "level_sys child lens roots")
-
-
-def pack_blocks(v_types: int, width: int, root_types, blocks) -> PackedBlocks:
-    """Pack environment sequences level-major: block b, ``blocks[b]`` with
-    root type ``roots[b] = root_types[b]``, is ``lens[b]`` levels following
-    those of blocks 0..b-1. ``level_sys[l, v]`` is the system of type v at
-    level l and ``child[l, v, i]`` the type of its child i, 0 past the
-    system's maps; ``width`` is the catalog's largest map count."""
-    lens = np.fromiter(map(len, blocks), np.int64, len(blocks))
-    n = int(lens.sum())
-    envs = [env for envs in blocks for env in envs]
-    pads = [(0,) * (width - k) for k in range(width + 1)]
-    level_sys = np.fromiter(chain.from_iterable(env.indices for env in envs),
-                            np.int64, n * v_types).reshape(n, v_types)
-    child = np.fromiter(chain.from_iterable(row + pads[len(row)] for env in envs
-                                            for row in env.child_types),
-                        np.int64, n * v_types * width).reshape(n, v_types, width)
-    return PackedBlocks(level_sys, child, lens, np.array(root_types, np.int64))
 
 
 def block_log_sums(level_sys, child, lens, roots, table, x: float) -> np.ndarray:

@@ -16,8 +16,10 @@ sweeps fail loudly). Scientific outputs are deterministic functions of
 - JSON documents: sorted keys, indent 2, a final newline. Their keys are the
   field names of the result dataclasses (``ExponentReport``, ``FEval``,
   ``EmpiricalFit``, ``ScaleExtrema``, ``BracketingResult``, ``Environment``,
-  ``Violation``). Renaming a field, or reordering ``CutsetStatsRow``, is
-  therefore an output change, and ``tests/test_golden.py`` fails on it.
+  ``Violation``); ``environments.json`` turns each level of the tree's
+  environment table into an ``Environment``. Renaming a field, or
+  reordering ``CutsetStatsRow``, is therefore an output change, and
+  ``tests/test_golden.py`` fails on it.
 """
 
 from __future__ import annotations

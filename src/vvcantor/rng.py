@@ -5,19 +5,20 @@ All randomness in the package flows through one documented scheme so that a
 
 * per-stream seeds come from a single splitmix64 output step applied to
   ``master + (stream_id + 1) * GOLDEN`` (mod 2^64),
-* each stream is a xoshiro256** generator whose 4-word state is expanded
-  from its stream seed with four successive splitmix64 steps.
+* each stream is a xoshiro256** generator (Blackman & Vigna 2021) whose
+  4-word state is expanded from its stream seed with four successive
+  splitmix64 steps.
 
 Draw primitives are documented precisely because consumers promise a fixed
 draw order (see the tree construction and Monte Carlo modules).
 
-``Xoshiro256StarStarLanes`` runs many streams in lockstep over a uint64
-state with one column per lane. Lane k reproduces the draws of
-``Xoshiro256StarStar(seeds[k])`` exactly: a draw with a mask advances only
-the lanes where the mask is set, so a lane that skips a draw (a missing map
-slot, say) stays where its scalar stream would be. The uint64 arithmetic
-wraps mod 2^64 and relies on NEP 50 promotion (numpy >= 2), under which
-``uint64 array op Python int`` stays uint64.
+There is one generator, ``Xoshiro256StarStarLanes``: many streams in
+lockstep over a uint64 state with one column per lane. A draw with a mask
+advances only the lanes where the mask is set, so a lane that skips a draw
+(a missing map slot, say) stays where its own stream would be.
+``Xoshiro256StarStar`` is its one-lane case, with scalar draws. The uint64
+arithmetic wraps mod 2^64 and relies on NEP 50 promotion (numpy >= 2),
+under which ``uint64 array op Python int`` stays uint64.
 """
 
 from __future__ import annotations
@@ -30,81 +31,11 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
-def splitmix64_next(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 state; returns ``(new_state, output)``."""
-    state = (state + GOLDEN) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
-
-
 def stream_seed(master_seed: int, stream_id: int) -> int:
     """Derive the 64-bit seed of stream ``stream_id`` from the master seed."""
     if stream_id < 0:
         raise ValueError("stream_id must be non-negative")
-    state = (master_seed + (stream_id + 1) * GOLDEN) & MASK64
-    _, out = splitmix64_next(state)
-    return out
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
-
-
-class Xoshiro256StarStar:
-    """xoshiro256** generator with splitmix64 state expansion.
-
-    ``uniform`` returns a double in [0, 1) built from the top 53 bits;
-    ``randint(n)`` is ``floor(uniform() * n)``; ``categorical(p)`` walks the
-    cumulative sums of ``p`` with one ``uniform`` draw. These definitions are
-    part of the reproducibility contract.
-    """
-
-    __slots__ = ("_s",)
-
-    def __init__(self, seed: int):
-        state = seed & MASK64
-        s = []
-        for _ in range(4):
-            state, word = splitmix64_next(state)
-            s.append(word)
-        if not any(s):  # all-zero state is invalid for xoshiro
-            s[0] = GOLDEN
-        self._s = s
-
-    def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2^-53
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in ``{0, ..., n-1}``."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return int(self.uniform() * n)
-
-    def categorical(self, probs) -> int:
-        """Index drawn according to the probability vector ``probs``."""
-        u = self.uniform()
-        acc = 0.0
-        last = 0
-        for idx, p in enumerate(probs):
-            acc += p
-            last = idx
-            if u < acc:
-                return idx
-        return last
+    return int(stream_seeds(master_seed, [stream_id])[0])
 
 
 def cumulative_probs(probs) -> np.ndarray:
@@ -120,7 +51,8 @@ def categorical_index(cum: np.ndarray, u) -> np.ndarray:
 
 
 def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``splitmix64_next`` on a uint64 array of states."""
+    """One splitmix64 step on a uint64 array of states; returns
+    ``(new_state, output)``."""
     state = state + GOLDEN
     z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -128,7 +60,8 @@ def _splitmix64_lanes(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stream_seeds(master_seed: int, stream_ids) -> np.ndarray:
-    """``stream_seed`` for each of the non-negative ``stream_ids``, as uint64."""
+    """The seed of each of the non-negative ``stream_ids``, as uint64; a
+    negative Python int id raises ``OverflowError``."""
     ids = np.asarray(stream_ids, np.uint64)
     return _splitmix64_lanes(np.uint64(master_seed & MASK64) + (ids + 1) * GOLDEN)[1]
 
@@ -139,14 +72,14 @@ _STEP_OPERANDS = np.array([5, 17, 45, 7, 19, 57, 9], np.uint64)[:, None]
 
 
 class Xoshiro256StarStarLanes:
-    """``Xoshiro256StarStar`` over a uint64 state with one column per lane:
-    lane k is the generator seeded with ``seeds[k]``, all-zero fallback
-    included.
+    """xoshiro256** over a uint64 state with one column per lane: lane k is
+    the stream with seed ``seeds[k]``. An all-zero state, which xoshiro
+    cannot leave, gets ``GOLDEN`` as its first word.
 
-    ``next_u64(mask)`` and ``uniform(mask)`` draw for every lane but
-    advance only the lanes where ``mask`` is set; the values of the other
-    lanes are meaningless. ``uniforms(masks)`` makes one such draw per mask,
-    in order. ``keep(sel)`` drops the lanes not selected.
+    ``next_u64(mask)`` draws for every lane but advances only the lanes
+    where ``mask`` is set; the values of the other lanes are meaningless.
+    ``uniforms(masks)`` makes one such draw per mask, in order. ``keep(sel)``
+    drops the lanes not selected.
 
     A step is nine in-place numpy calls. Rows 0-3 of the state hold the
     words and row 4 holds ``s1 * 5``, so one shift-or pair rotates it and
@@ -195,13 +128,38 @@ class Xoshiro256StarStarLanes:
             np.copyto(self._s, old, where=~mask)
         return np.multiply(self._w, self._nine, out)
 
-    def uniform(self, mask=None) -> np.ndarray:
-        return (self.next_u64(mask) >> 11) * 1.1102230246251565e-16  # 2^-53
-
     def uniforms(self, masks) -> np.ndarray:
-        """``uniform(mask)`` for each of ``masks`` in turn (None: every
-        lane), one row per mask."""
+        """Doubles in [0, 1) from the top 53 bits of ``next_u64(mask)``, for
+        each of ``masks`` in turn (None: every lane), one row per mask."""
         out = np.empty((len(masks), self._s.shape[1]), np.uint64)
         for row, mask in zip(out, masks):
             self.next_u64(mask, row)
-        return (out >> 11) * 1.1102230246251565e-16
+        return (out >> 11) * 1.1102230246251565e-16  # 2^-53
+
+
+class Xoshiro256StarStar(Xoshiro256StarStarLanes):
+    """The stream with seed ``seed``: one lane, with scalar draws.
+
+    ``uniform`` returns a double in [0, 1) built from the top 53 bits;
+    ``randint(n)`` is ``floor(uniform() * n)``; ``categorical(p)`` walks the
+    cumulative sums of ``p`` with one ``uniform`` draw. These definitions are
+    part of the reproducibility contract.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, seed: int):
+        super().__init__([seed & MASK64])
+
+    def uniform(self) -> float:
+        return self.uniforms([None]).item()
+
+    def randint(self, n: int) -> int:
+        """Uniform integer in ``{0, ..., n-1}``."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        return int(self.uniform() * n)
+
+    def categorical(self, probs) -> int:
+        """Index drawn according to the probability vector ``probs``."""
+        return int(categorical_index(cumulative_probs(probs), self.uniform()))

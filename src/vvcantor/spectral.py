@@ -24,9 +24,8 @@ from .catalog import Catalog, map_table, scale_extrema
 from .errors import InsufficientDataError, NeckTimeoutError, NoisyRootError
 from .eigensolve import inertia_counts
 from .measure import decompose
-from .rng import (Xoshiro256StarStarLanes, categorical_index, cumulative_probs,
-                  stream_seeds)
-from .vtree import VTree, cut_set, neck_subtree
+from .rng import Xoshiro256StarStarLanes, stream_seeds
+from .vtree import LevelDraws, VTree, cut_set, neck_mask, neck_subtree
 # Not called here since the Monte Carlo lanes; perfbench/tracing.py still
 # wraps vvcantor.spectral.sample_environment and its self-check expects it.
 from .vtree import sample_environment  # noqa: F401
@@ -67,27 +66,22 @@ class _BlockDraws:
     """Neck blocks ``first + k`` for k in ``range(count)``, drawn in lockstep
     lanes and held as level rows until ``packed`` orders them.
 
-    Lane k draws from stream ``MC_BLOCK_STREAM_BASE + first + k`` in the
-    order of ``vtree.sample_environment``: the root type ``(u*V)``, then
-    per level V categorical system draws, then the child types type by
-    type and slot by slot, each lane drawing only the slots its system has.
-    Rows are held in the smallest unsigned dtype that fits a type or a
-    system, and widened to int64 once, in ``packed``."""
+    Lane k draws from stream ``MC_BLOCK_STREAM_BASE + first + k``: the root
+    type ``(u*V)``, then one ``LevelDraws`` level at a time until a neck.
+    Rows are held in ``LevelDraws``' narrow dtype and widened to int64
+    once, in ``packed``."""
 
     def __init__(self, catalog: Catalog, v_types: int, master_seed: int,
                  first: int, count: int, env_cap: int):
-        self.v_types = v_types
+        self.draw = LevelDraws(catalog, v_types)
         self.master_seed = master_seed
         self.first = first
         self.env_cap = env_cap
-        self.width = map_table(catalog).shape[1]
-        self.sizes = np.array([s.size for s in catalog.systems], np.int64)
-        self.cum = cumulative_probs(catalog.index_probs)
-        self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
         self.lens = np.zeros(count, np.int64)
         self.roots = np.zeros(count, np.int64)
-        self.rows = [(np.zeros(0, np.int64), np.zeros((0, v_types), self.dtype),
-                      np.zeros((0, v_types, self.width), self.dtype))]
+        dtype = self.draw.dtype
+        self.rows = [(np.zeros(0, np.int64), np.zeros((0, v_types), dtype),
+                      np.zeros((0, v_types, self.draw.width), dtype))]
 
     def run(self, ks: np.ndarray) -> np.ndarray:
         """Draw blocks ``ks`` (ascending) until each necks.
@@ -102,21 +96,15 @@ class _BlockDraws:
 
         Raises ``NeckTimeoutError`` for the lowest block that saw no neck
         within ``env_cap`` levels; every lower block has necked by then."""
-        v, width, min_size = self.v_types, self.width, int(self.sizes.min())
         floor = max(1, _ROW_BUDGET // self.env_cap)
         rng = Xoshiro256StarStarLanes(
             stream_seeds(self.master_seed, MC_BLOCK_STREAM_BASE + self.first + ks))
-        self.roots[ks] = rng.uniform() * v
-        lane, shed, slots, held = ks, ks[:0], np.arange(width), len(self.rows)
+        self.roots[ks] = rng.uniforms([None])[0] * self.draw.v_types
+        lane, shed, held = ks, ks[:0], len(self.rows)
         for level in range(1, self.env_cap + 1):
-            u = rng.uniforms([None] * v)
-            sys_ = categorical_index(self.cum, u.T).astype(self.dtype)
-            real = slots < self.sizes[sys_][..., None]
-            u = rng.uniforms([None if i < min_size else real[:, t, i]  # has slot i
-                              for t in range(v) for i in range(width)])
-            child = np.where(real, u.T.reshape(real.shape) * v, 0.0).astype(self.dtype)
+            sys_, child = self.draw(rng)
             self.rows.append((lane, sys_, child))
-            neck = ((child == child[:, :1, :1]) | ~real).all(axis=(1, 2))
+            neck = neck_mask(sys_, child, self.draw.n_maps)
             if neck.any():
                 self.lens[lane[neck]] = level
                 running = ~neck
@@ -148,7 +136,7 @@ class MonteCarloNeckEvaluator:
 
     Block b draws its root type and environments from the stream
     ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
-    draw order of ``vtree.sample_environment``. All requested blocks are
+    draw order of ``vtree.LevelDraws``. All requested blocks are
     drawn at once in lockstep ``Xoshiro256StarStarLanes``, one lane per
     block, straight into the packed table; they are sampled once and shared
     by all x (common random numbers). ``NeckTimeoutError`` names the lowest

@@ -6,6 +6,13 @@ system's children. A level whose environment gives every child slot the same
 type is a neck; below a neck all subtrees rooted at that generation are
 identical, which is what makes cut sets and block factorizations cheap.
 
+Environments are one table: ``level_sys[l, v]`` is the system of type v at
+level l and ``child[l, v, i]`` the type of its child i, 0 past the system's
+maps. ``LevelDraws`` draws it level by level for every lane of a
+``Xoshiro256StarStarLanes`` (a tree's stream is one lane, each Monte Carlo
+block another); ``Environment`` is one level as a dataclass, the schema of
+``environments.json``.
+
 Trees separate two depths. The environment sequence can be long (it costs a
 few integers per level), while node generations are materialized only to the
 requested depth, with an explicit node cap; several operations (block sums,
@@ -22,9 +29,53 @@ import numpy as np
 from . import _kernels
 from .catalog import Catalog, map_table, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
-from .rng import Xoshiro256StarStar
+from .rng import Xoshiro256StarStar, categorical_index, cumulative_probs
 
 DEFAULT_NODE_CAP = 10_000_000
+
+
+def _map_counts(catalog: Catalog) -> np.ndarray:
+    return np.array([s.size for s in catalog.systems], np.int64)
+
+
+def neck_mask(level_sys, child, n_maps) -> np.ndarray:
+    """Which levels of the table rows ``(level_sys, child)`` are necks:
+    every child slot that a type's system has (``n_maps[system]`` slots)
+    holds the same type. Slot 0 of type 0 always exists."""
+    real = np.arange(child.shape[-1]) < n_maps[level_sys][..., None]
+    return ((child == child[..., :1, :1]) | ~real).all(axis=(-2, -1))
+
+
+class LevelDraws:
+    """Draws one level of the environment table per lane.
+
+    Draw order (reproducibility contract), per level: the system of each
+    type 0..V-1, one ``categorical`` on the catalog's index distribution
+    each; then the child types type by type, map slot by map slot, one
+    ``randint(V)`` each. A lane draws only the slots its type's system has,
+    so its stream does not depend on the other lanes. Rows come in the
+    smallest unsigned dtype that holds a type and a system.
+    """
+
+    def __init__(self, catalog: Catalog, v_types: int):
+        if v_types < 1:
+            raise ValueError("v_types must be >= 1")
+        self.v_types = v_types
+        self.n_maps = _map_counts(catalog)
+        self.width = int(self.n_maps.max())
+        self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
+        self._cum = cumulative_probs(catalog.index_probs)
+
+    def __call__(self, rng) -> tuple[np.ndarray, np.ndarray]:
+        """``(level_sys, child)`` rows of the next level, one per lane of
+        the ``Xoshiro256StarStarLanes`` ``rng``."""
+        v, min_size = self.v_types, int(self.n_maps.min())
+        sys_ = categorical_index(self._cum, rng.uniforms([None] * v).T).astype(self.dtype)
+        real = np.arange(self.width) < self.n_maps[sys_][..., None]
+        u = rng.uniforms([None if i < min_size else real[:, t, i]  # has slot i
+                          for t in range(v) for i in range(self.width)])
+        child = np.where(real, u.T.reshape(real.shape) * v, 0.0).astype(self.dtype)
+        return sys_, child
 
 
 @dataclass(frozen=True)
@@ -38,31 +89,25 @@ class Environment:
     indices: tuple[int, ...]
     child_types: tuple[tuple[int, ...], ...]
 
-    @property
-    def n_types(self) -> int:
-        return len(self.indices)
+    @classmethod
+    def from_row(cls, level_sys, child, n_maps) -> Environment:
+        """One level ``(level_sys, child)`` of the table."""
+        return cls(tuple(level_sys.tolist()),
+                   tuple(tuple(row[:n]) for row, n in
+                         zip(child.tolist(), n_maps[level_sys].tolist())))
 
     @property
     def is_neck(self) -> bool:
-        first = self.child_types[0][0]
-        return all(t == first for row in self.child_types for t in row)
+        sizes = [len(row) for row in self.child_types]
+        child = [row + (0,) * (max(sizes) - len(row)) for row in self.child_types]
+        return bool(neck_mask(np.arange(len(sizes)), np.array(child), np.array(sizes)))
 
 
 def sample_environment(catalog: Catalog, v_types: int, rng: Xoshiro256StarStar) -> Environment:
-    """Draw an environment.
-
-    Draw order (reproducibility contract): system indices for types 0..V-1
-    from the catalog's index distribution, then child-type rows type by type,
-    each entry uniform on {0..V-1}.
-    """
-    if v_types < 1:
-        raise ValueError("v_types must be >= 1")
-    indices = tuple(rng.categorical(catalog.index_probs) for _ in range(v_types))
-    rows = tuple(
-        tuple(rng.randint(v_types) for _ in range(catalog.systems[j].size))
-        for j in indices
-    )
-    return Environment(indices, rows)
+    """Draw one level with ``LevelDraws`` from the one-lane ``rng``."""
+    draw = LevelDraws(catalog, v_types)
+    level_sys, child = draw(rng)
+    return Environment.from_row(level_sys[0], child[0], draw.n_maps)
 
 
 @dataclass
@@ -83,19 +128,19 @@ class Generation:
 
 
 class VTree:
-    """A realized tree: environment sequence plus materialized generations."""
+    """A realized tree: the environment table (int64 ``level_sys`` and
+    ``child``) plus materialized generations."""
 
     def __init__(self, catalog: Catalog, v_types: int, root_type: int,
-                 environments: tuple[Environment, ...], generations: list[Generation]):
+                 level_sys: np.ndarray, child: np.ndarray, generations: list[Generation]):
         self.catalog = catalog
         self.v_types = v_types
         self.root_type = root_type
-        self.environments = tuple(environments)
+        self.level_sys = level_sys
+        self.child = child
         self.generations = generations
-        self.neck_levels = tuple(
-            g for g in range(1, len(self.environments) + 1)
-            if self.environments[g - 1].is_neck
-        )
+        necks = neck_mask(level_sys, child, _map_counts(catalog))
+        self.neck_levels = tuple((np.flatnonzero(necks) + 1).tolist())
 
     @property
     def depth(self) -> int:
@@ -104,23 +149,31 @@ class VTree:
 
     @property
     def env_levels(self) -> int:
-        return len(self.environments)
+        return self.level_sys.shape[0]
 
     @property
     def node_count(self) -> int:
         return sum(g.size for g in self.generations)
 
 
-def _require_positive_types(env: Environment, v_types: int, catalog: Catalog) -> None:
-    if env.n_types != v_types:
+def _check_table(level_sys: np.ndarray, child: np.ndarray, v_types: int,
+                 n_maps: np.ndarray) -> None:
+    """Reject a caller's table that does not fit the tree and catalog,
+    naming the first level and type, in order, that does not."""
+    if not (level_sys.ndim == 2 and child.ndim == 3
+            and level_sys.shape == child.shape[:2] == (len(level_sys), v_types)):
         raise ValueError("environment type count does not match the tree")
-    for v, j in enumerate(env.indices):
-        if not 0 <= j < catalog.n_systems:
-            raise ValueError(f"environment assigns unknown system {j} to type {v}")
-        if len(env.child_types[v]) != catalog.systems[j].size:
-            raise ValueError(f"environment row {v} does not match system {j} map count")
-        if any(not 0 <= t < v_types for t in env.child_types[v]):
-            raise ValueError(f"environment row {v} contains an invalid type")
+    known = (level_sys >= 0) & (level_sys < len(n_maps))
+    sizes = n_maps[np.where(known, level_sys, 0)]
+    real = np.arange(child.shape[2]) < sizes[..., None]
+    invalid = (real & ((child < 0) | (child >= v_types))).any(axis=2)
+    problem = np.select([~known, sizes > child.shape[2], invalid], [1, 2, 3])
+    if problem.any():
+        l, v = np.argwhere(problem)[0]
+        j = level_sys[l, v]
+        raise ValueError([f"environment assigns unknown system {j} to type {v}",
+                          f"environment row {v} does not match system {j} map count",
+                          f"environment row {v} contains an invalid type"][problem[l, v] - 1])
 
 
 def build_tree(catalog: Catalog, v_types: int, depth: int, *,
@@ -131,11 +184,12 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
                node_cap: int = DEFAULT_NODE_CAP) -> VTree:
     """Materialize a tree of the given depth.
 
-    When ``environments`` is None they are sampled from ``rng``; the draw
-    order is the root type first (only if ``root_type`` is None), then one
-    environment per level. ``env_levels`` may exceed ``depth`` so that
-    operations needing only environments can look past the materialized part.
-    Raises ``TreeTooLargeError`` before allocating anything past ``node_cap``.
+    ``environments`` is a ``(level_sys, child)`` table; when it is None, the
+    one-lane ``rng`` draws it with ``LevelDraws`` after the root type (drawn
+    only if ``root_type`` is None). ``env_levels`` may exceed ``depth`` so
+    that operations needing only environments can look past the
+    materialized part. Raises ``TreeTooLargeError`` before allocating
+    anything past ``node_cap``, checking drawn levels as they are drawn.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -150,36 +204,45 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
         root_type = rng.randint(v_types)
     if not 0 <= root_type < v_types:
         raise ValueError("root_type outside {0..V-1}")
-    if environments is None:
-        environments = tuple(sample_environment(catalog, v_types, rng) for _ in range(env_levels))
-    else:
-        environments = tuple(environments)
-        if len(environments) < depth:
-            raise ValueError("not enough environments for the requested depth")
-    for env in environments:
-        _require_positive_types(env, v_types, catalog)
-
-    table = map_table(catalog)
-    width = table.shape[1]
-    ratio, weight, offset = (table[..., c].ravel() for c in range(3))
-    n_maps = np.array([s.size for s in catalog.systems], np.int64)
-    level_sys, child = _kernels.pack_blocks(v_types, width, [root_type], [environments[:depth]])[:2]
+    n_maps = _map_counts(catalog)
 
     # Size precheck from per-type counts (Python ints, no overflow).
     counts = [0] * v_types
     counts[root_type] = 1
     total_nodes = 1
-    for g in range(depth):
+
+    def grow(g: int, sys_row, child_row) -> None:
+        nonlocal counts, total_nodes
         nxt = [0] * v_types
-        for v in range(v_types):
-            if counts[v]:
-                for t in child[g, v, :n_maps[level_sys[g, v]]].tolist():
-                    nxt[t] += counts[v]
+        for count, j, row in zip(counts, sys_row.tolist(), child_row.tolist()):
+            for t in row[:n_maps[j]]:
+                nxt[t] += count
         counts = nxt
         total_nodes += sum(counts)
         if total_nodes > node_cap:
             raise TreeTooLargeError(
                 f"tree needs more than {node_cap} nodes by generation {g + 1}")
+
+    if environments is None:
+        draw = LevelDraws(catalog, v_types)
+        rows = [(np.zeros((0, v_types), draw.dtype),
+                 np.zeros((0, v_types, draw.width), draw.dtype))]
+        for g in range(env_levels):
+            rows.append(draw(rng))
+            if g < depth:
+                grow(g, rows[-1][0][0], rows[-1][1][0])
+        level_sys, child = (np.concatenate(col).astype(np.int64) for col in zip(*rows))
+    else:
+        level_sys, child = (np.asarray(a, np.int64) for a in environments)
+        _check_table(level_sys, child, v_types, n_maps)
+        if level_sys.shape[0] < depth:
+            raise ValueError("not enough environments for the requested depth")
+        for g in range(depth):
+            grow(g, level_sys[g], child[g])
+
+    table = map_table(catalog)
+    width = child.shape[2]
+    ratio, weight, offset = (table[..., c].ravel() for c in range(3))
 
     root = Generation(
         parent=np.array([-1], np.int64),
@@ -199,7 +262,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
         parent = np.repeat(np.arange(gen.size, dtype=np.int64), n_children)
         starts = np.cumsum(n_children) - n_children
         pos = np.arange(total, dtype=np.int64) - np.repeat(starts, n_children)
-        slot = gen.system[parent] * width + pos  # 1-D slots into the map columns
+        slot = gen.system[parent] * table.shape[1] + pos  # 1-D slots into the map columns
         generations.append(Generation(
             parent=parent,
             pos=pos,
@@ -209,7 +272,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
             mprod=gen.mprod[parent] * weight[slot],
             shift=gen.rprod[parent] * offset[slot] + gen.shift[parent],
         ))
-    return VTree(catalog, v_types, root_type, environments, generations)
+    return VTree(catalog, v_types, root_type, level_sys, child, generations)
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +397,16 @@ def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
         raise DepthExhaustedError(
             f"tree has {len(necks)} neck levels within {tree.env_levels} "
             f"environments, need {k}", extra_depth_hint=0)
-    bounds = (0,) + tuple(necks[:k])
-    envs = tree.environments
+    bounds = np.array((0,) + necks[:k])
     # A neck block starts at the common child type of the neck above it (the
     # root type for the first); one extra block runs from the root straight
-    # to the k-th neck.
-    roots = [tree.root_type] + [envs[lo - 1].child_types[0][0] for lo in bounds[1:-1]]
-    blocks = [envs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    table = map_table(tree.catalog)
-    packed = _kernels.pack_blocks(tree.v_types, table.shape[1], roots + [tree.root_type],
-                                  blocks + [envs[:bounds[-1]]])
-    sums = _kernels.block_log_sums(*packed, table, x).tolist()
+    # to the k-th neck over the same levels. One call runs both in lockstep.
+    roots = np.concatenate(([tree.root_type], tree.child[bounds[1:-1] - 1, 0, 0],
+                            [tree.root_type]))
+    lens = np.append(np.diff(bounds), bounds[-1])
+    sums = _kernels.block_log_sums(*(np.concatenate((a[:bounds[-1]],) * 2)
+                                     for a in (tree.level_sys, tree.child)),
+                                   lens, roots, map_table(tree.catalog), x).tolist()
     return NeckSums(x=x, k=k, neck_levels=tuple(necks[:k]),
                     block_log_sums=sums[:-1], log_direct=sums[-1])
 
@@ -362,13 +424,14 @@ def neck_subtree(tree: VTree, level: int, depth: int,
     else:
         if level not in tree.neck_levels:
             raise ValueError(f"level {level} is not a neck level")
-        start = tree.environments[level - 1].child_types[0][0]
+        start = int(tree.child[level - 1, 0, 0])
     if level + depth > tree.env_levels:
         raise DepthExhaustedError(
             f"subtree at level {level} needs {depth} more environment levels",
             extra_depth_hint=level + depth - tree.env_levels)
     return build_tree(tree.catalog, tree.v_types, depth, root_type=start,
-                      environments=tree.environments[level:level + depth],
+                      environments=(tree.level_sys[level:level + depth],
+                                    tree.child[level:level + depth]),
                       node_cap=node_cap)
 
 
@@ -400,4 +463,7 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
 
 
 def environments_to_obj(tree: VTree) -> list:
-    return [asdict(env) for env in tree.environments]
+    """Each level of the table as ``asdict`` of its ``Environment``."""
+    n_maps = _map_counts(tree.catalog)
+    return [asdict(Environment.from_row(level_sys, child, n_maps))
+            for level_sys, child in zip(tree.level_sys, tree.child)]

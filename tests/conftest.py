@@ -1,8 +1,10 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
-from vvcantor import (Catalog, ContractionMap, NeckTimeoutError, WeightedIFS,
-                      Xoshiro256StarStar, sample_environment, stream_seed)
+from vvcantor import (Catalog, ContractionMap, Environment, NeckTimeoutError,
+                      WeightedIFS)
 from vvcantor import _kernels
 from vvcantor.catalog import map_table
 from vvcantor.spectral import DEFAULT_ENV_CAP, MC_BLOCK_STREAM_BASE
@@ -30,6 +32,152 @@ def make_two_system() -> Catalog:
         WeightedIFS((ContractionMap(0.2, 0.0), ContractionMap(0.2, 0.4),
                      ContractionMap(0.2, 0.8)), (1 / 3, 1 / 3, 1 / 3)),
     ), (0.5, 0.5))
+
+
+# The Python-int xoshiro256** generator, stream seeding and environment draw
+# that the one-lane ``Xoshiro256StarStar`` and ``vtree.LevelDraws`` replaced,
+# and the packing of ``Environment`` lists into the environment table, kept
+# verbatim as their oracle. Oracle tests use no generator or draw code of
+# the package.
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_next(state: int) -> tuple[int, int]:
+    """Advance a splitmix64 state; returns ``(new_state, output)``."""
+    state = (state + GOLDEN) & MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ (z >> 31)
+
+
+def scalar_stream_seed(master_seed: int, stream_id: int) -> int:
+    """Derive the 64-bit seed of stream ``stream_id`` from the master seed."""
+    if stream_id < 0:
+        raise ValueError("stream_id must be non-negative")
+    state = (master_seed + (stream_id + 1) * GOLDEN) & MASK64
+    _, out = splitmix64_next(state)
+    return out
+
+
+def _rotl(x: int, k: int) -> int:
+    return ((x << k) | (x >> (64 - k))) & MASK64
+
+
+class ScalarXoshiro256StarStar:
+    """xoshiro256** generator with splitmix64 state expansion.
+
+    ``uniform`` returns a double in [0, 1) built from the top 53 bits;
+    ``randint(n)`` is ``floor(uniform() * n)``; ``categorical(p)`` walks the
+    cumulative sums of ``p`` with one ``uniform`` draw. These definitions are
+    part of the reproducibility contract.
+    """
+
+    __slots__ = ("_s",)
+
+    def __init__(self, seed: int):
+        state = seed & MASK64
+        s = []
+        for _ in range(4):
+            state, word = splitmix64_next(state)
+            s.append(word)
+        if not any(s):  # all-zero state is invalid for xoshiro
+            s[0] = GOLDEN
+        self._s = s
+
+    def next_u64(self) -> int:
+        s = self._s
+        result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
+        t = (s[1] << 17) & MASK64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = _rotl(s[3], 45)
+        return result
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 1.1102230246251565e-16  # 2^-53
+
+    def randint(self, n: int) -> int:
+        """Uniform integer in ``{0, ..., n-1}``."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        return int(self.uniform() * n)
+
+    def categorical(self, probs) -> int:
+        """Index drawn according to the probability vector ``probs``."""
+        u = self.uniform()
+        acc = 0.0
+        last = 0
+        for idx, p in enumerate(probs):
+            acc += p
+            last = idx
+            if u < acc:
+                return idx
+        return last
+
+
+def scalar_sample_environment(catalog, v_types: int, rng) -> Environment:
+    """Draw an environment.
+
+    Draw order (reproducibility contract): system indices for types 0..V-1
+    from the catalog's index distribution, then child-type rows type by type,
+    each entry uniform on {0..V-1}.
+    """
+    if v_types < 1:
+        raise ValueError("v_types must be >= 1")
+    indices = tuple(rng.categorical(catalog.index_probs) for _ in range(v_types))
+    rows = tuple(
+        tuple(rng.randint(v_types) for _ in range(catalog.systems[j].size))
+        for j in indices
+    )
+    return Environment(indices, rows)
+
+
+def scalar_is_neck(env: Environment) -> bool:
+    first = env.child_types[0][0]
+    return all(t == first for row in env.child_types for t in row)
+
+
+def pack_blocks(v_types: int, width: int, root_types, blocks) -> _kernels.PackedBlocks:
+    """Pack environment sequences level-major: block b, ``blocks[b]`` with
+    root type ``roots[b] = root_types[b]``, is ``lens[b]`` levels following
+    those of blocks 0..b-1. ``level_sys[l, v]`` is the system of type v at
+    level l and ``child[l, v, i]`` the type of its child i, 0 past the
+    system's maps; ``width`` is the catalog's largest map count."""
+    lens = np.fromiter(map(len, blocks), np.int64, len(blocks))
+    n = int(lens.sum())
+    envs = [env for envs in blocks for env in envs]
+    pads = [(0,) * (width - k) for k in range(width + 1)]
+    level_sys = np.fromiter(chain.from_iterable(env.indices for env in envs),
+                            np.int64, n * v_types).reshape(n, v_types)
+    child = np.fromiter(chain.from_iterable(row + pads[len(row)] for env in envs
+                                            for row in env.child_types),
+                        np.int64, n * v_types * width).reshape(n, v_types, width)
+    return _kernels.PackedBlocks(level_sys, child, lens, np.array(root_types, np.int64))
+
+
+def scalar_tree_stream(catalog, v_types: int, necks: int, seed: int,
+                       cap: int = 100_000) -> tuple[int, list]:
+    """The oracle's draws on tree stream 0 of ``seed``: the root type, then
+    environments up to the ``necks``-th neck."""
+    rng = ScalarXoshiro256StarStar(scalar_stream_seed(seed, 0))
+    root = rng.randint(v_types)
+    envs, seen = [], 0
+    while seen < necks:
+        envs.append(scalar_sample_environment(catalog, v_types, rng))
+        seen += scalar_is_neck(envs[-1])
+        assert len(envs) < cap, "no neck within cap"
+    return root, envs
+
+
+def env_table(catalog, v_types: int, envs) -> tuple:
+    """The ``(level_sys, child)`` table of an ``Environment`` list."""
+    return pack_blocks(v_types, map_table(catalog).shape[1], [0], [envs])[:2]
 
 
 @pytest.fixture
@@ -170,13 +318,13 @@ def scalar_neck_blocks(catalog, v_types: int, master_seed: int, first: int,
     """Blocks ``first .. first + count - 1``, packed."""
     roots, blocks = [], []
     for b in range(first, first + count):
-        rng = Xoshiro256StarStar(stream_seed(master_seed, MC_BLOCK_STREAM_BASE + b))
+        rng = ScalarXoshiro256StarStar(scalar_stream_seed(master_seed, MC_BLOCK_STREAM_BASE + b))
         roots.append(rng.randint(v_types))
-        envs = [sample_environment(catalog, v_types, rng)]
-        while not envs[-1].is_neck:
+        envs = [scalar_sample_environment(catalog, v_types, rng)]
+        while not scalar_is_neck(envs[-1]):
             if len(envs) >= env_cap:
                 raise NeckTimeoutError(
                     f"block {b} saw no neck within {env_cap} levels")
-            envs.append(sample_environment(catalog, v_types, rng))
+            envs.append(scalar_sample_environment(catalog, v_types, rng))
         blocks.append(envs)
-    return _kernels.pack_blocks(v_types, map_table(catalog).shape[1], roots, blocks)
+    return pack_blocks(v_types, map_table(catalog).shape[1], roots, blocks)

@@ -18,9 +18,8 @@ from vvcantor import (DIRICHLET, NEUMANN, DepthExhaustedError,
                       gamma_exact_homogeneous, inertia_counts,
                       measure_of_interval, refine_uniform, scale_extrema,
                       scale_sum_at_neck, solve_gamma, stream_seed)
-from vvcantor.vtree import sample_environment
-from conftest import (dense_counts, dense_eigenvalues, make_cantor,
-                      make_lebesgue, make_two_system)
+from conftest import (dense_counts, dense_eigenvalues, env_table, make_cantor,
+                      make_lebesgue, make_two_system, scalar_tree_stream)
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
 
@@ -105,15 +104,9 @@ def test_criterion_4_factorization_identity():
         for i, v in enumerate([1, 2, 3] * 17):
             if count >= 50:
                 break
-            rng = rng_for(1000 + i)
-            root = rng.randint(v)
-            envs, necks = [], 0
-            while necks < 3:
-                env = sample_environment(cat, v, rng)
-                envs.append(env)
-                necks += env.is_neck
-                assert len(envs) < 100_000
-            tree = build_tree(cat, v, 0, root_type=root, environments=envs)
+            root, envs = scalar_tree_stream(cat, v, 3, 1000 + i)
+            tree = build_tree(cat, v, 0, root_type=root,
+                              environments=env_table(cat, v, envs))
             for x in (0.2, 0.45, 0.8):
                 worst = max(worst, scale_sum_at_neck(tree, x, 3).rel_gap)
             count += 1

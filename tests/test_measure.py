@@ -101,7 +101,8 @@ def test_child_rescaling_matches_subtree(two_system):
     rng = np.random.default_rng(1)
     for i in range(gen1.size):
         child = build_tree(two_system, 2, n, root_type=int(gen1.types[i]),
-                           environments=tree.environments[1:n + 1])
+                           environments=(tree.level_sys[1:n + 1],
+                                         tree.child[1:n + 1]))
         cdec = decompose(child, n)
         r, c = sys0.maps[i].ratio, sys0.maps[i].offset
         lo_cell, hi_cell = r * 0.0 + c, r * 1.0 + c

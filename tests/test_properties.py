@@ -3,6 +3,7 @@
 batches of up to 8 blocks of up to 12 levels, and Monte Carlo draws of up
 to 40 blocks."""
 
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -15,9 +16,10 @@ from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap,
                       inertia_counts, stream_seed, validate_catalog)
 from vvcantor import _kernels, spectral
 from vvcantor.catalog import map_table
-from vvcantor.vtree import sample_environment
-from conftest import (csr_block_log_sums, csr_pack_blocks, dense_counts,
-                      make_two_system, scalar_neck_blocks)
+from vvcantor.vtree import environments_to_obj, sample_environment
+from conftest import (ScalarXoshiro256StarStar, csr_block_log_sums, csr_pack_blocks,
+                      dense_counts, make_two_system, pack_blocks, scalar_is_neck,
+                      scalar_neck_blocks, scalar_sample_environment, scalar_stream_seed)
 
 XS = np.geomspace(1.0, 1e6, 25)
 MAX_CELLS = 256  # keeps the dense oracle cheap
@@ -84,8 +86,9 @@ def test_tree_nodes_follow_parent_row_and_map(catalog, v, depth, seed):
     root = tree.generations[0]
     assert root.types.tolist() == [tree.root_type] and root.parent.tolist() == [-1]
     assert (root.rprod.tolist(), root.mprod.tolist(), root.shift.tolist()) == ([1.0], [1.0], [0.0])
-    for env, up, gen in zip(tree.environments, tree.generations, tree.generations[1:]):
-        sys_of = [env.indices[t] for t in up.types.tolist()]
+    for level_sys, child, up, gen in zip(tree.level_sys.tolist(), tree.child.tolist(),
+                                         tree.generations, tree.generations[1:]):
+        sys_of = [level_sys[t] for t in up.types.tolist()]
         assert up.system.tolist() == sys_of
         assert list(zip(gen.parent.tolist(), gen.pos.tolist())) == [
             (p, q) for p, j in enumerate(sys_of) for q in range(catalog.systems[j].size)]
@@ -93,11 +96,45 @@ def test_tree_nodes_follow_parent_row_and_map(catalog, v, depth, seed):
                                     gen.rprod.tolist(), gen.mprod.tolist(), gen.shift.tolist()):
             system = catalog.systems[sys_of[p]]
             up_r = up.rprod[p].item()
-            assert t == env.child_types[up.types[p]][q]
+            assert t == child[up.types[p]][q]
             assert r == up_r * system.maps[q].ratio
             assert m == up.mprod[p].item() * system.weights[q]
             assert c == up_r * system.maps[q].offset + up.shift[p].item()
     assert (tree.generations[-1].system == -1).all()
+
+
+# Three systems whose index probabilities add up, left to right, to
+# 0.9999999999999999: a draw above that sum takes the last system.
+SHORT_SUM = Catalog(0.0, 1.0, make_two_system().systems + (WeightedIFS(
+    (ContractionMap(0.25, 0.0), ContractionMap(0.25, 0.75)), (0.5, 0.5)),), (0.7, 0.2, 0.1))
+
+
+@settings(deadline=None)
+@example(catalog=SHORT_SUM, v=3, depth=3, extra=10, root=None, seed=4)
+@given(catalog=catalogs(), v=st.integers(1, 3), depth=st.integers(0, 5),
+       extra=st.integers(0, 10), root=st.none() | st.integers(0, 2),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_tree_stream_matches_scalar_oracle(catalog, v, depth, extra, root, seed):
+    """A drawn tree's environment table, neck levels and environments.json
+    objects are those of the scalar oracle's draws, root type given or
+    drawn; so is ``sample_environment`` on the stream that follows."""
+    root_type = None if root is None else root % v
+    rng = Xoshiro256StarStar(stream_seed(seed, 0))
+    tree = build_tree(catalog, v, depth, root_type=root_type, env_levels=depth + extra, rng=rng)
+    oracle = ScalarXoshiro256StarStar(scalar_stream_seed(seed, 0))
+    if root_type is None:
+        root_type = oracle.randint(v)
+    envs = [scalar_sample_environment(catalog, v, oracle) for _ in range(depth + extra)]
+    level_sys, child = pack_blocks(v, map_table(catalog).shape[1], [0], [envs])[:2]
+    assert tree.root_type == root_type and type(tree.root_type) is int
+    for got, want in ((tree.level_sys, level_sys), (tree.child, child)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert tree.neck_levels == tuple(l for l, env in enumerate(envs, 1) if scalar_is_neck(env))
+    assert environments_to_obj(tree) == [asdict(env) for env in envs]
+    env = scalar_sample_environment(catalog, v, oracle)
+    got = sample_environment(catalog, v, rng)
+    assert got == env and got.is_neck == scalar_is_neck(env)
 
 
 @settings(deadline=None)
@@ -108,20 +145,15 @@ def test_tree_nodes_follow_parent_row_and_map(catalog, v, depth, seed):
 def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
     """The dense neck-block DP is bit-identical to the CSR layout with its
     ``np.add.at`` scatter, at x = 0 (log node counts) too."""
-    rng = Xoshiro256StarStar(stream_seed(seed, 0))
+    rng = ScalarXoshiro256StarStar(scalar_stream_seed(seed, 0))
     roots = [rng.randint(v) for _ in lens]
-    blocks = [[sample_environment(catalog, v, rng) for _ in range(n)] for n in lens]
+    blocks = [[scalar_sample_environment(catalog, v, rng) for _ in range(n)] for n in lens]
     table = map_table(catalog)
-    got = _kernels.block_log_sums(*_kernels.pack_blocks(v, table.shape[1], roots, blocks),
-                                  table, x)
+    got = _kernels.block_log_sums(*pack_blocks(v, table.shape[1], roots, blocks), table, x)
     *csr, rm = csr_pack_blocks(catalog, v, roots, blocks)
     assert got.tobytes() == csr_block_log_sums(*csr, rm ** x, v).tobytes()
 
 
-# Three systems whose index probabilities add up, left to right, to
-# 0.9999999999999999: a draw above that sum takes the last system.
-SHORT_SUM = Catalog(0.0, 1.0, make_two_system().systems + (WeightedIFS(
-    (ContractionMap(0.25, 0.0), ContractionMap(0.25, 0.75)), (0.5, 0.5)),), (0.7, 0.2, 0.1))
 MC_ENV_CAP = 150  # keeps the scalar oracle cheap where necks are rare
 
 

@@ -2,18 +2,22 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vvcantor.rng import (Xoshiro256StarStar, Xoshiro256StarStarLanes,
-                          categorical_index, cumulative_probs, splitmix64_next,
-                          stream_seed, stream_seeds)
+from vvcantor.rng import (GOLDEN, Xoshiro256StarStar, Xoshiro256StarStarLanes,
+                          categorical_index, cumulative_probs, stream_seed,
+                          stream_seeds)
+from conftest import ScalarXoshiro256StarStar, scalar_stream_seed, splitmix64_next
 
 
 def test_splitmix64_reference_vector():
-    # published first outputs for a zero-seeded splitmix64
+    # published first outputs for a zero-seeded splitmix64; a stream seed is
+    # one step from master + (id + 1) * GOLDEN
     state, out = splitmix64_next(0)
     assert out == 0xE220A8397B1DCDAF
     state, out = splitmix64_next(state)
     assert out == 0x6E789E6AA1B965F4
+    assert stream_seeds(-GOLDEN, [0, 1]).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
 def test_stream_seeds_differ_and_repeat():
@@ -22,6 +26,10 @@ def test_stream_seeds_differ_and_repeat():
     assert a != b
     assert a == stream_seed(42, 0)
     assert stream_seed(43, 0) != a
+    with pytest.raises(ValueError):
+        stream_seed(42, -1)
+    with pytest.raises(OverflowError):
+        stream_seeds(42, [-1])
 
 
 def test_generator_determinism():
@@ -56,14 +64,17 @@ OUTPUTS_1234 = [11520, 0, 1509978240, 1215971899390074240]
 
 
 def test_known_answer_from_state_1234():
+    oracle = ScalarXoshiro256StarStar(0)
+    oracle._s = list(STATE_1234)
+    assert [oracle.next_u64() for _ in OUTPUTS_1234] == OUTPUTS_1234
     g = Xoshiro256StarStar(0)
-    g._s = list(STATE_1234)
-    assert [g.next_u64() for _ in OUTPUTS_1234] == OUTPUTS_1234
+    g._s[:4, 0] = STATE_1234
+    assert [g.next_u64().item() for _ in OUTPUTS_1234] == OUTPUTS_1234
 
 
 def test_lane_known_answer_beside_a_different_lane():
     other = (5, 6, 7, 8)
-    g = Xoshiro256StarStar(0)
+    g = ScalarXoshiro256StarStar(0)
     g._s = list(other)
     lanes = Xoshiro256StarStarLanes([0, 0])
     lanes._s[:4] = np.array([STATE_1234, other], np.uint64).T
@@ -75,19 +86,19 @@ def test_lane_known_answer_beside_a_different_lane():
 @pytest.mark.parametrize("master", [0, 1, 2 ** 64 - 1])
 def test_stream_seeds_match_scalar(master):
     ids = [0, 1, 2, 1000, 2 ** 63, 2 ** 64 - 2]  # master + (id + 1) * GOLDEN wraps
-    assert stream_seeds(master, ids).tolist() == [stream_seed(master, i) for i in ids]
+    assert stream_seeds(master, ids).tolist() == [scalar_stream_seed(master, i) for i in ids]
 
 
 def test_masked_lanes_follow_their_scalar_streams():
     """A lane advances only on the draws its mask selects, and the all-zero
     state fallback holds per lane."""
-    seeds = [stream_seed(3, i) for i in range(12)] + [0]
+    seeds = [scalar_stream_seed(3, i) for i in range(12)] + [0]
     lanes = Xoshiro256StarStarLanes(seeds)
-    scalar = [Xoshiro256StarStar(s) for s in seeds]
+    scalar = [ScalarXoshiro256StarStar(s) for s in seeds]
     pick = np.random.default_rng(0)
     for step in range(60):
         mask = None if step % 3 == 0 else pick.random(len(seeds)) < 0.5
-        u = lanes.uniform(mask)
+        u = lanes.uniforms([mask])[0]
         for k, g in enumerate(scalar):
             if mask is None or mask[k]:
                 assert u[k] == g.uniform()
@@ -99,8 +110,17 @@ def test_masked_lanes_follow_their_scalar_streams():
         assert u[2, k] == g.uniform()
 
 
-class _FixedDraw(Xoshiro256StarStar):
-    """A generator whose every uniform draw is ``u``."""
+class _FixedDraw(ScalarXoshiro256StarStar):
+    """An oracle generator whose every uniform draw is ``u``."""
+
+    __slots__ = ("u",)
+
+    def uniform(self) -> float:
+        return self.u
+
+
+class _FixedLane(Xoshiro256StarStar):
+    """A one-lane generator whose every uniform draw is ``u``."""
 
     __slots__ = ("u",)
 
@@ -115,9 +135,29 @@ def test_lane_categorical_walks_like_scalar(probs):
     if probs == (0.7, 0.2, 0.1):
         assert cum[-1] == 0.9999999999999999  # a draw can pass the last sum
     us = np.concatenate((cum, np.nextafter(cum, 0.0), [1.0 - 2.0 ** -53, 0.0]))
-    g = _FixedDraw(0)
-    want = []
+    g, lane = _FixedDraw(0), _FixedLane(0)
+    want, got = [], []
     for u in us.tolist():
-        g.u = u
+        g.u = lane.u = u
         want.append(g.categorical(probs))
+        got.append(lane.categorical(probs))
     assert categorical_index(cum, us).tolist() == want
+    assert got == want and all(type(i) is int for i in got)
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("randint"), st.integers(1, 7)),
+    st.tuples(st.just("categorical"),
+              st.sampled_from([(1.0,), (0.7, 0.2, 0.1), (0.5, 0.0, 0.5), (0.25, 0.75)])))
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), ops=st.lists(_OPS, max_size=40))
+def test_one_lane_draws_match_oracle(seed, ops):
+    """The one-lane generator's scalar draws are the Python-int oracle's,
+    values and types."""
+    lane, oracle = Xoshiro256StarStar(seed), ScalarXoshiro256StarStar(seed)
+    for name, *args in ops:
+        got, want = getattr(lane, name)(*args), getattr(oracle, name)(*args)
+        assert got == want and type(got) is type(want)

@@ -12,8 +12,7 @@ from vvcantor import (Catalog, ContractionMap, DIRICHLET,
                       empirical_exponent, f_exact_homogeneous,
                       gamma_exact_homogeneous, inertia_counts, solve_gamma,
                       solve_gamma_recursive, stream_seed)
-from vvcantor.vtree import sample_environment
-from conftest import scalar_neck_blocks
+from conftest import env_table, scalar_neck_blocks, scalar_tree_stream
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
 
@@ -211,19 +210,10 @@ def test_block_average_converges_along_one_sequence(two_system):
     # estimator as averaging 20 blocks
     from vvcantor import build_tree, scale_sum_at_neck
 
-    def envs_until(v, k, rng):
-        envs, necks = [], 0
-        while necks < k:
-            e = sample_environment(two_system, v, rng)
-            envs.append(e)
-            necks += e.is_neck
-        return envs
-
     x = 0.5
-    rng = rng_for(123)
-    root = rng.randint(2)
-    envs = envs_until(2, 20, rng)
-    deep = build_tree(two_system, 2, 0, root_type=root, environments=envs)
+    root, envs = scalar_tree_stream(two_system, 2, 20, 123)
+    deep = build_tree(two_system, 2, 0, root_type=root,
+                      environments=env_table(two_system, 2, envs))
     lhs = scale_sum_at_neck(deep, x, 20).log_direct / 20.0
     ev = MonteCarloNeckEvaluator(two_system, 2, 2000, master_seed=99)
     fhat, se = ev.f(x)

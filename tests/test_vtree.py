@@ -9,21 +9,13 @@ from vvcantor import (DepthExhaustedError, TreeTooLargeError,
                       Xoshiro256StarStar, build_tree, cut_set, neck_subtree,
                       sample_environment, scale_extrema, scale_sum_at_neck,
                       stream_seed)
-from vvcantor.vtree import environments_to_obj, tree_to_jsonl
+from vvcantor.rng import Xoshiro256StarStarLanes, stream_seeds
+from vvcantor.vtree import LevelDraws, environments_to_obj, neck_mask, tree_to_jsonl
+from conftest import env_table, scalar_tree_stream
 
 
 def rng_for(seed, stream=0):
     return Xoshiro256StarStar(stream_seed(seed, stream))
-
-
-def envs_until_necks(catalog, v, k, rng, cap=100_000):
-    envs, necks = [], 0
-    while necks < k:
-        env = sample_environment(catalog, v, rng)
-        envs.append(env)
-        necks += env.is_neck
-        assert len(envs) <= cap, "no neck within cap"
-    return envs
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +38,9 @@ def test_neck_frequency_matches_enumeration(cantor):
     # contain exactly 2 constant ones.
     exact = 2 * 2.0 ** (-4)
     n = 20_000
-    rng = rng_for(5)
-    hits = sum(sample_environment(cantor, 2, rng).is_neck for _ in range(n))
+    draw = LevelDraws(cantor, 2)
+    hits = int(neck_mask(*draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n)))),
+                         draw.n_maps).sum())
     se = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) < 4 * se
 
@@ -66,7 +59,8 @@ def test_depth_zero_tree(cantor):
     assert tree.depth == 0 and tree.node_count == 1
     assert tree.generations[0].rprod[0] == 1.0
     assert tree.generations[0].mprod[0] == 1.0
-    assert tree.environments == ()
+    assert tree.env_levels == 0
+    assert tree.level_sys.shape == (0, 1) and tree.child.shape == (0, 1, 2)
 
 
 def test_single_type_all_levels_are_necks(cantor):
@@ -79,11 +73,47 @@ def test_node_cap_enforced(cantor):
         build_tree(cantor, 1, 12, rng=rng_for(3), node_cap=1000)
 
 
+class _CountingRng(Xoshiro256StarStar):
+    """Counts generator steps."""
+
+    __slots__ = ("steps",)
+
+    def next_u64(self, *args, **kwargs):
+        self.steps += 1
+        return super().next_u64(*args, **kwargs)
+
+
+def test_oversized_depth_fails_before_drawing_past_the_cap(two_system):
+    # The node count passes the cap at generation 15; drawing all 100,000
+    # levels first would take about 700,000 steps.
+    rng = _CountingRng(stream_seed(1, 0))
+    rng.steps = 0
+    with pytest.raises(TreeTooLargeError, match="by generation 15$"):
+        build_tree(two_system, 2, 100_000, rng=rng, node_cap=1_000_000)
+    assert rng.steps <= 1 + 15 * 8  # root type, then V + V * width per level
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s, c: (s[:, :1], c[:, :1]), "type count does not match"),
+    (lambda s, c: (s, c[..., 0]), "type count does not match"),
+    (lambda s, c: (np.where(s == 1, 2, s), c), "assigns unknown system 2 to type"),
+    (lambda s, c: (s, c[..., :2]), "row . does not match system 1 map count"),
+    (lambda s, c: (s, np.where(c == 1, 2, c)), "row . contains an invalid type"),
+])
+def test_bad_environment_table_is_rejected(two_system, edit, message):
+    tree = build_tree(two_system, 2, 4, rng=rng_for(7), env_levels=40)
+    assert (tree.level_sys == 1).any() and (tree.child == 1).any()
+    with pytest.raises(ValueError, match=message):
+        build_tree(two_system, 2, 4, root_type=0,
+                   environments=edit(tree.level_sys, tree.child))
+
+
 def test_build_deterministic(two_system):
     t1 = build_tree(two_system, 2, 6, rng=rng_for(7))
     t2 = build_tree(two_system, 2, 6, rng=rng_for(7))
     assert t1.root_type == t2.root_type
-    assert t1.environments == t2.environments
+    assert np.array_equal(t1.level_sys, t2.level_sys)
+    assert np.array_equal(t1.child, t2.child)
     for g1, g2 in zip(t1.generations, t2.generations):
         assert np.array_equal(g1.types, g2.types)
         assert np.array_equal(g1.rprod, g2.rprod)
@@ -185,10 +215,9 @@ def test_cantor_root_exponent_gives_unit_sums(cantor):
 
 
 def test_single_block_is_plain_map_sum(two_system):
-    rng = rng_for(21)
-    root = rng.randint(1)
-    envs = envs_until_necks(two_system, 1, 1, rng)
-    tree = build_tree(two_system, 1, 0, root_type=root, environments=envs)
+    root, envs = scalar_tree_stream(two_system, 1, 1, 21)
+    tree = build_tree(two_system, 1, 0, root_type=root,
+                      environments=env_table(two_system, 1, envs))
     x = 0.4
     ns = scale_sum_at_neck(tree, x, 1)
     j = envs[0].indices[0]
@@ -200,10 +229,9 @@ def test_single_block_is_plain_map_sum(two_system):
 def test_factorization_identity_random_trees(two_system):
     worst = 0.0
     for i, v in enumerate([1, 2, 3] * 4):
-        rng = rng_for(100 + i)
-        root = rng.randint(v)
-        envs = envs_until_necks(two_system, v, 3, rng)
-        tree = build_tree(two_system, v, 0, root_type=root, environments=envs)
+        root, envs = scalar_tree_stream(two_system, v, 3, 100 + i)
+        tree = build_tree(two_system, v, 0, root_type=root,
+                          environments=env_table(two_system, v, envs))
         for x in (0.2, 0.45, 0.8):
             ns = scale_sum_at_neck(tree, x, 3)
             worst = max(worst, ns.rel_gap)
@@ -228,10 +256,9 @@ def test_dp_matches_brute_force_node_sum(two_system):
 
 
 def test_scale_sum_needs_enough_necks(two_system):
-    rng = rng_for(31)
-    root = rng.randint(2)
-    envs = envs_until_necks(two_system, 2, 1, rng)
-    tree = build_tree(two_system, 2, 0, root_type=root, environments=envs)
+    root, envs = scalar_tree_stream(two_system, 2, 1, 31)
+    tree = build_tree(two_system, 2, 0, root_type=root,
+                      environments=env_table(two_system, 2, envs))
     with pytest.raises(DepthExhaustedError):
         scale_sum_at_neck(tree, 0.5, len(tree.neck_levels) + 1)
 
