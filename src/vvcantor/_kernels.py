@@ -25,14 +25,15 @@ divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
 loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
 
-The neck-block DP reads the environment table of ``vtree``: each level's
-per-type system and child-type row, padded to the widest system. A new
-per-type entry sums ``A[v] * (ratio*weight)**x`` over types v ascending,
-then map slots ascending: the order of an ``np.add.at`` scatter over a
-flat (CSR) list of the same products, so the sums are bit-identical to
-it. A padded slot's factor is masked to exactly 0, never
-computed as ``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative
-entry, which changes no bit, and x = 0 still gives log node counts.
+The neck-block DP indexes with the environment table of ``vtree``. Per
+level, one ``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``,
+in C order (block, type, map slot), to their (block, child type) entries.
+It adds in index order, so an entry sums over types, then slots, ascending:
+the order of an ``np.add.at`` scatter over a flat (CSR) list of the same
+products, so the sums are bit-identical to it. A padded slot's factor is
+masked to exactly 0, never computed as ``0.0 ** x`` (1 at x = 0), so it
+adds +0.0 to a nonnegative entry, which changes no bit, and x = 0 still
+gives log node counts.
 """
 
 from __future__ import annotations
@@ -123,14 +124,11 @@ def block_log_sums(level_sys, child, lens, roots, table, x: float) -> np.ndarray
     for p in range(int(lens.max(initial=0))):
         active = np.nonzero(lens > p)[0]
         levels = starts[active] + p
-        rows = np.arange(active.shape[0])
-        new = np.zeros((active.shape[0], n_types))
-        for v in range(n_types):
-            av = amat[active, v]
-            fv = fx[level_sys[levels, v]]
-            cv = child[levels, v]
-            for i in range(fx.shape[1]):
-                new[rows, cv[:, i]] += av * fv[:, i]
+        n = active.shape[0]
+        targets = np.arange(0, n * n_types, n_types)[:, None, None] + child[levels]
+        products = amat[active][:, :, None] * fx[level_sys[levels]]
+        new = np.bincount(targets.ravel(), products.ravel(),
+                          n * n_types).reshape(n, n_types)
         sums = new.sum(axis=1)
         out[active] += np.log(sums)
         amat[active] = new / sums[:, None]

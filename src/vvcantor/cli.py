@@ -41,8 +41,8 @@ from .errors import VVCantorError
 from .eigensolve import counting_to_csv, inertia_counts
 from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
 from .rng import Xoshiro256StarStar, stream_seed
-from .spectral import (CutsetStatsRow, MonteCarloNeckEvaluator, TREE_STREAM,
-                       bracketing_check, center_counts, cutset_stats_check,
+from .spectral import (DEFAULT_ENV_CAP, CutsetStatsRow, MonteCarloNeckEvaluator,
+                       TREE_STREAM, bracketing_check, center_counts, cutset_stats_check,
                        empirical_exponent, gamma_exact_homogeneous, solve_gamma,
                        solve_gamma_recursive)
 from .vtree import build_tree, environments_to_obj, tree_to_jsonl
@@ -112,8 +112,8 @@ class RunConfig:
                 raise ValueError("root_type outside {0..v-1}")
         node_cap = int(doc.get("node_cap", 10_000_000))
         env_levels = doc.get("env_levels")
-        if env_levels is not None and int(env_levels) < max(depth, level):
-            raise ValueError("env_levels must be >= depth and level")
+        if env_levels is not None and not max(depth, level) <= int(env_levels) <= DEFAULT_ENV_CAP:
+            raise ValueError(f"env_levels must be >= depth and level and <= {DEFAULT_ENV_CAP}")
         return cls(catalog=catalog, v=v, seed=seed, depth=depth, level=level,
                    splits=splits, k_range=(int(k_range[0]), int(k_range[1])),
                    x_grid=(float(grid["lo"]), float(grid["hi"]), int(grid["count"])),

@@ -68,8 +68,7 @@ class _BlockDraws:
 
     Lane k draws from stream ``MC_BLOCK_STREAM_BASE + first + k``: the root
     type ``(u*V)``, then one ``LevelDraws`` level at a time until a neck.
-    Rows are held in ``LevelDraws``' narrow dtype and widened to int64
-    once, in ``packed``."""
+    Rows are held, and packed, in ``LevelDraws``' dtype."""
 
     def __init__(self, catalog: Catalog, v_types: int, master_seed: int,
                  first: int, count: int, env_cap: int):
@@ -102,9 +101,9 @@ class _BlockDraws:
         self.roots[ks] = rng.uniforms([None])[0] * self.draw.v_types
         lane, shed, held = ks, ks[:0], len(self.rows)
         for level in range(1, self.env_cap + 1):
-            sys_, child = self.draw(rng)
+            sys_, child, real = self.draw(rng)
             self.rows.append((lane, sys_, child))
-            neck = neck_mask(sys_, child, self.draw.n_maps)
+            neck = neck_mask(child, real)
             if neck.any():
                 self.lens[lane[neck]] = level
                 running = ~neck
@@ -126,9 +125,7 @@ class _BlockDraws:
         block's levels in the order they were drawn."""
         lane, sys_, child = (np.concatenate(col) for col in zip(*self.rows))
         order = np.argsort(lane, kind="stable")
-        return _kernels.PackedBlocks(sys_[order].astype(np.int64),
-                                     child[order].astype(np.int64),
-                                     self.lens, self.roots)
+        return _kernels.PackedBlocks(sys_[order], child[order], self.lens, self.roots)
 
 
 class MonteCarloNeckEvaluator:

@@ -8,10 +8,11 @@ identical, which is what makes cut sets and block factorizations cheap.
 
 Environments are one table: ``level_sys[l, v]`` is the system of type v at
 level l and ``child[l, v, i]`` the type of its child i, 0 past the system's
-maps. ``LevelDraws`` draws it level by level for every lane of a
-``Xoshiro256StarStarLanes`` (a tree's stream is one lane, each Monte Carlo
-block another); ``Environment`` is one level as a dataclass, the schema of
-``environments.json``.
+maps (``slot_mask``), stored in the dtype of ``LevelDraws``, which draws it
+level by level for every lane of a ``Xoshiro256StarStarLanes`` (a tree's
+stream is one lane, each Monte Carlo block another). It only ever indexes,
+so no arithmetic runs in its narrow dtype. ``Environment`` is one level as
+a dataclass, the schema of ``environments.json``.
 
 Trees separate two depths. The environment sequence can be long (it costs a
 few integers per level), while node generations are materialized only to the
@@ -38,11 +39,14 @@ def _map_counts(catalog: Catalog) -> np.ndarray:
     return np.array([s.size for s in catalog.systems], np.int64)
 
 
-def neck_mask(level_sys, child, n_maps) -> np.ndarray:
-    """Which levels of the table rows ``(level_sys, child)`` are necks:
-    every child slot that a type's system has (``n_maps[system]`` slots)
-    holds the same type. Slot 0 of type 0 always exists."""
-    real = np.arange(child.shape[-1]) < n_maps[level_sys][..., None]
+def slot_mask(sizes: np.ndarray, width: int) -> np.ndarray:
+    """Which of ``width`` slots are real in rows of ``sizes`` maps each."""
+    return np.arange(width) < sizes[..., None]
+
+
+def neck_mask(child, real) -> np.ndarray:
+    """Which levels of the table rows ``child`` are necks: every real slot
+    (``slot_mask``) holds the same type. Slot 0 of type 0 always exists."""
     return ((child == child[..., :1, :1]) | ~real).all(axis=(-2, -1))
 
 
@@ -53,8 +57,8 @@ class LevelDraws:
     type 0..V-1, one ``categorical`` on the catalog's index distribution
     each; then the child types type by type, map slot by map slot, one
     ``randint(V)`` each. A lane draws only the slots its type's system has,
-    so its stream does not depend on the other lanes. Rows come in the
-    smallest unsigned dtype that holds a type and a system.
+    so its stream does not depend on the other lanes. ``dtype``, the
+    smallest unsigned dtype that holds a type and a system, is the table's.
     """
 
     def __init__(self, catalog: Catalog, v_types: int):
@@ -66,16 +70,16 @@ class LevelDraws:
         self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
         self._cum = cumulative_probs(catalog.index_probs)
 
-    def __call__(self, rng) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(level_sys, child)`` rows of the next level, one per lane of
-        the ``Xoshiro256StarStarLanes`` ``rng``."""
+        the ``Xoshiro256StarStarLanes`` ``rng``, and their ``slot_mask``."""
         v, min_size = self.v_types, int(self.n_maps.min())
         sys_ = categorical_index(self._cum, rng.uniforms([None] * v).T).astype(self.dtype)
-        real = np.arange(self.width) < self.n_maps[sys_][..., None]
+        real = slot_mask(self.n_maps[sys_], self.width)
         u = rng.uniforms([None if i < min_size else real[:, t, i]  # has slot i
                           for t in range(v) for i in range(self.width)])
         child = np.where(real, u.T.reshape(real.shape) * v, 0.0).astype(self.dtype)
-        return sys_, child
+        return sys_, child, real
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,13 @@ class Environment:
     def is_neck(self) -> bool:
         sizes = [len(row) for row in self.child_types]
         child = [row + (0,) * (max(sizes) - len(row)) for row in self.child_types]
-        return bool(neck_mask(np.arange(len(sizes)), np.array(child), np.array(sizes)))
+        return bool(neck_mask(np.array(child), slot_mask(np.array(sizes), max(sizes))))
 
 
 def sample_environment(catalog: Catalog, v_types: int, rng: Xoshiro256StarStar) -> Environment:
     """Draw one level with ``LevelDraws`` from the one-lane ``rng``."""
     draw = LevelDraws(catalog, v_types)
-    level_sys, child = draw(rng)
+    level_sys, child, _ = draw(rng)
     return Environment.from_row(level_sys[0], child[0], draw.n_maps)
 
 
@@ -116,8 +120,8 @@ class Generation:
 
     parent: np.ndarray  # index into previous generation, -1 for the root
     pos: np.ndarray     # map position within the parent's system
-    types: np.ndarray
-    system: np.ndarray  # system splitting this node, -1 when unknown
+    types: np.ndarray   # in the table's dtype
+    system: np.ndarray  # system splitting this node (table dtype), int64 -1 when unknown
     rprod: np.ndarray   # cumulative ratio product
     mprod: np.ndarray   # cumulative weight product
     shift: np.ndarray   # cumulative affine offset
@@ -128,8 +132,8 @@ class Generation:
 
 
 class VTree:
-    """A realized tree: the environment table (int64 ``level_sys`` and
-    ``child``) plus materialized generations."""
+    """A realized tree: the environment table (``level_sys`` and ``child``,
+    in ``LevelDraws``' dtype) plus materialized generations."""
 
     def __init__(self, catalog: Catalog, v_types: int, root_type: int,
                  level_sys: np.ndarray, child: np.ndarray, generations: list[Generation]):
@@ -139,7 +143,7 @@ class VTree:
         self.level_sys = level_sys
         self.child = child
         self.generations = generations
-        necks = neck_mask(level_sys, child, _map_counts(catalog))
+        necks = neck_mask(child, slot_mask(_map_counts(catalog)[level_sys], child.shape[2]))
         self.neck_levels = tuple((np.flatnonzero(necks) + 1).tolist())
 
     @property
@@ -165,8 +169,7 @@ def _check_table(level_sys: np.ndarray, child: np.ndarray, v_types: int,
         raise ValueError("environment type count does not match the tree")
     known = (level_sys >= 0) & (level_sys < len(n_maps))
     sizes = n_maps[np.where(known, level_sys, 0)]
-    real = np.arange(child.shape[2]) < sizes[..., None]
-    invalid = (real & ((child < 0) | (child >= v_types))).any(axis=2)
+    invalid = (slot_mask(sizes, child.shape[2]) & ((child < 0) | (child >= v_types))).any(axis=2)
     problem = np.select([~known, sizes > child.shape[2], invalid], [1, 2, 3])
     if problem.any():
         l, v = np.argwhere(problem)[0]
@@ -184,9 +187,10 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
                node_cap: int = DEFAULT_NODE_CAP) -> VTree:
     """Materialize a tree of the given depth.
 
-    ``environments`` is a ``(level_sys, child)`` table; when it is None, the
-    one-lane ``rng`` draws it with ``LevelDraws`` after the root type (drawn
-    only if ``root_type`` is None). ``env_levels`` may exceed ``depth`` so
+    ``environments`` is a ``(level_sys, child)`` table, checked, then stored
+    narrow; when it is None, the one-lane ``rng`` draws it with
+    ``LevelDraws`` after the root type (drawn only if ``root_type`` is
+    None). ``env_levels`` may exceed ``depth`` so
     that operations needing only environments can look past the
     materialized part. Raises ``TreeTooLargeError`` before allocating
     anything past ``node_cap``, checking drawn levels as they are drawn.
@@ -204,7 +208,8 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
         root_type = rng.randint(v_types)
     if not 0 <= root_type < v_types:
         raise ValueError("root_type outside {0..V-1}")
-    n_maps = _map_counts(catalog)
+    draw = LevelDraws(catalog, v_types)
+    n_maps = draw.n_maps
 
     # Size precheck from per-type counts (Python ints, no overflow).
     counts = [0] * v_types
@@ -224,30 +229,28 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
                 f"tree needs more than {node_cap} nodes by generation {g + 1}")
 
     if environments is None:
-        draw = LevelDraws(catalog, v_types)
         rows = [(np.zeros((0, v_types), draw.dtype),
                  np.zeros((0, v_types, draw.width), draw.dtype))]
         for g in range(env_levels):
-            rows.append(draw(rng))
+            rows.append(draw(rng)[:2])
             if g < depth:
                 grow(g, rows[-1][0][0], rows[-1][1][0])
-        level_sys, child = (np.concatenate(col).astype(np.int64) for col in zip(*rows))
+        level_sys, child = (np.concatenate(col) for col in zip(*rows))
     else:
-        level_sys, child = (np.asarray(a, np.int64) for a in environments)
+        level_sys, child = (np.asarray(a) for a in environments)
         _check_table(level_sys, child, v_types, n_maps)
+        level_sys, child = (a.astype(draw.dtype, copy=False) for a in (level_sys, child))
         if level_sys.shape[0] < depth:
             raise ValueError("not enough environments for the requested depth")
         for g in range(depth):
             grow(g, level_sys[g], child[g])
 
     table = map_table(catalog)
-    width = child.shape[2]
-    ratio, weight, offset = (table[..., c].ravel() for c in range(3))
 
     root = Generation(
         parent=np.array([-1], np.int64),
         pos=np.array([-1], np.int64),
-        types=np.array([root_type], np.int64),
+        types=np.array([root_type], draw.dtype),
         system=np.array([-1], np.int64),
         rprod=np.array([1.0]),
         mprod=np.array([1.0]),
@@ -262,15 +265,15 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
         parent = np.repeat(np.arange(gen.size, dtype=np.int64), n_children)
         starts = np.cumsum(n_children) - n_children
         pos = np.arange(total, dtype=np.int64) - np.repeat(starts, n_children)
-        slot = gen.system[parent] * table.shape[1] + pos  # 1-D slots into the map columns
+        system = gen.system[parent]
         generations.append(Generation(
             parent=parent,
             pos=pos,
-            types=child[g].ravel()[gen.types[parent] * width + pos],
+            types=child[g][gen.types[parent], pos],
             system=np.full(total, -1, np.int64),
-            rprod=gen.rprod[parent] * ratio[slot],
-            mprod=gen.mprod[parent] * weight[slot],
-            shift=gen.rprod[parent] * offset[slot] + gen.shift[parent],
+            rprod=gen.rprod[parent] * table[system, pos, 0],
+            mprod=gen.mprod[parent] * table[system, pos, 1],
+            shift=gen.rprod[parent] * table[system, pos, 2] + gen.shift[parent],
         ))
     return VTree(catalog, v_types, root_type, level_sys, child, generations)
 

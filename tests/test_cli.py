@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vvcantor.cli import main
+from vvcantor.cli import RunConfig, main
+from vvcantor.spectral import DEFAULT_ENV_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 CANTOR_CFG = ROOT / "configs" / "cantor.json"
@@ -74,6 +75,17 @@ def test_env_levels_below_depth_is_a_config_error(tmp_path, capsys, subcommand):
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "env_levels" in capsys.readouterr().err
     assert not (tmp_path / "exponent.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["tree", "exponent"])
+def test_env_levels_above_cap_is_a_config_error(tmp_path, capsys, subcommand):
+    doc = small_cantor_doc(env_levels=DEFAULT_ENV_CAP + 1)
+    with pytest.raises(ValueError, match="env_levels"):
+        RunConfig.from_dict(doc)
+    cfg = write_cfg(tmp_path, doc)
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "env_levels" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_invalid_catalog_blocks_other_commands(tmp_path, capsys):

@@ -16,7 +16,7 @@ from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap,
                       inertia_counts, stream_seed, validate_catalog)
 from vvcantor import _kernels, spectral
 from vvcantor.catalog import map_table
-from vvcantor.vtree import environments_to_obj, sample_environment
+from vvcantor.vtree import LevelDraws, environments_to_obj, sample_environment
 from conftest import (ScalarXoshiro256StarStar, csr_block_log_sums, csr_pack_blocks,
                       dense_counts, make_two_system, pack_blocks, scalar_is_neck,
                       scalar_neck_blocks, scalar_sample_environment, scalar_stream_seed)
@@ -77,11 +77,15 @@ def test_random_catalog_properties(catalog, v, depth, seed):
 
 
 @settings(deadline=None)
+@example(catalog=make_two_system(), v=255, depth=3, seed=7)  # uint8
+@example(catalog=make_two_system(), v=300, depth=3, seed=7)  # uint16
 @given(catalog=catalogs(), v=st.integers(1, 3), depth=st.integers(0, 5),
        seed=st.integers(0, 2 ** 64 - 1))
 def test_tree_nodes_follow_parent_row_and_map(catalog, v, depth, seed):
     """Every node is its parent's child: type from the environment row, and
-    products and shift from the catalog map, recomputed one scalar at a time."""
+    products and shift from the catalog map, recomputed one scalar at a time.
+    At V = 255 an index product taken in the uint8 table dtype overflows;
+    V = 300 gives a uint16 table."""
     tree = build_tree(catalog, v, depth, rng=Xoshiro256StarStar(stream_seed(seed, 0)))
     root = tree.generations[0]
     assert root.types.tolist() == [tree.root_type] and root.parent.tolist() == [-1]
@@ -111,13 +115,17 @@ SHORT_SUM = Catalog(0.0, 1.0, make_two_system().systems + (WeightedIFS(
 
 @settings(deadline=None)
 @example(catalog=SHORT_SUM, v=3, depth=3, extra=10, root=None, seed=4)
+@example(catalog=make_two_system(), v=255, depth=3, extra=2, root=None, seed=7)  # uint8
+@example(catalog=make_two_system(), v=300, depth=3, extra=2, root=None, seed=7)  # uint16
 @given(catalog=catalogs(), v=st.integers(1, 3), depth=st.integers(0, 5),
        extra=st.integers(0, 10), root=st.none() | st.integers(0, 2),
        seed=st.integers(0, 2 ** 64 - 1))
 def test_tree_stream_matches_scalar_oracle(catalog, v, depth, extra, root, seed):
-    """A drawn tree's environment table, neck levels and environments.json
-    objects are those of the scalar oracle's draws, root type given or
-    drawn; so is ``sample_environment`` on the stream that follows."""
+    """A drawn tree's environment table, in ``LevelDraws``' dtype, neck
+    levels and environments.json objects are those of the scalar oracle's
+    draws, root type given or drawn; so is ``sample_environment`` on the
+    stream that follows. V = 255 and 300 give the widest uint8 table and a
+    uint16 one."""
     root_type = None if root is None else root % v
     rng = Xoshiro256StarStar(stream_seed(seed, 0))
     tree = build_tree(catalog, v, depth, root_type=root_type, env_levels=depth + extra, rng=rng)
@@ -128,7 +136,7 @@ def test_tree_stream_matches_scalar_oracle(catalog, v, depth, extra, root, seed)
     level_sys, child = pack_blocks(v, map_table(catalog).shape[1], [0], [envs])[:2]
     assert tree.root_type == root_type and type(tree.root_type) is int
     for got, want in ((tree.level_sys, level_sys), (tree.child, child)):
-        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.dtype == LevelDraws(catalog, v).dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert tree.neck_levels == tuple(l for l, env in enumerate(envs, 1) if scalar_is_neck(env))
     assert environments_to_obj(tree) == [asdict(env) for env in envs]
@@ -137,29 +145,46 @@ def test_tree_stream_matches_scalar_oracle(catalog, v, depth, extra, root, seed)
     assert got == env and got.is_neck == scalar_is_neck(env)
 
 
+# One four-map system whose maps all have different ratio*weight products.
+UNEQUAL = Catalog(0.0, 1.0, (WeightedIFS(
+    (ContractionMap(0.1, 0.0), ContractionMap(0.2, 0.15), ContractionMap(0.3, 0.4),
+     ContractionMap(0.25, 0.75)), (0.1, 0.2, 0.3, 0.4)),), (1.0,))
+
+
 @settings(deadline=None)
 @example(catalog=make_two_system(), v=2, lens=[3, 1, 4], seed=1, x=0.0)
+# Types send several different products to one child type: summing them
+# map slot first, or pairwise, changes the bits.
+@example(catalog=UNEQUAL, v=3, lens=[2], seed=39, x=0.7)
+@example(catalog=make_two_system(), v=255, lens=[2, 1, 3], seed=3, x=0.3)  # uint8
+@example(catalog=make_two_system(), v=300, lens=[2, 1, 3], seed=3, x=0.3)  # uint16
 @given(catalog=catalogs(), v=st.integers(1, 3),
        lens=st.lists(st.integers(0, 12), max_size=8), seed=st.integers(0, 2 ** 64 - 1),
        x=st.one_of(st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.7]), st.floats(0.0, 4.0)))
 def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
     """The dense neck-block DP is bit-identical to the CSR layout with its
-    ``np.add.at`` scatter, at x = 0 (log node counts) too."""
+    ``np.add.at`` scatter, at x = 0 (log node counts) too, on the int64
+    table and on the same table in ``LevelDraws``' dtype."""
     rng = ScalarXoshiro256StarStar(scalar_stream_seed(seed, 0))
     roots = [rng.randint(v) for _ in lens]
     blocks = [[scalar_sample_environment(catalog, v, rng) for _ in range(n)] for n in lens]
     table = map_table(catalog)
-    got = _kernels.block_log_sums(*pack_blocks(v, table.shape[1], roots, blocks), table, x)
+    level_sys, child, *rest = pack_blocks(v, table.shape[1], roots, blocks)
     *csr, rm = csr_pack_blocks(catalog, v, roots, blocks)
-    assert got.tobytes() == csr_block_log_sums(*csr, rm ** x, v).tobytes()
+    want = csr_block_log_sums(*csr, rm ** x, v).tobytes()
+    dtype = LevelDraws(catalog, v).dtype
+    for env in ((level_sys, child), (level_sys.astype(dtype), child.astype(dtype))):
+        assert _kernels.block_log_sums(*env, *rest, table, x).tobytes() == want
 
 
 MC_ENV_CAP = 150  # keeps the scalar oracle cheap where necks are rare
 
 
-def _assert_packed_equal(got, want):
+def _assert_packed_equal(got, want, dtype):
+    """Equal to the oracle's int64 blocks, with the table in ``dtype``."""
     for name, g, w in zip(_kernels.PackedBlocks._fields, got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape, name
+        table = name in ("level_sys", "child")
+        assert g.dtype == (dtype if table else w.dtype) and g.shape == w.shape, name
         assert np.array_equal(g, w), name
 
 
@@ -181,8 +206,9 @@ def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
             with pytest.raises(NeckTimeoutError, match=f"^{err}$"):
                 MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP).extend(k)
             return
+        dtype = LevelDraws(catalog, v).dtype
         _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed, MC_ENV_CAP)._packed,
-                             want)
+                             want, dtype)
         grown = MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP)
         grown.extend(k)
-        _assert_packed_equal(grown._packed, want)
+        _assert_packed_equal(grown._packed, want, dtype)

@@ -176,7 +176,7 @@ def test_neck_timeout_names_scalar_block_within_row_budget(two_system, monkeypat
         scalar_neck_blocks(two_system, 4, 379, 0, blocks, cap)
     assert str(scalar.value).startswith("block 2 ")
     monkeypatch.setattr(spectral, "_ROW_BUDGET", 3 * cap)
-    naive = blocks * cap * (4 + 4 * 3) * 8  # int64 level_sys and child rows
+    naive = blocks * cap * (4 + 4 * 3) * 8  # every lane to the cap, 8 bytes per table entry
     tracemalloc.start()
     try:
         with pytest.raises(NeckTimeoutError, match=f"^{scalar.value}$"):

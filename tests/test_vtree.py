@@ -39,8 +39,7 @@ def test_neck_frequency_matches_enumeration(cantor):
     exact = 2 * 2.0 ** (-4)
     n = 20_000
     draw = LevelDraws(cantor, 2)
-    hits = int(neck_mask(*draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n)))),
-                         draw.n_maps).sum())
+    hits = int(neck_mask(*draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n))))[1:]).sum())
     se = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) < 4 * se
 
@@ -218,6 +217,7 @@ def test_single_block_is_plain_map_sum(two_system):
     root, envs = scalar_tree_stream(two_system, 1, 1, 21)
     tree = build_tree(two_system, 1, 0, root_type=root,
                       environments=env_table(two_system, 1, envs))
+    assert tree.level_sys.dtype == tree.child.dtype == LevelDraws(two_system, 1).dtype
     x = 0.4
     ns = scale_sum_at_neck(tree, x, 1)
     j = envs[0].indices[0]
@@ -290,6 +290,7 @@ def test_subtrees_below_neck_are_identical(two_system):
             assert (pos == pos[0]).all()
         sub = neck_subtree(tree, l, 2)
         assert sub.root_type == gen.types[0]
+        assert sub.level_sys.dtype == sub.child.dtype == LevelDraws(two_system, 2).dtype
         return
     pytest.fail("no tree with an early neck found")
 
