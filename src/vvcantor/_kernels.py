@@ -25,20 +25,20 @@ divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
 loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
 
-The neck-block DP indexes with the environment table of ``vtree``. Per
-level, one ``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``,
-in C order (block, type, map slot), to their (block, child type) entries.
-It adds in index order, so an entry sums over types, then slots, ascending:
-the order of an ``np.add.at`` scatter over a flat (CSR) list of the same
-products, so the sums are bit-identical to it. A padded slot's factor is
-masked to exactly 0, never computed as ``0.0 ** x`` (1 at x = 0), so it
-adds +0.0 to a nonnegative entry, which changes no bit, and x = 0 still
-gives log node counts.
+The neck-block DP takes one step per entry ``(blocks, level_sys, child)``,
+the next table row of each listed block, in the order the Monte Carlo lanes
+draw them or ``segment_levels`` gathers them. Per entry, one
+``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``, in C order
+(block, type, map slot), to their (block, child type) sums. It adds in
+index order, so a sum runs over types, then slots, ascending: the order of
+an ``np.add.at`` scatter over a flat (CSR) list of the same products, so
+the sums are bit-identical to it, however a block's rows are split into
+entries. A padded slot's factor is masked to exactly 0, never computed as
+``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative sum, which
+changes no bit, and x = 0 still gives log node counts.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 import numpy as np
 
@@ -103,33 +103,35 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 # levels, renormalized by its sum per level while the log-sums accumulate,
 # so the result never over- or underflows.
 
-# Blocks stacked level-major: block b, with root type ``roots[b]``, is
-# ``lens[b]`` levels of the environment table (``vtree``) following those of
-# blocks 0..b-1.
-PackedBlocks = namedtuple("PackedBlocks", "level_sys child lens roots")
+def segment_levels(level_sys, child, starts, lens):
+    """DP entries for blocks that are segments of one table: block b is
+    rows ``starts[b] .. starts[b] + lens[b] - 1``, one entry per level."""
+    for p in range(int(lens.max(initial=0))):
+        active = np.nonzero(lens > p)[0]
+        rows = starts[active] + p
+        yield active, level_sys[rows], child[rows]
 
 
-def block_log_sums(level_sys, child, lens, roots, table, x: float) -> np.ndarray:
+def block_log_sums(levels, roots, v_types: int, table, x: float) -> np.ndarray:
     """log of sum over block paths of the per-path (ratio*weight)**x
-    products; ``table`` is ``catalog.map_table``."""
+    products; ``table`` is ``catalog.map_table``. Each entry of ``levels``
+    is one DP step ``(blocks, level_sys, child)`` of distinct blocks, and
+    each block's entries come in its level order."""
     rm = table[..., 0] * table[..., 1]
     real = table[..., 0] > 0.0
     fx = np.zeros(rm.shape)
     fx[real] = rm[real] ** x
-    n_blocks, n_types = roots.shape[0], level_sys.shape[1]
-    starts = np.cumsum(lens) - lens
+    n_blocks = roots.shape[0]
     out = np.zeros(n_blocks)
-    amat = np.zeros((n_blocks, n_types))
+    amat = np.zeros((n_blocks, v_types))
     amat[np.arange(n_blocks), roots] = 1.0
-    for p in range(int(lens.max(initial=0))):
-        active = np.nonzero(lens > p)[0]
-        levels = starts[active] + p
-        n = active.shape[0]
-        targets = np.arange(0, n * n_types, n_types)[:, None, None] + child[levels]
-        products = amat[active][:, :, None] * fx[level_sys[levels]]
+    for blocks, level_sys, child in levels:
+        n = blocks.shape[0]
+        targets = np.arange(0, n * v_types, v_types)[:, None, None] + child
+        products = amat[blocks][:, :, None] * fx[level_sys]
         new = np.bincount(targets.ravel(), products.ravel(),
-                          n * n_types).reshape(n, n_types)
+                          n * v_types).reshape(n, v_types)
         sums = new.sum(axis=1)
-        out[active] += np.log(sums)
-        amat[active] = new / sums[:, None]
+        out[blocks] += np.log(sums)
+        amat[blocks] = new / sums[:, None]
     return out

@@ -50,6 +50,17 @@ from .vtree import build_tree, environments_to_obj, tree_to_jsonl
 _TOP_KEYS = {"schema", "catalog", "v", "seed", "depth", "level", "splits",
              "k_range", "x_grid", "mc_blocks", "root_type", "node_cap",
              "env_levels"}
+_INT_KEYS = {"v", "seed", "depth", "level", "splits", "mc_blocks", "root_type",
+             "node_cap", "env_levels"}
+_NULLABLE_KEYS = {"root_type", "env_levels"}
+
+
+def _check_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean is a
+    config error, never rounded or parsed."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -78,48 +89,48 @@ class RunConfig:
         if "catalog" not in doc or "seed" not in doc:
             raise ValueError("config requires 'catalog' and 'seed'")
         catalog = catalog_from_dict(doc["catalog"])
-        v = int(doc.get("v", 1))
+        for key in _INT_KEYS & doc.keys():
+            if doc[key] is not None or key not in _NULLABLE_KEYS:
+                _check_int(doc[key], key)
+        v = doc.get("v", 1)
         if v < 1:
             raise ValueError("v must be >= 1")
-        seed = int(doc["seed"])
+        seed = doc["seed"]
         if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        depth = int(doc.get("depth", doc.get("level", 8)))
-        level = int(doc.get("level", depth))
+        depth = doc.get("depth", doc.get("level", 8))
+        level = doc.get("level", depth)
         if depth < 0 or level < 0:
             raise ValueError("depth and level must be >= 0")
-        splits = int(doc.get("splits", 1))
+        splits = doc.get("splits", 1)
         if splits < 1:
             raise ValueError("splits must be >= 1")
-        k_range = doc.get("k_range", [0, 3])
+        k_range = tuple(_check_int(k, "k_range") for k in doc.get("k_range", [0, 3]))
         if len(k_range) != 2 or k_range[0] > k_range[1] or k_range[0] < 0:
             raise ValueError("k_range must be [lo, hi] with 0 <= lo <= hi")
         grid = doc.get("x_grid", {"lo": 1.0, "hi": 1e4, "count": 16})
         unknown = set(grid) - {"lo", "hi", "count"}
         if unknown:
             raise ValueError(f"unknown x_grid fields: {sorted(unknown)}")
-        if grid["count"] < 2:
+        if _check_int(grid["count"], "x_grid count") < 2:
             raise ValueError("x_grid count must be >= 2")
         if not 0 < grid["lo"] < grid["hi"]:
             raise ValueError("x_grid needs 0 < lo < hi")
-        mc_blocks = int(doc.get("mc_blocks", 1000))
+        mc_blocks = doc.get("mc_blocks", 1000)
         if mc_blocks < 2:
             raise ValueError("mc_blocks must be >= 2")
         root_type = doc.get("root_type")
-        if root_type is not None:
-            root_type = int(root_type)
-            if not 0 <= root_type < v:
-                raise ValueError("root_type outside {0..v-1}")
-        node_cap = int(doc.get("node_cap", 10_000_000))
+        if root_type is not None and not 0 <= root_type < v:
+            raise ValueError("root_type outside {0..v-1}")
+        node_cap = doc.get("node_cap", 10_000_000)
         env_levels = doc.get("env_levels")
-        if env_levels is not None and not max(depth, level) <= int(env_levels) <= DEFAULT_ENV_CAP:
+        if env_levels is not None and not max(depth, level) <= env_levels <= DEFAULT_ENV_CAP:
             raise ValueError(f"env_levels must be >= depth and level and <= {DEFAULT_ENV_CAP}")
         return cls(catalog=catalog, v=v, seed=seed, depth=depth, level=level,
-                   splits=splits, k_range=(int(k_range[0]), int(k_range[1])),
-                   x_grid=(float(grid["lo"]), float(grid["hi"]), int(grid["count"])),
+                   splits=splits, k_range=k_range,
+                   x_grid=(float(grid["lo"]), float(grid["hi"]), grid["count"]),
                    mc_blocks=mc_blocks, root_type=root_type, node_cap=node_cap,
-                   env_levels=None if env_levels is None else int(env_levels),
-                   raw=doc)
+                   env_levels=env_levels, raw=doc)
 
     def grid(self) -> np.ndarray:
         lo, hi, count = self.x_grid

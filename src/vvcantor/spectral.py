@@ -64,11 +64,11 @@ def _recursive_mean(catalog: Catalog, x: float) -> float:
 
 class _BlockDraws:
     """Neck blocks ``first + k`` for k in ``range(count)``, drawn in lockstep
-    lanes and held as level rows until ``packed`` orders them.
+    lanes into ``rows``: one ``block_log_sums`` entry ``(k, level_sys,
+    child)`` per level, in ``LevelDraws``' dtype, sharing ``k`` until a neck.
 
     Lane k draws from stream ``MC_BLOCK_STREAM_BASE + first + k``: the root
-    type ``(u*V)``, then one ``LevelDraws`` level at a time until a neck.
-    Rows are held, and packed, in ``LevelDraws``' dtype."""
+    type ``(u*V)``, then one ``LevelDraws`` level at a time until a neck."""
 
     def __init__(self, catalog: Catalog, v_types: int, master_seed: int,
                  first: int, count: int, env_cap: int):
@@ -78,9 +78,7 @@ class _BlockDraws:
         self.env_cap = env_cap
         self.lens = np.zeros(count, np.int64)
         self.roots = np.zeros(count, np.int64)
-        dtype = self.draw.dtype
-        self.rows = [(np.zeros(0, np.int64), np.zeros((0, v_types), dtype),
-                      np.zeros((0, v_types, self.draw.width), dtype))]
+        self.rows = []
 
     def run(self, ks: np.ndarray) -> np.ndarray:
         """Draw blocks ``ks`` (ascending) until each necks.
@@ -120,25 +118,18 @@ class _BlockDraws:
         raise NeckTimeoutError(f"block {self.first + int(lane[0])} saw no neck "
                                f"within {self.env_cap} levels")
 
-    def packed(self) -> _kernels.PackedBlocks:
-        """The drawn blocks, block-major: a stable sort by block keeps each
-        block's levels in the order they were drawn."""
-        lane, sys_, child = (np.concatenate(col) for col in zip(*self.rows))
-        order = np.argsort(lane, kind="stable")
-        return _kernels.PackedBlocks(sys_[order], child[order], self.lens, self.roots)
-
 
 class MonteCarloNeckEvaluator:
     """Estimates f(x) from independently seeded neck blocks.
 
     Block b draws its root type and environments from the stream
     ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
-    draw order of ``vtree.LevelDraws``. All requested blocks are
-    drawn at once in lockstep ``Xoshiro256StarStarLanes``, one lane per
-    block, straight into the packed table; they are sampled once and shared
-    by all x (common random numbers). ``NeckTimeoutError`` names the lowest
-    block that saw no neck within ``env_cap`` levels, the one drawing the
-    blocks one by one would fail on.
+    draw order of ``vtree.LevelDraws``. All requested blocks are drawn at
+    once in lockstep ``Xoshiro256StarStarLanes``, one lane per block, and
+    the DP reads their levels in the order they were drawn; they are
+    sampled once and shared by all x (common random numbers).
+    ``NeckTimeoutError`` names the lowest block that saw no neck within
+    ``env_cap`` levels, the one drawing the blocks one by one would fail on.
     """
 
     def __init__(self, catalog: Catalog, v_types: int, blocks: int,
@@ -149,39 +140,43 @@ class MonteCarloNeckEvaluator:
         self.v_types = v_types
         self.master_seed = master_seed
         self.env_cap = env_cap
-        self._packed = self._simulate(0, blocks)
+        self._rows, self._lens, self._roots = self._simulate(0, blocks)
 
     # -- simulation ---------------------------------------------------------
 
-    def _simulate(self, first: int, count: int) -> _kernels.PackedBlocks:
-        """Blocks ``first .. first + count - 1``, packed. Each pass draws
-        every block not yet drawn, so the blocks a pass sheds to stay
-        within ``_ROW_BUDGET`` are drawn by the next."""
+    def _simulate(self, first: int, count: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """Rows, lens and roots of blocks ``first .. first + count - 1``.
+        Each pass draws every block not yet drawn, so the blocks a pass
+        sheds to stay within ``_ROW_BUDGET`` are drawn by the next."""
         draws = _BlockDraws(self.catalog, self.v_types, self.master_seed,
                             first, count, self.env_cap)
         todo = np.arange(count)
         while todo.size:
             todo = draws.run(todo)
-        return draws.packed()
+        return draws.rows, draws.lens, draws.roots
 
     @property
     def blocks(self) -> int:
-        return self._packed.lens.shape[0]
+        return self._lens.shape[0]
 
     @property
     def neck_waits(self) -> np.ndarray:
         """First neck level per block."""
-        return self._packed.lens.copy()
+        return self._lens.copy()
 
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
-        self._packed = _kernels.PackedBlocks(*map(
-            np.concatenate, zip(self._packed, self._simulate(self.blocks, extra))))
+        first = self.blocks
+        rows, lens, roots = self._simulate(first, extra)
+        self._rows += [(first + k, s, c) for k, s, c in rows]
+        self._lens = np.concatenate((self._lens, lens))
+        self._roots = np.concatenate((self._roots, roots))
 
     # -- evaluation ----------------------------------------------------------
 
     def log_sums(self, x: float) -> np.ndarray:
-        return _kernels.block_log_sums(*self._packed, map_table(self.catalog), x)
+        return _kernels.block_log_sums(self._rows, self._roots, self.v_types,
+                                       map_table(self.catalog), x)
 
     def f(self, x: float) -> tuple[float, float]:
         """Estimate of f(x) with its standard error."""
@@ -193,7 +188,7 @@ class MonteCarloNeckEvaluator:
     def f_by_root_type(self, x: float) -> dict[int, float]:
         """Conditional block means given the root type (diagnostic)."""
         ls = self.log_sums(x)
-        roots = self._packed.roots
+        roots = self._roots
         return {int(t): float(ls[roots == t].mean())
                 for t in np.unique(roots)}
 

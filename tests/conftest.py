@@ -1,3 +1,4 @@
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from vvcantor import (Catalog, ContractionMap, Environment, NeckTimeoutError,
                       WeightedIFS)
-from vvcantor import _kernels
 from vvcantor.catalog import map_table
 from vvcantor.spectral import DEFAULT_ENV_CAP, MC_BLOCK_STREAM_BASE
 
@@ -143,8 +143,14 @@ def scalar_is_neck(env: Environment) -> bool:
     return all(t == first for row in env.child_types for t in row)
 
 
-def pack_blocks(v_types: int, width: int, root_types, blocks) -> _kernels.PackedBlocks:
-    """Pack environment sequences level-major: block b, ``blocks[b]`` with
+# Blocks stacked block-major: block b, with root type ``roots[b]``, is
+# ``lens[b]`` levels of the environment table (``vtree``) following those of
+# blocks 0..b-1.
+PackedBlocks = namedtuple("PackedBlocks", "level_sys child lens roots")
+
+
+def pack_blocks(v_types: int, width: int, root_types, blocks) -> PackedBlocks:
+    """Pack environment sequences block-major: block b, ``blocks[b]`` with
     root type ``roots[b] = root_types[b]``, is ``lens[b]`` levels following
     those of blocks 0..b-1. ``level_sys[l, v]`` is the system of type v at
     level l and ``child[l, v, i]`` the type of its child i, 0 past the
@@ -158,7 +164,17 @@ def pack_blocks(v_types: int, width: int, root_types, blocks) -> _kernels.Packed
     child = np.fromiter(chain.from_iterable(row + pads[len(row)] for env in envs
                                             for row in env.child_types),
                         np.int64, n * v_types * width).reshape(n, v_types, width)
-    return _kernels.PackedBlocks(level_sys, child, lens, np.array(root_types, np.int64))
+    return PackedBlocks(level_sys, child, lens, np.array(root_types, np.int64))
+
+
+def unpack_levels(levels, roots) -> PackedBlocks:
+    """The blocks of ``block_log_sums`` entries ``(blocks, level_sys,
+    child)``, block-major: each block's rows in entry order, and ``lens``
+    counted from the entries."""
+    blocks, level_sys, child = (np.concatenate(col) for col in zip(*levels))
+    order = np.argsort(blocks, kind="stable")
+    return PackedBlocks(level_sys[order], child[order],
+                        np.bincount(blocks, minlength=roots.shape[0]), roots)
 
 
 def scalar_tree_stream(catalog, v_types: int, necks: int, seed: int,
@@ -314,7 +330,7 @@ def csr_block_log_sums(level_sys, row_off, types_flat, block_ptr, root_types,
 # block b draws its root type and environments one scalar call at a time.
 
 def scalar_neck_blocks(catalog, v_types: int, master_seed: int, first: int,
-                       count: int, env_cap: int = DEFAULT_ENV_CAP) -> _kernels.PackedBlocks:
+                       count: int, env_cap: int = DEFAULT_ENV_CAP) -> PackedBlocks:
     """Blocks ``first .. first + count - 1``, packed."""
     roots, blocks = [], []
     for b in range(first, first + count):

@@ -88,6 +88,31 @@ def test_env_levels_above_cap_is_a_config_error(tmp_path, capsys, subcommand):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("v", 1.7), ("v", True), ("seed", 42.0), ("seed", "42"), ("depth", 6.9),
+    ("level", 6.0), ("splits", "2"), ("k_range", [0, 3.0]), ("k_range", [False, 3]),
+    ("x_grid", {"lo": 10.0, "hi": 10000.0, "count": 12.0}), ("mc_blocks", 200.0),
+    ("root_type", 0.0), ("root_type", False), ("node_cap", 1e7), ("env_levels", 10.0),
+    ("env_levels", "10"),
+])
+def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, value):
+    """Integer fields take JSON integers only: a float, string or boolean
+    is neither rounded nor parsed into a different experiment."""
+    doc = small_cantor_doc(**{field: value})
+    name = "x_grid count" if field == "x_grid" else field
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        RunConfig.from_dict(doc)
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["tree", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{name} must be an integer" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_null_root_type_and_env_levels_are_allowed():
+    cfg = RunConfig.from_dict(small_cantor_doc(root_type=None, env_levels=None))
+    assert cfg.root_type is None and cfg.env_levels is None
+
+
 def test_invalid_catalog_blocks_other_commands(tmp_path, capsys):
     doc = small_cantor_doc()
     doc["catalog"]["systems"][0]["weights"] = [0.5, 0.4]

@@ -17,9 +17,10 @@ from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap,
 from vvcantor import _kernels, spectral
 from vvcantor.catalog import map_table
 from vvcantor.vtree import LevelDraws, environments_to_obj, sample_environment
-from conftest import (ScalarXoshiro256StarStar, csr_block_log_sums, csr_pack_blocks,
-                      dense_counts, make_two_system, pack_blocks, scalar_is_neck,
-                      scalar_neck_blocks, scalar_sample_environment, scalar_stream_seed)
+from conftest import (PackedBlocks, ScalarXoshiro256StarStar, csr_block_log_sums,
+                      csr_pack_blocks, dense_counts, make_two_system, pack_blocks,
+                      scalar_is_neck, scalar_neck_blocks, scalar_sample_environment,
+                      scalar_stream_seed, unpack_levels)
 
 XS = np.geomspace(1.0, 1e6, 25)
 MAX_CELLS = 256  # keeps the dense oracle cheap
@@ -151,6 +152,14 @@ UNEQUAL = Catalog(0.0, 1.0, (WeightedIFS(
      ContractionMap(0.25, 0.75)), (0.1, 0.2, 0.3, 0.4)),), (1.0,))
 
 
+def _scalar_blocks(catalog, v, lens, seed):
+    """Root types and environments of blocks of ``lens`` levels, drawn by
+    the scalar oracle."""
+    rng = ScalarXoshiro256StarStar(scalar_stream_seed(seed, 0))
+    roots = [rng.randint(v) for _ in lens]
+    return roots, [[scalar_sample_environment(catalog, v, rng) for _ in range(n)] for n in lens]
+
+
 @settings(deadline=None)
 @example(catalog=make_two_system(), v=2, lens=[3, 1, 4], seed=1, x=0.0)
 # Types send several different products to one child type: summing them
@@ -162,30 +171,57 @@ UNEQUAL = Catalog(0.0, 1.0, (WeightedIFS(
        lens=st.lists(st.integers(0, 12), max_size=8), seed=st.integers(0, 2 ** 64 - 1),
        x=st.one_of(st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.7]), st.floats(0.0, 4.0)))
 def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
-    """The dense neck-block DP is bit-identical to the CSR layout with its
-    ``np.add.at`` scatter, at x = 0 (log node counts) too, on the int64
-    table and on the same table in ``LevelDraws``' dtype."""
-    rng = ScalarXoshiro256StarStar(scalar_stream_seed(seed, 0))
-    roots = [rng.randint(v) for _ in lens]
-    blocks = [[scalar_sample_environment(catalog, v, rng) for _ in range(n)] for n in lens]
+    """The dense neck-block DP, fed ``segment_levels`` of the block-major
+    table, is bit-identical to the CSR layout with its ``np.add.at``
+    scatter, at x = 0 (log node counts) too, on the int64 table and on the
+    same table in ``LevelDraws``' dtype."""
+    roots, blocks = _scalar_blocks(catalog, v, lens, seed)
     table = map_table(catalog)
-    level_sys, child, *rest = pack_blocks(v, table.shape[1], roots, blocks)
+    level_sys, child, lens, roots = pack_blocks(v, table.shape[1], roots, blocks)
     *csr, rm = csr_pack_blocks(catalog, v, roots, blocks)
     want = csr_block_log_sums(*csr, rm ** x, v).tobytes()
     dtype = LevelDraws(catalog, v).dtype
+    starts = np.cumsum(lens) - lens
     for env in ((level_sys, child), (level_sys.astype(dtype), child.astype(dtype))):
-        assert _kernels.block_log_sums(*env, *rest, table, x).tobytes() == want
+        levels = _kernels.segment_levels(*env, starts, lens)
+        assert _kernels.block_log_sums(levels, roots, v, table, x).tobytes() == want
+
+
+@settings(deadline=None)
+@given(catalog=catalogs(), v=st.integers(1, 3),
+       lens=st.lists(st.integers(0, 12), max_size=8), seed=st.integers(0, 2 ** 64 - 1),
+       x=st.sampled_from([0.0, 0.3, 2.7]), data=st.data())
+def test_block_dp_entries_split_and_permuted(catalog, v, lens, seed, x, data):
+    """The DP's only contract is that each block's entries come in its level
+    order: splitting each level's entry in two over any subset of its blocks
+    and permuting the blocks inside an entry leaves every log-sum's bits
+    unchanged, at x = 0 too."""
+    table = map_table(catalog)
+    level_sys, child, lens, roots = pack_blocks(v, table.shape[1],
+                                                *_scalar_blocks(catalog, v, lens, seed))
+    starts = np.cumsum(lens) - lens
+    levels = list(_kernels.segment_levels(level_sys, child, starts, lens))
+    want = _kernels.block_log_sums(levels, roots, v, table, x).tobytes()
+    split = []
+    for active, sys_, ch in levels:
+        order = np.array(data.draw(st.permutations(range(active.shape[0]))), np.int64)
+        cut = data.draw(st.integers(0, active.shape[0]))
+        split += [(active[part], sys_[part], ch[part]) for part in (order[:cut], order[cut:])]
+    assert _kernels.block_log_sums(split, roots, v, table, x).tobytes() == want
 
 
 MC_ENV_CAP = 150  # keeps the scalar oracle cheap where necks are rare
 
 
-def _assert_packed_equal(got, want, dtype):
-    """Equal to the oracle's int64 blocks, with the table in ``dtype``."""
-    for name, g, w in zip(_kernels.PackedBlocks._fields, got, want):
+def _assert_packed_equal(evaluator, want, dtype):
+    """The evaluator's DP entries, rebuilt block-major, equal the oracle's
+    int64 blocks, with the table in ``dtype``; so do its neck waits."""
+    got = unpack_levels(evaluator._rows, evaluator._roots)
+    for name, g, w in zip(PackedBlocks._fields, got, want):
         table = name in ("level_sys", "child")
         assert g.dtype == (dtype if table else w.dtype) and g.shape == w.shape, name
         assert np.array_equal(g, w), name
+    assert np.array_equal(evaluator.neck_waits, want.lens)
 
 
 @settings(deadline=None, max_examples=40)
@@ -207,8 +243,8 @@ def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
                 MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP).extend(k)
             return
         dtype = LevelDraws(catalog, v).dtype
-        _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed, MC_ENV_CAP)._packed,
+        _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed, MC_ENV_CAP),
                              want, dtype)
         grown = MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP)
         grown.extend(k)
-        _assert_packed_equal(grown._packed, want, dtype)
+        _assert_packed_equal(grown, want, dtype)
