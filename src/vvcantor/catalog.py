@@ -183,10 +183,18 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # JSON-facing construction
 
+def json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; any other shape is a config error
+    naming the part that is wrong."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def catalog_from_dict(doc: dict) -> Catalog:
     """Build a catalog from a parsed config document (strict keys)."""
     allowed = {"interval", "systems", "index_distribution"}
-    unknown = set(doc) - allowed
+    unknown = set(json_object(doc, "catalog")) - allowed
     if unknown:
         raise ValueError(f"unknown catalog fields: {sorted(unknown)}")
     interval = doc.get("interval", [0.0, 1.0])
@@ -194,12 +202,12 @@ def catalog_from_dict(doc: dict) -> Catalog:
         raise ValueError("interval must be [lower, upper]")
     systems = []
     for j, sd in enumerate(doc.get("systems", [])):
-        unknown = set(sd) - {"maps", "weights"}
+        unknown = set(json_object(sd, f"system {j}")) - {"maps", "weights"}
         if unknown:
             raise ValueError(f"system {j}: unknown fields {sorted(unknown)}")
         maps = []
-        for md in sd.get("maps", []):
-            unknown = set(md) - {"r", "c"}
+        for i, md in enumerate(sd.get("maps", [])):
+            unknown = set(json_object(md, f"system {j} map {i}")) - {"r", "c"}
             if unknown:
                 raise ValueError(f"system {j}: unknown map fields {sorted(unknown)}")
             maps.append(ContractionMap(float(md["r"]), float(md["c"])))

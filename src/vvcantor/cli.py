@@ -36,7 +36,8 @@ import numpy as np
 
 from . import __version__
 from .assembly import DIRICHLET, NEUMANN, assemble, pencil_to_csv, refine_uniform
-from .catalog import Catalog, catalog_from_dict, scale_extrema, validate_catalog
+from .catalog import (Catalog, catalog_from_dict, json_object, scale_extrema,
+                      validate_catalog)
 from .errors import VVCantorError
 from .eigensolve import counting_to_csv, inertia_counts
 from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
@@ -45,7 +46,7 @@ from .spectral import (DEFAULT_ENV_CAP, CutsetStatsRow, MonteCarloNeckEvaluator,
                        TREE_STREAM, bracketing_check, center_counts, cutset_stats_check,
                        empirical_exponent, gamma_exact_homogeneous, solve_gamma,
                        solve_gamma_recursive)
-from .vtree import build_tree, environments_to_obj, tree_to_jsonl
+from .vtree import DEFAULT_NODE_CAP, build_tree, environments_to_obj, tree_to_jsonl
 
 _TOP_KEYS = {"schema", "catalog", "v", "seed", "depth", "level", "splits",
              "k_range", "x_grid", "mc_blocks", "root_type", "node_cap",
@@ -61,6 +62,15 @@ def _check_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _check_finite(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number; a boolean, a
+    string, NaN, an infinity or an integer past the float range is a config
+    error."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -81,7 +91,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        unknown = set(doc) - _TOP_KEYS
+        unknown = set(json_object(doc, "config")) - _TOP_KEYS
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         if doc.get("schema") != 1:
@@ -109,12 +119,13 @@ class RunConfig:
         if len(k_range) != 2 or k_range[0] > k_range[1] or k_range[0] < 0:
             raise ValueError("k_range must be [lo, hi] with 0 <= lo <= hi")
         grid = doc.get("x_grid", {"lo": 1.0, "hi": 1e4, "count": 16})
-        unknown = set(grid) - {"lo", "hi", "count"}
+        unknown = set(json_object(grid, "x_grid")) - {"lo", "hi", "count"}
         if unknown:
             raise ValueError(f"unknown x_grid fields: {sorted(unknown)}")
         if _check_int(grid["count"], "x_grid count") < 2:
             raise ValueError("x_grid count must be >= 2")
-        if not 0 < grid["lo"] < grid["hi"]:
+        lo, hi = (_check_finite(grid[key], f"x_grid {key}") for key in ("lo", "hi"))
+        if not 0 < lo < hi:
             raise ValueError("x_grid needs 0 < lo < hi")
         mc_blocks = doc.get("mc_blocks", 1000)
         if mc_blocks < 2:
@@ -122,13 +133,13 @@ class RunConfig:
         root_type = doc.get("root_type")
         if root_type is not None and not 0 <= root_type < v:
             raise ValueError("root_type outside {0..v-1}")
-        node_cap = doc.get("node_cap", 10_000_000)
+        node_cap = doc.get("node_cap", DEFAULT_NODE_CAP)
         env_levels = doc.get("env_levels")
         if env_levels is not None and not max(depth, level) <= env_levels <= DEFAULT_ENV_CAP:
             raise ValueError(f"env_levels must be >= depth and level and <= {DEFAULT_ENV_CAP}")
         return cls(catalog=catalog, v=v, seed=seed, depth=depth, level=level,
                    splits=splits, k_range=k_range,
-                   x_grid=(float(grid["lo"]), float(grid["hi"]), grid["count"]),
+                   x_grid=(lo, hi, grid["count"]),
                    mc_blocks=mc_blocks, root_type=root_type, node_cap=node_cap,
                    env_levels=env_levels, raw=doc)
 

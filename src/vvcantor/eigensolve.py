@@ -34,8 +34,8 @@ class CountingSample:
 def inertia_counts(pencil: Pencil, xs) -> np.ndarray:
     """Batched count of eigenvalues <= x for every x in xs."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.isnan(xs).any():
-        raise InvalidInputError("NaN shift passed to inertia count")
+    if not np.isfinite(xs).all():
+        raise InvalidInputError("NaN or infinite shift passed to inertia count")
     if np.isnan(pencil.kd).any() or np.isnan(pencil.md).any():
         raise InvalidInputError("pencil contains NaN entries")
     return _kernels.sturm_counts(pencil.kd, pencil.ko, pencil.md, pencil.mo, xs)

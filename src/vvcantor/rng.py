@@ -39,14 +39,16 @@ def stream_seed(master_seed: int, stream_id: int) -> int:
 
 
 def cumulative_probs(probs) -> np.ndarray:
-    """The running sums that ``categorical`` walks, added left to right."""
+    """The running sums that ``categorical_index`` walks, added left to
+    right."""
     return np.fromiter(accumulate(probs, initial=0.0), np.float64)[1:]
 
 
 def categorical_index(cum: np.ndarray, u) -> np.ndarray:
-    """``categorical``'s index for each draw ``u`` given the running sums
-    ``cum``: the first i with ``u < cum[i]``, else the last index (the sums
-    may end below 1)."""
+    """The categorical draw for each uniform ``u`` given the running sums
+    ``cum`` of a probability vector: the first i with ``u < cum[i]``, else
+    the last index (the sums may end below 1). This definition is part of
+    the reproducibility contract."""
     return np.minimum(np.searchsorted(cum, u, side="right"), cum.shape[0] - 1)
 
 
@@ -141,9 +143,9 @@ class Xoshiro256StarStar(Xoshiro256StarStarLanes):
     """The stream with seed ``seed``: one lane, with scalar draws.
 
     ``uniform`` returns a double in [0, 1) built from the top 53 bits;
-    ``randint(n)`` is ``floor(uniform() * n)``; ``categorical(p)`` walks the
-    cumulative sums of ``p`` with one ``uniform`` draw. These definitions are
-    part of the reproducibility contract.
+    ``randint(n)`` is ``floor(uniform() * n)``. A categorical draw is
+    ``categorical_index`` of one ``uniform``. These definitions are part of
+    the reproducibility contract.
     """
 
     __slots__ = ()
@@ -159,7 +161,3 @@ class Xoshiro256StarStar(Xoshiro256StarStarLanes):
         if n <= 0:
             raise ValueError("n must be positive")
         return int(self.uniform() * n)
-
-    def categorical(self, probs) -> int:
-        """Index drawn according to the probability vector ``probs``."""
-        return int(categorical_index(cumulative_probs(probs), self.uniform()))

@@ -62,61 +62,53 @@ def _recursive_mean(catalog: Catalog, x: float) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluator
 
-class _BlockDraws:
-    """Neck blocks ``first + k`` for k in ``range(count)``, drawn in lockstep
-    lanes into ``rows``: one ``block_log_sums`` entry ``(k, level_sys,
-    child)`` per level, in ``LevelDraws``' dtype, sharing ``k`` until a neck.
+def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
+                 count: int, env_cap: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Rows, lens and roots of the neck blocks ``first + k``, k < ``count``.
 
-    Lane k draws from stream ``MC_BLOCK_STREAM_BASE + first + k``: the root
-    type ``(u*V)``, then one ``LevelDraws`` level at a time until a neck."""
+    Block k draws from stream ``MC_BLOCK_STREAM_BASE + first + k``: its root
+    type ``(u*V)``, then ``LevelDraws`` levels until a neck. Each pass draws
+    the blocks not yet drawn in lockstep lanes; each level appends one
+    ``block_log_sums`` entry ``(k, level_sys, child)`` to ``rows``.
 
-    def __init__(self, catalog: Catalog, v_types: int, master_seed: int,
-                 first: int, count: int, env_cap: int):
-        self.draw = LevelDraws(catalog, v_types)
-        self.master_seed = master_seed
-        self.first = first
-        self.env_cap = env_cap
-        self.lens = np.zeros(count, np.int64)
-        self.roots = np.zeros(count, np.int64)
-        self.rows = []
+    When the rows held for running lanes pass ``_ROW_BUDGET`` at level l,
+    all but the lowest ``_ROW_BUDGET // (8 l)`` running blocks are shed:
+    their rows are dropped and the next pass draws them again, shedding
+    again early unless far fewer lanes are kept. At least
+    ``_ROW_BUDGET // env_cap`` lanes are kept; that many cannot pass it.
 
-    def run(self, ks: np.ndarray) -> np.ndarray:
-        """Draw blocks ``ks`` (ascending) until each necks.
-
-        Whenever the rows held for running lanes pass ``_ROW_BUDGET`` at
-        level l, all but the lowest ``_ROW_BUDGET // (8 l)`` running blocks
-        are shed: their rows are dropped and they are returned, to be drawn
-        again from their seeds. A block shed at level l runs past it, so
-        the next pass sheds again early unless far fewer lanes are kept.
-        At least ``_ROW_BUDGET // env_cap`` lanes are kept, and that many
-        cannot pass the budget.
-
-        Raises ``NeckTimeoutError`` for the lowest block that saw no neck
-        within ``env_cap`` levels; every lower block has necked by then."""
-        floor = max(1, _ROW_BUDGET // self.env_cap)
+    Raises ``NeckTimeoutError`` for the lowest block that saw no neck within
+    ``env_cap`` levels; every lower block has necked by then."""
+    draw = LevelDraws(catalog, v_types)
+    floor = max(1, _ROW_BUDGET // env_cap)
+    lens, roots = np.zeros(count, np.int64), np.zeros(count, np.int64)
+    rows, todo = [], np.arange(count)
+    while todo.size:
         rng = Xoshiro256StarStarLanes(
-            stream_seeds(self.master_seed, MC_BLOCK_STREAM_BASE + self.first + ks))
-        self.roots[ks] = rng.uniforms([None])[0] * self.draw.v_types
-        lane, shed, held = ks, ks[:0], len(self.rows)
-        for level in range(1, self.env_cap + 1):
-            sys_, child, real = self.draw(rng)
-            self.rows.append((lane, sys_, child))
+            stream_seeds(master_seed, MC_BLOCK_STREAM_BASE + first + todo))
+        roots[todo] = rng.uniforms([None])[0] * v_types
+        lane, todo, held = todo, todo[:0], len(rows)
+        for level in range(1, env_cap + 1):
+            sys_, child, real = draw(rng)
+            rows.append((lane, sys_, child))
             neck = neck_mask(child, real)
             if neck.any():
-                self.lens[lane[neck]] = level
+                lens[lane[neck]] = level
                 running = ~neck
                 lane = lane[running]
                 if not lane.shape[0]:
-                    return shed
+                    break
                 rng.keep(running)
             if lane.shape[0] > floor and lane.shape[0] * level > _ROW_BUDGET:
                 keep = max(floor, _ROW_BUDGET // (8 * level))
-                lane, shed = lane[:keep], np.concatenate((lane[keep:], shed))
+                lane, todo = lane[:keep], np.concatenate((lane[keep:], todo))
                 rng.keep(slice(keep))
-                self.rows[held:] = [(k[m], s[m], c[m]) for k, s, c in self.rows[held:]
-                                    for m in [(k < shed[0]) | (self.lens[k] > 0)]]
-        raise NeckTimeoutError(f"block {self.first + int(lane[0])} saw no neck "
-                               f"within {self.env_cap} levels")
+                rows[held:] = [(k[m], s[m], c[m]) for k, s, c in rows[held:]
+                               for m in [(k < todo[0]) | (lens[k] > 0)]]
+        else:
+            raise NeckTimeoutError(f"block {first + int(lane[0])} saw no neck "
+                                   f"within {env_cap} levels")
+    return rows, lens, roots
 
 
 class MonteCarloNeckEvaluator:
@@ -124,10 +116,10 @@ class MonteCarloNeckEvaluator:
 
     Block b draws its root type and environments from the stream
     ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
-    draw order of ``vtree.LevelDraws``. All requested blocks are drawn at
-    once in lockstep ``Xoshiro256StarStarLanes``, one lane per block, and
-    the DP reads their levels in the order they were drawn; they are
-    sampled once and shared by all x (common random numbers).
+    draw order of ``vtree.LevelDraws``. ``_draw_blocks`` draws the blocks in
+    lockstep lanes, one per block, and the DP reads their levels in the
+    order they were drawn. They are shared by all x (common random numbers);
+    the log-sums of the last x are kept until ``extend``.
     ``NeckTimeoutError`` names the lowest block that saw no neck within
     ``env_cap`` levels, the one drawing the blocks one by one would fail on.
     """
@@ -140,20 +132,9 @@ class MonteCarloNeckEvaluator:
         self.v_types = v_types
         self.master_seed = master_seed
         self.env_cap = env_cap
-        self._rows, self._lens, self._roots = self._simulate(0, blocks)
-
-    # -- simulation ---------------------------------------------------------
-
-    def _simulate(self, first: int, count: int) -> tuple[list, np.ndarray, np.ndarray]:
-        """Rows, lens and roots of blocks ``first .. first + count - 1``.
-        Each pass draws every block not yet drawn, so the blocks a pass
-        sheds to stay within ``_ROW_BUDGET`` are drawn by the next."""
-        draws = _BlockDraws(self.catalog, self.v_types, self.master_seed,
-                            first, count, self.env_cap)
-        todo = np.arange(count)
-        while todo.size:
-            todo = draws.run(todo)
-        return draws.rows, draws.lens, draws.roots
+        self._rows, self._lens, self._roots = _draw_blocks(
+            catalog, v_types, master_seed, 0, blocks, env_cap)
+        self._last = (None, None)  # the last x and its read-only log-sums
 
     @property
     def blocks(self) -> int:
@@ -167,16 +148,23 @@ class MonteCarloNeckEvaluator:
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
         first = self.blocks
-        rows, lens, roots = self._simulate(first, extra)
+        rows, lens, roots = _draw_blocks(self.catalog, self.v_types,
+                                         self.master_seed, first, extra, self.env_cap)
         self._rows += [(first + k, s, c) for k, s, c in rows]
         self._lens = np.concatenate((self._lens, lens))
         self._roots = np.concatenate((self._roots, roots))
+        self._last = (None, None)
 
     # -- evaluation ----------------------------------------------------------
 
     def log_sums(self, x: float) -> np.ndarray:
-        return _kernels.block_log_sums(self._rows, self._roots, self.v_types,
-                                       map_table(self.catalog), x)
+        """Per-block log-sums at x, read-only."""
+        if self._last[0] != x:
+            ls = _kernels.block_log_sums(self._rows, self._roots, self.v_types,
+                                         map_table(self.catalog), x)
+            ls.setflags(write=False)
+            self._last = (x, ls)
+        return self._last[1]
 
     def f(self, x: float) -> tuple[float, float]:
         """Estimate of f(x) with its standard error."""
@@ -377,7 +365,17 @@ class BracketingResult:
     center_dirichlet: np.ndarray
     center_neumann: np.ndarray
     upper: np.ndarray
-    status: list[str] = field(default_factory=list)
+    status: list[str] = field(init=False)
+
+    def __post_init__(self):
+        d, n = self.center_dirichlet, self.center_neumann
+        viol = (np.maximum(0, np.subtract(self.lower, d)) + np.maximum(0, np.subtract(d, n))
+                + np.maximum(0, np.subtract(n, self.upper)))
+        status = ["ok" if v == 0 else ("warn" if v <= 1 else "fail") for v in viol.tolist()]
+        for i in range(1, len(status)):  # warnings must be isolated
+            if status[i] == "warn" and status[i - 1] == "warn":
+                status[i] = status[i - 1] = "fail"
+        self.status = status
 
     @property
     def n_warn(self) -> int:
@@ -392,71 +390,56 @@ class BracketingResult:
         return self.n_fail == 0
 
 
-@dataclass
-class CenterCounts:
-    """N_D and N_N of the center pencils at ascending shifts ``x``."""
-
-    level: int
-    splits: int
-    x: np.ndarray
-    dirichlet: np.ndarray
-    neumann: np.ndarray
+def _counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarray, np.ndarray]:
+    """N_D and N_N of ``tree``'s Dirichlet and Neumann pencils at ``level``
+    (plus ``splits`` uniform splits) at the shifts ``xs``."""
+    dec = refine_uniform(decompose(tree, level), splits)
+    return (inertia_counts(assemble(dec, DIRICHLET), xs),
+            inertia_counts(assemble(dec, NEUMANN), xs))
 
 
-def center_counts(tree: VTree, xs, level: int, splits: int = 1) -> CenterCounts:
-    """Count the center Dirichlet and Neumann pencils of ``tree`` at
-    ``level`` (plus ``splits`` uniform splits) at the sorted shifts; one
-    result serves ``bracketing_check`` for every k."""
+def center_counts(tree: VTree, xs, level: int, splits: int = 1) -> BracketingResult:
+    """The k = 0 bracketing result: the center Dirichlet and Neumann counts
+    of ``tree`` at ``level`` (plus ``splits`` uniform splits) at the sorted
+    shifts. The 0-th cut set is the root alone with product 1, so lower =
+    N_D and upper = N_N; one result serves ``bracketing_check`` for every k."""
     xs = np.sort(np.asarray(xs, dtype=np.float64))
-    center = refine_uniform(decompose(tree, level), splits)
-    return CenterCounts(level=level, splits=splits, x=xs,
-                        dirichlet=inertia_counts(assemble(center, DIRICHLET), xs),
-                        neumann=inertia_counts(assemble(center, NEUMANN), xs))
+    nd, nn = _counts(tree, level, splits, xs)
+    return BracketingResult(k=0, level=level, splits=splits, x=xs, lower=nd,
+                            center_dirichlet=nd, center_neumann=nn, upper=nn)
 
 
-def bracketing_check(tree: VTree, k: int, center: CenterCounts) -> BracketingResult:
+def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> BracketingResult:
     """Verify lower <= N_D <= N_N <= upper at matched resolution.
 
-    The center counts come from ``center_counts``. Every cut-set member at
-    neck level l contributes the counting functions of the shared subtree,
-    discretized at level ``level - l`` (plus the same uniform splits as the
-    center), evaluated at its rescaled shifts. With this resolution matching
-    the member meshes are exactly the center mesh restricted to the member
-    cells, so the chain holds up to rounding ties.
+    ``center`` is ``center_counts``' k = 0 result, whose level, splits,
+    shifts and center counts are reused; for k = 0 it is the answer. Every
+    cut-set member at neck level l contributes the counting functions of
+    the shared subtree, discretized at level ``level - l`` (plus the same
+    uniform splits as the center), evaluated at its rescaled shifts. With
+    this resolution matching the member meshes are exactly the center mesh
+    restricted to the member cells, so the chain holds up to rounding ties.
     """
+    if k == 0:
+        return center
     level, splits, xs = center.level, center.splits, center.x
-    center_d, center_n = center.dirichlet, center.neumann
     cs = cut_set(tree, k)
     max_level = int(cs.levels.max())
     if level < max_level:
         raise ValueError(
             f"level {level} is shallower than the deepest cut-set member ({max_level})")
 
-    lower = np.zeros(xs.shape[0], np.int64)
-    upper = np.zeros(xs.shape[0], np.int64)
+    lower, upper = np.zeros((2, xs.shape[0]), np.int64)
     for l in np.unique(cs.levels):
-        sub = neck_subtree(tree, int(l), level - int(l))
-        sdec = refine_uniform(decompose(sub, level - int(l)), splits)
-        spd = assemble(sdec, DIRICHLET)
-        spn = assemble(sdec, NEUMANN)
         prods = cs.products[cs.levels == l]
         args = (prods[:, None] * xs[None, :]).ravel()
-        lower += inertia_counts(spd, args).reshape(prods.shape[0], -1).sum(axis=0)
-        upper += inertia_counts(spn, args).reshape(prods.shape[0], -1).sum(axis=0)
-
-    status = []
-    for i in range(xs.shape[0]):
-        viol = (max(0, int(lower[i]) - int(center_d[i]))
-                + max(0, int(center_d[i]) - int(center_n[i]))
-                + max(0, int(center_n[i]) - int(upper[i])))
-        status.append("ok" if viol == 0 else ("warn" if viol <= 1 else "fail"))
-    for i in range(1, len(status)):  # warnings must be isolated
-        if status[i] == "warn" and status[i - 1] == "warn":
-            status[i] = status[i - 1] = "fail"
-
-    return BracketingResult(k=k, level=level, splits=splits, x=xs,
-                            lower=lower, center_dirichlet=center_d,
-                            center_neumann=center_n, upper=upper, status=status)
+        sub_d, sub_n = _counts(neck_subtree(tree, int(l), level - int(l)),
+                               level - int(l), splits, args)
+        lower += sub_d.reshape(prods.shape[0], -1).sum(axis=0)
+        upper += sub_n.reshape(prods.shape[0], -1).sum(axis=0)
+    return BracketingResult(k=k, level=level, splits=splits, x=xs, lower=lower,
+                            center_dirichlet=center.center_dirichlet,
+                            center_neumann=center.center_neumann, upper=upper)
 
 
 # ---------------------------------------------------------------------------

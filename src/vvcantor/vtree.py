@@ -54,9 +54,9 @@ class LevelDraws:
     """Draws one level of the environment table per lane.
 
     Draw order (reproducibility contract), per level: the system of each
-    type 0..V-1, one ``categorical`` on the catalog's index distribution
-    each; then the child types type by type, map slot by map slot, one
-    ``randint(V)`` each. A lane draws only the slots its type's system has,
+    type 0..V-1, one ``rng.categorical_index`` draw on the catalog's index
+    distribution each; then the child types type by type, map slot by map
+    slot, one ``randint(V)`` each. A lane draws only the slots its type's system has,
     so its stream does not depend on the other lanes. ``dtype``, the
     smallest unsigned dtype that holds a type and a system, is the table's.
     """

@@ -108,6 +108,52 @@ def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, value):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def _catalog_part(doc, path, value):
+    """``doc`` with the catalog part at ``path`` (keys and indices) set to
+    ``value``."""
+    part = doc["catalog"]
+    for key in path[:-1]:
+        part = part[key]
+    part[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, part", [
+    ([], "config must be a JSON object"),
+    (small_cantor_doc(catalog=[]), "catalog must be a JSON object"),
+    (_catalog_part(small_cantor_doc(), ["systems", 0], []), "system 0 must be a JSON object"),
+    (_catalog_part(small_cantor_doc(), ["systems", 0, "maps", 1], [1 / 3, 2 / 3]),
+     "system 0 map 1 must be a JSON object"),
+    (small_cantor_doc(x_grid=[10.0, 10000.0, 12]), "x_grid must be a JSON object"),
+], ids=["config", "catalog", "system", "map", "x_grid"])
+def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, doc, part):
+    """A list where the config expects an object names the part that is
+    wrong instead of failing with a traceback."""
+    with pytest.raises(ValueError, match=f"^{part}, got list$"):
+        RunConfig.from_dict(doc)
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["count", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"config error: {part}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hi", math.inf), ("lo", -math.inf), ("hi", math.nan), ("lo", True), ("hi", "1e4"),
+    ("hi", 10 ** 400),
+], ids=["hi-inf", "lo-minus-inf", "hi-nan", "lo-true", "hi-string", "hi-huge-int"])
+def test_non_finite_x_grid_is_a_config_error(tmp_path, capsys, key, value):
+    """Shifts are finite JSON numbers: ``Infinity`` (which ``json`` reads),
+    NaN, a boolean or a string is rejected, never counted."""
+    grid = {"lo": 1.0, "hi": 10000.0, "count": 4, key: value}
+    doc = small_cantor_doc(x_grid=grid)
+    with pytest.raises(ValueError, match=f"^x_grid {key} must be a finite number"):
+        RunConfig.from_dict(doc)
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["count", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"x_grid {key} must be a finite number" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_null_root_type_and_env_levels_are_allowed():
     cfg = RunConfig.from_dict(small_cantor_doc(root_type=None, env_levels=None))
     assert cfg.root_type is None and cfg.env_levels is None
@@ -141,6 +187,25 @@ def test_exponent_deterministic_bytes(tmp_path):
     assert (out1 / "exponent.json").read_bytes() == (out2 / "exponent.json").read_bytes()
     # timestamps live only in the sidecar
     assert "timestamp" not in (out1 / "exponent.json").read_text()
+
+
+@pytest.mark.parametrize("config", [CANTOR_CFG, TWOSYS_CFG])
+def test_exponent_runs_one_dp_pass_per_f_evaluation(tmp_path, monkeypatch, config):
+    """The conditional means at gamma reuse the log-sums of the last f
+    evaluation, which was at gamma."""
+    from vvcantor import spectral
+
+    calls = []
+    dp = spectral._kernels.block_log_sums
+
+    def counted(*args):
+        calls.append(args[-1])
+        return dp(*args)
+
+    monkeypatch.setattr(spectral._kernels, "block_log_sums", counted)
+    assert main(["exponent", "--config", str(config), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "exponent.json").read_text())
+    assert len(calls) == len(doc["monte_carlo"]["f_evaluations"])
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -74,6 +74,14 @@ def test_nan_rejected(lebesgue):
         inertia_counts(pen, [float("nan")])
 
 
+@pytest.mark.parametrize("shift", [math.inf, -math.inf])
+def test_infinite_shift_rejected(lebesgue, shift):
+    dec = refine_uniform(decompose(build_tree(lebesgue, 1, 0, rng=rng_for(1)), 0), 4)
+    pen = assemble(dec, DIRICHLET)
+    with pytest.raises(InvalidInputError):
+        inertia_counts(pen, [1.0, shift])
+
+
 def test_fine_mesh_first_eigenvalue_close_to_pi_squared(lebesgue):
     dec = refine_uniform(decompose(build_tree(lebesgue, 1, 0, rng=rng_for(1)), 0), 512)
     pen = assemble(dec, DIRICHLET)

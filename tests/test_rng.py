@@ -50,10 +50,12 @@ def test_uniform_range_and_randint_bounds():
 
 def test_categorical_walks_cumulative_sums():
     g = Xoshiro256StarStar(9)
-    assert all(g.categorical([1.0]) == 0 for _ in range(10))
+    assert all(categorical_index(cumulative_probs([1.0]), g.uniform()) == 0
+               for _ in range(10))
     counts = [0, 0, 0]
+    cum = cumulative_probs([0.2, 0.5, 0.3])
     for _ in range(30_000):
-        counts[g.categorical([0.2, 0.5, 0.3])] += 1
+        counts[categorical_index(cum, g.uniform())] += 1
     assert abs(counts[0] / 30_000 - 0.2) < 0.02
     assert abs(counts[1] / 30_000 - 0.5) < 0.02
 
@@ -119,15 +121,6 @@ class _FixedDraw(ScalarXoshiro256StarStar):
         return self.u
 
 
-class _FixedLane(Xoshiro256StarStar):
-    """A one-lane generator whose every uniform draw is ``u``."""
-
-    __slots__ = ("u",)
-
-    def uniform(self) -> float:
-        return self.u
-
-
 @pytest.mark.parametrize("probs", [(0.7, 0.2, 0.1), (0.5, 0.0, 0.5)])
 def test_lane_categorical_walks_like_scalar(probs):
     cum = cumulative_probs(probs)
@@ -135,14 +128,12 @@ def test_lane_categorical_walks_like_scalar(probs):
     if probs == (0.7, 0.2, 0.1):
         assert cum[-1] == 0.9999999999999999  # a draw can pass the last sum
     us = np.concatenate((cum, np.nextafter(cum, 0.0), [1.0 - 2.0 ** -53, 0.0]))
-    g, lane = _FixedDraw(0), _FixedLane(0)
-    want, got = [], []
+    g, want = _FixedDraw(0), []
     for u in us.tolist():
-        g.u = lane.u = u
+        g.u = u
         want.append(g.categorical(probs))
-        got.append(lane.categorical(probs))
     assert categorical_index(cum, us).tolist() == want
-    assert got == want and all(type(i) is int for i in got)
+    assert [categorical_index(cum, u) for u in us.tolist()] == want
 
 
 _OPS = st.one_of(
@@ -155,9 +146,13 @@ _OPS = st.one_of(
 @settings(deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1), ops=st.lists(_OPS, max_size=40))
 def test_one_lane_draws_match_oracle(seed, ops):
-    """The one-lane generator's scalar draws are the Python-int oracle's,
-    values and types."""
+    """The one-lane generator's scalar draws, and ``categorical_index`` of
+    one ``uniform``, are the Python-int oracle's, values and types."""
     lane, oracle = Xoshiro256StarStar(seed), ScalarXoshiro256StarStar(seed)
     for name, *args in ops:
-        got, want = getattr(lane, name)(*args), getattr(oracle, name)(*args)
+        want = getattr(oracle, name)(*args)
+        if name == "categorical":
+            got = int(categorical_index(cumulative_probs(*args), lane.uniform()))
+        else:
+            got = getattr(lane, name)(*args)
         assert got == want and type(got) is type(want)

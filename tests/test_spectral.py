@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vvcantor import (Catalog, ContractionMap, DIRICHLET,
+from vvcantor import (BracketingResult, Catalog, ContractionMap, DIRICHLET,
                       InsufficientDataError, MonteCarloNeckEvaluator,
                       NoisyRootError, WeightedIFS, Xoshiro256StarStar,
                       assemble, bracketing_check, build_tree, center_counts,
@@ -146,11 +146,12 @@ def test_f_by_root_type_reports_every_type(two_system):
 
 def test_extend_matches_fresh_evaluator(two_system):
     grown = MonteCarloNeckEvaluator(two_system, 2, 30, master_seed=17)
+    grown.log_sums(0.4)  # a log-sums memo must not outlive extend
     grown.extend(25)
     fresh = MonteCarloNeckEvaluator(two_system, 2, 55, master_seed=17)
     assert grown.blocks == fresh.blocks == 55
     assert np.array_equal(grown.neck_waits, fresh.neck_waits)
-    for x in (0.0, 0.4, 1.3):
+    for x in (0.4, 0.0, 1.3):  # 0.4 first, where a stale memo would answer
         assert grown.log_sums(x).tobytes() == fresh.log_sums(x).tobytes()
     assert grown.f_by_root_type(0.4) == fresh.f_by_root_type(0.4)
 
@@ -265,6 +266,39 @@ def test_bracketing_k0_reduces_to_center(two_system):
     assert np.array_equal(res.lower, res.center_dirichlet)
     assert np.array_equal(res.upper, res.center_neumann)
     assert res.n_fail == 0 and res.n_warn == 0
+
+
+def test_bracketing_k0_is_the_center_without_a_subtree(two_system, monkeypatch):
+    from vvcantor import spectral
+
+    tree, _ = _feasible_tree(two_system, 2, 1, 10, range(40))
+    center = center_counts(tree, np.geomspace(2.0, 1e4, 8), 8)
+
+    def no_subtree(*args):
+        raise AssertionError("k = 0 rebuilt the whole tree")
+
+    monkeypatch.setattr(spectral, "neck_subtree", no_subtree)
+    assert bracketing_check(tree, 0, center) is center
+    assert center.k == 0 and center.status == ["ok"] * 8
+
+
+@pytest.mark.parametrize("lower, center_d, center_n, upper, status", [
+    ([0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3], ["ok"] * 4),
+    ([0, 2, 2, 3], [0, 1, 2, 3], [1, 1, 3, 3], [1, 2, 3, 4], ["ok", "warn", "ok", "ok"]),
+    ([0, 1, 2, 3], [0, 2, 3, 3], [0, 1, 2, 3], [0, 1, 2, 3], ["ok", "fail", "fail", "ok"]),
+    ([0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 4, 3], [0, 1, 2, 3], ["ok", "ok", "fail", "ok"]),
+    ([1, 0, 0, 2], [0, 0, 1, 1], [0, 1, 1, 1], [0, 1, 1, 0], ["warn", "ok", "ok", "fail"]),
+])
+def test_bracketing_status_escalates_adjacent_warnings(lower, center_d, center_n,
+                                                       upper, status):
+    """A unit violation at an isolated point warns; two adjacent ones, or a
+    violation of 2 (summed over the three links of the chain), fail."""
+    res = BracketingResult(k=1, level=3, splits=1, x=np.geomspace(1.0, 8.0, 4),
+                           lower=np.array(lower), center_dirichlet=np.array(center_d),
+                           center_neumann=np.array(center_n), upper=np.array(upper))
+    assert res.status == status
+    assert (res.n_warn, res.n_fail) == (status.count("warn"), status.count("fail"))
+    assert res.ok == ("fail" not in status)
 
 
 def test_bracketing_holds_on_random_trees(two_system):
