@@ -23,6 +23,7 @@ from .measure import (CellDecomposition, cell_mass, cells_from_csv, cells_to_csv
                       decompose, gaps_to_csv, measure_of_interval)
 from .assembly import (DIRICHLET, NEUMANN, Pencil, assemble, pencil_to_csv,
                        refine_uniform)
+from .condense import condensed_counts
 from .eigensolve import (CountingSample, counting_function, eigenvalue,
                          first_eigenvalue_bounds, inertia_count, inertia_counts,
                          spectral_upper_bound)

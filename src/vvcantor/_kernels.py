@@ -1,10 +1,14 @@
-"""The two hot numeric kernels, vectorized in numpy.
+"""Two numeric kernels, vectorized in numpy.
 
-Sturm-sequence inertia counts on symmetric tridiagonal pencils, and the
-per-type dynamic program that evaluates neck block log-sums for Monte Carlo
-batches and for ``vtree.scale_sum_at_neck``. Each has exactly one
-implementation. Shifts (or blocks) are numpy lanes that never interact, so
-one batched call gives the same result as one call per shift.
+Sturm-sequence inertia counts on assembled symmetric tridiagonal pencils,
+and the per-type dynamic program that evaluates neck block log-sums for
+Monte Carlo batches and for ``vtree.scale_sum_at_neck``. Each has exactly
+one implementation. Shifts (or blocks) are numpy lanes that never
+interact, so one batched call gives the same result as one call per shift.
+The counts the CLI writes come from ``condense``, which reads the tree
+instead of a pencil; the Sturm count serves the ``Pencil`` API
+(``eigensolve``) and is the test oracle of the condensed counts, which
+share its chunk budget ``_CHUNK`` and its tie rule.
 
 The inertia count is the row recurrence ``d_i = (kd_i - x md_i) -
 (ko_{i-1} - x mo_{i-1})^2 / d_{i-1}``, evaluated in row chunks of at most

@@ -35,11 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import DIRICHLET, NEUMANN, assemble, pencil_to_csv, refine_uniform
+from .assembly import DIRICHLET, assemble, pencil_to_csv, refine_uniform
 from .catalog import (Catalog, catalog_from_dict, json_object, scale_extrema,
                       validate_catalog)
+from .condense import condensed_counts
 from .errors import VVCantorError
-from .eigensolve import counting_to_csv, inertia_counts
+from .eigensolve import counting_to_csv
+# Not called here since the condensed counts; perfbench/tracing.py still
+# wraps vvcantor.cli.inertia_counts and its self-check expects it.
+from .eigensolve import inertia_counts  # noqa: F401
 from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
 from .rng import Xoshiro256StarStar, stream_seed
 from .spectral import (DEFAULT_ENV_CAP, CutsetStatsRow, MonteCarloNeckEvaluator,
@@ -228,11 +232,9 @@ def _cmd_measure(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_count(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.level)
-    dec = refine_uniform(decompose(tree, cfg.level), cfg.splits)
     xs = cfg.grid()
-    dirichlet = assemble(dec, DIRICHLET)
-    counts_d = inertia_counts(dirichlet, xs)
-    counts_n = inertia_counts(assemble(dec, NEUMANN), xs)
+    dirichlet = assemble(refine_uniform(decompose(tree, cfg.level), cfg.splits), DIRICHLET)
+    counts_d, counts_n = condensed_counts(tree, cfg.level, cfg.splits, xs)
     with open(out / "counting.csv", "w", newline="") as fp:
         counting_to_csv(fp, xs, counts_d, counts_n, cfg.level, cfg.splits,
                         _meta(cfg, "count"))
@@ -249,9 +251,8 @@ def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
     mc = solve_gamma(evaluator)
 
     tree = _build(cfg, cfg.level)
-    dec = refine_uniform(decompose(tree, cfg.level), cfg.splits)
     xs = cfg.grid()
-    counts_d = inertia_counts(assemble(dec, DIRICHLET), xs)
+    counts_d = condensed_counts(tree, cfg.level, cfg.splits, xs)[0]
     fit = empirical_exponent((xs, counts_d), (cfg.x_grid[0], cfg.x_grid[1]))
 
     primary = exact if cfg.v == 1 else mc

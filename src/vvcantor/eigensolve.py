@@ -22,6 +22,11 @@ from .measure import write_csv
 # batched inertia pass shrinks the bracket 16x.
 _LADDER = 15
 
+# Largest |x| times a pencil's mass scale that a count accepts. The counts
+# square and multiply shifted entries of about that size, which leave the
+# float range past 2**512: the counts would fall as x rises.
+MAX_SCALED_MASS = 2.0 ** 500
+
 
 @dataclass
 class CountingSample:
@@ -31,11 +36,24 @@ class CountingSample:
     provenance: dict
 
 
-def inertia_counts(pencil: Pencil, xs) -> np.ndarray:
-    """Batched count of eigenvalues <= x for every x in xs."""
+def checked_shifts(xs, mass: float) -> np.ndarray:
+    """``xs`` as a 1-d float array, if every shift is finite and |x| times
+    ``mass`` stays within ``MAX_SCALED_MASS``; else ``InvalidInputError``."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if not np.isfinite(xs).all():
         raise InvalidInputError("NaN or infinite shift passed to inertia count")
+    scaled = float(np.abs(xs).max(initial=0.0)) * mass
+    if scaled > MAX_SCALED_MASS:
+        raise InvalidInputError(
+            f"shift times mass {scaled!r} exceeds {MAX_SCALED_MASS!r}: the count would overflow")
+    return xs
+
+
+def inertia_counts(pencil: Pencil, xs) -> np.ndarray:
+    """Batched count of eigenvalues <= x for every x in xs; the mass scale
+    of ``checked_shifts`` is the largest mass entry."""
+    xs = checked_shifts(xs, max(np.abs(pencil.md).max(initial=0.0),
+                                np.abs(pencil.mo).max(initial=0.0)))
     if np.isnan(pencil.kd).any() or np.isnan(pencil.md).any():
         raise InvalidInputError("pencil contains NaN entries")
     return _kernels.sturm_counts(pencil.kd, pencil.ko, pencil.md, pencil.mo, xs)

@@ -25,6 +25,11 @@ from .vtree import VTree
 _OVERLAP_ULPS = 64
 
 
+def touching_tol(a: float, b: float) -> float:
+    """Gaps and overlaps up to this length count as touching on ``[a, b]``."""
+    return _OVERLAP_ULPS * np.finfo(float).eps * max(abs(a), abs(b), b - a)
+
+
 @dataclass
 class CellDecomposition:
     """Ordered cells and gaps of one tree generation (or a refinement)."""
@@ -73,7 +78,7 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
     masses = gen.mprod.copy()
 
     gaps = lefts[1:] - rights[:-1]
-    tol = _OVERLAP_ULPS * np.finfo(float).eps * max(abs(a), abs(b), b - a)
+    tol = touching_tol(a, b)
     if (gaps < -tol).any():
         worst = float(gaps.min())
         raise InvalidInputError(

@@ -19,15 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .assembly import DIRICHLET, NEUMANN, assemble, refine_uniform
 from .catalog import Catalog, map_table, scale_extrema
+from .condense import condensed_counts
 from .errors import InsufficientDataError, NeckTimeoutError, NoisyRootError
-from .eigensolve import inertia_counts
-from .measure import decompose
 from .rng import Xoshiro256StarStarLanes, stream_seeds
 from .vtree import LevelDraws, VTree, cut_set, neck_mask, neck_subtree
-# Not called here since the Monte Carlo lanes; perfbench/tracing.py still
-# wraps vvcantor.spectral.sample_environment and its self-check expects it.
+# Not called here since the Monte Carlo lanes and the condensed counts;
+# perfbench/tracing.py still wraps these names in vvcantor.spectral and its
+# self-check expects them.
+from .assembly import assemble, refine_uniform  # noqa: F401
+from .eigensolve import inertia_counts  # noqa: F401
+from .measure import decompose  # noqa: F401
 from .vtree import sample_environment  # noqa: F401
 
 # Stream ids (reproducibility contract): the main tree uses stream 0, Monte
@@ -354,7 +356,8 @@ class BracketingResult:
 
     Per grid point the status is "ok" (chain holds), "warn" (total violation
     of one count at an isolated point; rounding can tie an eigenvalue with
-    a rescaled shift) or "fail". Adjacent warnings escalate to failures.
+    a rescaled shift) or "fail". A warning next to another warning is a
+    failure, so a run of adjacent warnings fails whole.
     """
 
     k: int
@@ -371,11 +374,12 @@ class BracketingResult:
         d, n = self.center_dirichlet, self.center_neumann
         viol = (np.maximum(0, np.subtract(self.lower, d)) + np.maximum(0, np.subtract(d, n))
                 + np.maximum(0, np.subtract(n, self.upper)))
-        status = ["ok" if v == 0 else ("warn" if v <= 1 else "fail") for v in viol.tolist()]
-        for i in range(1, len(status)):  # warnings must be isolated
-            if status[i] == "warn" and status[i - 1] == "warn":
-                status[i] = status[i - 1] = "fail"
-        self.status = status
+        warn = viol == 1
+        beside = np.zeros_like(warn)  # a warning on either side
+        beside[1:] |= warn[:-1]
+        beside[:-1] |= warn[1:]
+        self.status = ["fail" if v > 1 or (w and b) else ("warn" if w else "ok")
+                       for v, w, b in zip(viol.tolist(), warn.tolist(), beside.tolist())]
 
     @property
     def n_warn(self) -> int:
@@ -390,21 +394,13 @@ class BracketingResult:
         return self.n_fail == 0
 
 
-def _counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarray, np.ndarray]:
-    """N_D and N_N of ``tree``'s Dirichlet and Neumann pencils at ``level``
-    (plus ``splits`` uniform splits) at the shifts ``xs``."""
-    dec = refine_uniform(decompose(tree, level), splits)
-    return (inertia_counts(assemble(dec, DIRICHLET), xs),
-            inertia_counts(assemble(dec, NEUMANN), xs))
-
-
 def center_counts(tree: VTree, xs, level: int, splits: int = 1) -> BracketingResult:
     """The k = 0 bracketing result: the center Dirichlet and Neumann counts
     of ``tree`` at ``level`` (plus ``splits`` uniform splits) at the sorted
     shifts. The 0-th cut set is the root alone with product 1, so lower =
     N_D and upper = N_N; one result serves ``bracketing_check`` for every k."""
     xs = np.sort(np.asarray(xs, dtype=np.float64))
-    nd, nn = _counts(tree, level, splits, xs)
+    nd, nn = condensed_counts(tree, level, splits, xs)
     return BracketingResult(k=0, level=level, splits=splits, x=xs, lower=nd,
                             center_dirichlet=nd, center_neumann=nn, upper=nn)
 
@@ -433,8 +429,8 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
     for l in np.unique(cs.levels):
         prods = cs.products[cs.levels == l]
         args = (prods[:, None] * xs[None, :]).ravel()
-        sub_d, sub_n = _counts(neck_subtree(tree, int(l), level - int(l)),
-                               level - int(l), splits, args)
+        sub_d, sub_n = condensed_counts(neck_subtree(tree, int(l), level - int(l)),
+                                        level - int(l), splits, args)
         lower += sub_d.reshape(prods.shape[0], -1).sum(axis=0)
         upper += sub_n.reshape(prods.shape[0], -1).sum(axis=0)
     return BracketingResult(k=k, level=level, splits=splits, x=xs, lower=lower,
@@ -471,7 +467,6 @@ def cutset_stats_check(tree: VTree, ks, level: int,
     estimates) are reported for inspection only; the second uses exponent 1
     on the k factor as a convention.
     """
-    pencil = assemble(refine_uniform(decompose(tree, level), splits), DIRICHLET)
     eta = scale_extrema(tree.catalog).eta
     rows = []
     for k in ks:
@@ -487,8 +482,9 @@ def cutset_stats_check(tree: VTree, ks, level: int,
         ))
     # One batched count: N_D at every harmonic scale, then at k times it.
     scaled = [r for r in rows if r.k >= 1]
-    counts = inertia_counts(pencil, [r.harmonic_scale for r in rows]
-                            + [r.k * r.harmonic_scale for r in scaled]).tolist()
+    counts = condensed_counts(tree, level, splits,
+                              [r.harmonic_scale for r in rows]
+                              + [r.k * r.harmonic_scale for r in scaled])[0].tolist()
     for row, nd_t in zip(rows, counts[:len(rows)]):
         row.nd_at_scale = nd_t
         row.ratio_nd_over_size = nd_t / row.size

@@ -3,11 +3,17 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vvcantor import (Catalog, ContractionMap, Environment, NeckTimeoutError,
                       WeightedIFS)
 from vvcantor.catalog import map_table
 from vvcantor.spectral import DEFAULT_ENV_CAP, MC_BLOCK_STREAM_BASE
+
+
+# ``pytest --hypothesis-profile=ci`` searches harder than a local run for a
+# counterexample, above all a condensed count that the dense oracle refutes.
+settings.register_profile("ci", max_examples=300, deadline=None)
 
 
 def make_cantor() -> Catalog:

@@ -288,11 +288,14 @@ def test_bracketing_k0_is_the_center_without_a_subtree(two_system, monkeypatch):
     ([0, 1, 2, 3], [0, 2, 3, 3], [0, 1, 2, 3], [0, 1, 2, 3], ["ok", "fail", "fail", "ok"]),
     ([0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 4, 3], [0, 1, 2, 3], ["ok", "ok", "fail", "ok"]),
     ([1, 0, 0, 2], [0, 0, 1, 1], [0, 1, 1, 1], [0, 1, 1, 0], ["warn", "ok", "ok", "fail"]),
+    # a run of three: the third warning's neighbour is a warning, not a failure
+    ([1, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], ["fail", "fail", "fail", "ok"]),
 ])
 def test_bracketing_status_escalates_adjacent_warnings(lower, center_d, center_n,
                                                        upper, status):
-    """A unit violation at an isolated point warns; two adjacent ones, or a
-    violation of 2 (summed over the three links of the chain), fail."""
+    """A unit violation at an isolated point warns; a unit violation next to
+    another, or a violation of 2 (summed over the three links of the
+    chain), fails."""
     res = BracketingResult(k=1, level=3, splits=1, x=np.geomspace(1.0, 8.0, 4),
                            lower=np.array(lower), center_dirichlet=np.array(center_d),
                            center_neumann=np.array(center_n), upper=np.array(upper))
