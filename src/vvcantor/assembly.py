@@ -134,6 +134,6 @@ def _check_mass_definite(pencil: Pencil) -> None:
 
 def pencil_to_csv(pencil: Pencil, fp, meta: dict | None = None) -> None:
     """Rows (i, K_diag, K_off, M_diag, M_off); the last off entries are 0."""
-    write_csv(fp, "i,k_diag,k_off,m_diag,m_off", "{},{:.17g},{:.17g},{:.17g},{:.17g}",
-              (range(pencil.dim), pencil.kd.tolist(), pencil.ko.tolist() + [0.0],
-               pencil.md.tolist(), pencil.mo.tolist() + [0.0]), meta)
+    write_csv(fp, "i,k_diag,k_off,m_diag,m_off",
+              (np.arange(pencil.dim), pencil.kd, np.append(pencil.ko, 0.0),
+               pencil.md, np.append(pencil.mo, 0.0)), meta)

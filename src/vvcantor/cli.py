@@ -172,7 +172,7 @@ def _dumps(obj) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_dumps(obj) + "\n")
+    path.write_text(_dumps(obj) + "\n", newline="\n")
 
 
 def _csv_value(value) -> str:
@@ -207,7 +207,7 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_tree(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.depth)
-    with open(out / "tree.jsonl", "w") as fp:
+    with open(out / "tree.jsonl", "w", newline="\n") as fp:
         tree_to_jsonl(tree, fp)
     _write_json(out / "environments.json",
                 {"meta": _meta(cfg, "tree"), "root_type": tree.root_type,

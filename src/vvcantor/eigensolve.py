@@ -9,7 +9,6 @@ Full spectra are never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -140,8 +139,7 @@ def first_eigenvalue_bounds(catalog, interval=None) -> tuple[float, float]:
 
 def counting_to_csv(fp, xs, counts_d, counts_n, level: int, splits: int,
                     meta: dict | None = None) -> None:
-    write_csv(fp, "x,n_dirichlet,n_neumann,level,splits", "{:.17g},{},{},{},{}",
-              (np.asarray(xs, np.float64).tolist(),
-               np.asarray(counts_d, np.int64).tolist(),
-               np.asarray(counts_n, np.int64).tolist(), repeat(level), repeat(splits)),
-              meta)
+    xs = np.asarray(xs, np.float64)
+    write_csv(fp, "x,n_dirichlet,n_neumann,level,splits",
+              (xs, np.asarray(counts_d, np.int64), np.asarray(counts_n, np.int64),
+               np.full(xs.shape, level), np.full(xs.shape, splits)), meta)

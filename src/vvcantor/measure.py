@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._format import format_distinct, write_rows
 from .errors import DepthExhaustedError, InvalidInputError
 from .vtree import VTree
 
@@ -117,28 +118,29 @@ def write_meta(fp, meta: dict | None) -> None:
     fp.writelines(f"# {key}={value}\n" for key, value in (meta or {}).items())
 
 
-def write_csv(fp, header: str, row: str, columns, meta: dict | None = None) -> None:
+def write_csv(fp, header: str, columns, meta: dict | None = None) -> None:
     """The layout of every table output: meta lines, then ``header`` and one
-    line per position of the ``columns`` sequences, formatted by the ``row``
-    template (``str.format`` fields, ``{:.17g}`` for floats); table lines end
-    in CRLF, as ``csv.writer`` ends them.
+    line per position of the ``columns`` arrays, comma separated, stopping
+    at the shortest; table lines end in CRLF, as ``csv.writer`` ends them.
+    Floats are written with 17 significant digits (``.17g``), integers by
+    ``str``, each distinct value formatted once (``format_distinct``).
     """
+    texts = [format_distinct(col, "{:.17g}".format if col.dtype.kind == "f" else str)
+             for col in map(np.asarray, columns)]
     write_meta(fp, meta)
     fp.write(f"{header}\r\n")
-    fp.writelines(map(f"{row}\r\n".format, *columns))
+    write_rows(fp, [""] + [","] * (len(texts) - 1) + ["\r\n"], texts)
 
 
 def cells_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
     d = decomposition
-    write_csv(fp, "left,right,mass,density", "{:.17g},{:.17g},{:.17g},{:.17g}",
-              (d.lefts.tolist(), d.rights.tolist(), d.masses.tolist(),
-               d.densities.tolist()), meta)
+    write_csv(fp, "left,right,mass,density",
+              (d.lefts, d.rights, d.masses, d.densities), meta)
 
 
 def gaps_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
     d = decomposition
-    write_csv(fp, "left,right", "{:.17g},{:.17g}",
-              (d.gap_lefts.tolist(), d.gap_rights.tolist()), meta)
+    write_csv(fp, "left,right", (d.gap_lefts, d.gap_rights), meta)
 
 
 def cells_from_csv(fp, level: int, interval: tuple[float, float],

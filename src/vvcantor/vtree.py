@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels
+from ._format import format_distinct, write_rows
 from .catalog import Catalog, map_table, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
 from .rng import Xoshiro256StarStar, categorical_index, cumulative_probs
@@ -441,6 +442,11 @@ def neck_subtree(tree: VTree, level: int, depth: int,
 # ---------------------------------------------------------------------------
 # Exports
 
+def _json_int(value: int) -> str:
+    """A system index as JSON: negative (unknown) is null."""
+    return "null" if value < 0 else str(value)
+
+
 def tree_to_jsonl(tree: VTree, fp) -> None:
     """One node per line, generation by generation, left to right: path
     (child positions from the root), type, system index (null in the last
@@ -449,7 +455,8 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
     Lines are JSON objects with sorted keys, ``", "``/``": "`` separators
     and ``repr`` floats, as ``json.dumps(..., sort_keys=True)`` writes them.
     Each node's path text extends its parent's, so the cost is linear in
-    the node count.
+    the node count; every other field is formatted once per distinct value
+    of a generation (``format_distinct``).
     """
     paths, sep = [""], ""
     for level, gen in enumerate(tree.generations):
@@ -457,12 +464,10 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
             paths = [f"{paths[p]}{sep}{q}"
                      for p, q in zip(gen.parent.tolist(), gen.pos.tolist())]
             sep = ", "
-        fp.writelines(
-            f'{{"m_product": {m!r}, "path": [{path}], "r_product": {r!r}, '
-            f'"system": {"null" if s < 0 else s}, "type": {t}}}\n'
-            for path, t, s, r, m in zip(paths, gen.types.tolist(),
-                                        gen.system.tolist(), gen.rprod.tolist(),
-                                        gen.mprod.tolist()))
+        write_rows(fp, ('{"m_product": ', ', "path": [', '], "r_product": ',
+                        ', "system": ', ', "type": ', '}\n'),
+                   (format_distinct(gen.mprod, repr), paths, format_distinct(gen.rprod, repr),
+                    format_distinct(gen.system, _json_int), format_distinct(gen.types, str)))
 
 
 def environments_to_obj(tree: VTree) -> list:

@@ -1,5 +1,5 @@
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import settings
 from vvcantor import (Catalog, ContractionMap, Environment, NeckTimeoutError,
                       WeightedIFS)
 from vvcantor.catalog import map_table
+from vvcantor.measure import write_meta
 from vvcantor.spectral import DEFAULT_ENV_CAP, MC_BLOCK_STREAM_BASE
 
 
@@ -200,6 +201,56 @@ def scalar_tree_stream(catalog, v_types: int, necks: int, seed: int,
 def env_table(catalog, v_types: int, envs) -> tuple:
     """The ``(level_sys, child)`` table of an ``Environment`` list."""
     return pack_blocks(v_types, map_table(catalog).shape[1], [0], [envs])[:2]
+
+
+# The row-template writers that ``measure.write_csv`` and
+# ``vtree.tree_to_jsonl`` replaced, kept verbatim as their oracle: every
+# float formatted by its own ``str.format``/``repr`` call, one row at a time.
+
+def template_write_csv(fp, header: str, row: str, columns, meta=None) -> None:
+    write_meta(fp, meta)
+    fp.write(f"{header}\r\n")
+    fp.writelines(map(f"{row}\r\n".format, *columns))
+
+
+def template_cells_to_csv(d, fp, meta=None) -> None:
+    template_write_csv(fp, "left,right,mass,density", "{:.17g},{:.17g},{:.17g},{:.17g}",
+                       (d.lefts.tolist(), d.rights.tolist(), d.masses.tolist(),
+                        d.densities.tolist()), meta)
+
+
+def template_gaps_to_csv(d, fp, meta=None) -> None:
+    template_write_csv(fp, "left,right", "{:.17g},{:.17g}",
+                       (d.gap_lefts.tolist(), d.gap_rights.tolist()), meta)
+
+
+def template_pencil_to_csv(pencil, fp, meta=None) -> None:
+    template_write_csv(fp, "i,k_diag,k_off,m_diag,m_off", "{},{:.17g},{:.17g},{:.17g},{:.17g}",
+                       (range(pencil.dim), pencil.kd.tolist(), pencil.ko.tolist() + [0.0],
+                        pencil.md.tolist(), pencil.mo.tolist() + [0.0]), meta)
+
+
+def template_counting_to_csv(fp, xs, counts_d, counts_n, level, splits, meta=None) -> None:
+    template_write_csv(fp, "x,n_dirichlet,n_neumann,level,splits", "{:.17g},{},{},{},{}",
+                       (np.asarray(xs, np.float64).tolist(),
+                        np.asarray(counts_d, np.int64).tolist(),
+                        np.asarray(counts_n, np.int64).tolist(), repeat(level),
+                        repeat(splits)), meta)
+
+
+def template_tree_to_jsonl(tree, fp) -> None:
+    paths, sep = [""], ""
+    for level, gen in enumerate(tree.generations):
+        if level:
+            paths = [f"{paths[p]}{sep}{q}"
+                     for p, q in zip(gen.parent.tolist(), gen.pos.tolist())]
+            sep = ", "
+        fp.writelines(
+            f'{{"m_product": {m!r}, "path": [{path}], "r_product": {r!r}, '
+            f'"system": {"null" if s < 0 else s}, "type": {t}}}\n'
+            for path, t, s, r, m in zip(paths, gen.types.tolist(),
+                                        gen.system.tolist(), gen.rprod.tolist(),
+                                        gen.mprod.tolist()))
 
 
 @pytest.fixture

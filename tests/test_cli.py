@@ -237,6 +237,23 @@ def test_tree_measure_count_outputs(tmp_path):
     assert all(int(r[1]) <= int(r[2]) <= int(r[1]) + 2 for r in rows)
 
 
+
+LF_OUTPUTS = ("tree.jsonl", "environments.json", "necks.json", "exponent.json",
+              "bracketing.json", "tree_meta.json", "exponent_meta.json",
+              "bracket_meta.json")
+
+
+def test_lf_outputs_hold_no_carriage_return(tmp_path):
+    """``tree.jsonl`` and the JSON documents are opened with ``newline="\\n"``,
+    so their line ends are LF on every platform, not ``os.linesep``."""
+    cfg = write_cfg(tmp_path, small_cantor_doc())
+    for sub in ("tree", "exponent", "bracket"):
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for name in LF_OUTPUTS:
+        data = (tmp_path / name).read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, name
+
+
 def test_bracket_and_cutsets_outputs(tmp_path):
     assert main(["bracket", "--config", str(TWOSYS_CFG), "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "bracketing.json").read_text())
