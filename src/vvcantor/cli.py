@@ -185,9 +185,9 @@ def _tree_rng(cfg: RunConfig) -> Xoshiro256StarStar:
     return Xoshiro256StarStar(stream_seed(cfg.seed, TREE_STREAM))
 
 
-def _build(cfg: RunConfig, depth: int):
+def _build(cfg: RunConfig, depth: int, env_levels: int | None = None):
     return build_tree(cfg.catalog, cfg.v, depth, root_type=cfg.root_type,
-                      rng=_tree_rng(cfg), env_levels=cfg.env_levels,
+                      rng=_tree_rng(cfg), env_levels=cfg.env_levels or env_levels,
                       node_cap=cfg.node_cap)
 
 
@@ -250,7 +250,7 @@ def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
     evaluator = MonteCarloNeckEvaluator(cfg.catalog, cfg.v, cfg.mc_blocks, cfg.seed)
     mc = solve_gamma(evaluator)
 
-    tree = _build(cfg, cfg.level)
+    tree = _build(cfg, 0, cfg.level)  # the table alone: the same draws as a full build
     xs = cfg.grid()
     counts_d = condensed_counts(tree, cfg.level, cfg.splits, xs)[0]
     fit = empirical_exponent((xs, counts_d), (cfg.x_grid[0], cfg.x_grid[1]))

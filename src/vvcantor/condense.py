@@ -59,9 +59,19 @@ off-diagonals and row sums (Demmel & Koev 2004). The counts equal the row
 recurrence of ``_kernels.sturm_counts`` on the assembled pencil except at
 shifts within rounding of an eigenvalue.
 
-Apart from that recount, only the environment table is read. A count is
-at most the number of mesh nodes of the materialized ``level``, so it
-cannot overflow int64.
+Apart from that recount, only the environment table is read, so ``level``
+may lie below the materialized generations, and nothing bounds a count
+by a materialized mesh. Two checks take the place of that bound:
+
+- Every join adds two counts below 2^63 and a pivot's 0 or 1, so a
+  negative sum is an exact sign that a count passed 2^63 - 1, which
+  raises ``InvalidInputError`` (two_system_v2 at level 60 passes it by
+  x = 1e50).
+- The keys, summed over the generations, are capped at
+  ``vtree.DEFAULT_NODE_CAP`` (``TreeTooLargeError``). Keys never
+  outnumber nodes, so every level that can be materialized counts. They
+  grow about with the square of the level: 1,494 at level 60 and 371,864
+  at level 1,000 on a two_system_v2 tree.
 """
 
 from __future__ import annotations
@@ -74,7 +84,7 @@ from .catalog import map_table
 from .eigensolve import checked_shifts
 from .errors import DepthExhaustedError, InvalidInputError, TreeTooLargeError
 from .measure import decompose, touching_tol
-from .vtree import DEFAULT_NODE_CAP, VTree
+from .vtree import DEFAULT_NODE_CAP, VTree, _map_counts, build_tree, next_type_counts
 
 
 # A join pivot within this fraction of its terms of 0 puts a term about
@@ -82,6 +92,14 @@ from .vtree import DEFAULT_NODE_CAP, VTree
 # rest with a relative error of about eps / _NEAR: the shift is recounted
 # on the assembled pencils.
 _NEAR = 2.0 ** -20
+
+
+def _unwrapped(count):
+    """``count``, a sum of counts below 2^63 and at most 2, which is negative
+    exactly where it wrapped past 2^63 - 1; ``InvalidInputError`` then."""
+    if (count < 0).any():
+        raise InvalidInputError("a count passes 2^63 - 1 at these shifts")
+    return count
 
 
 def _join(a, b, unsure):
@@ -92,7 +110,7 @@ def _join(a, b, unsure):
     kb, lb, rb, cb = b
     s = ra + lb
     p = ka + kb + s
-    count = ca + cb + (p <= 0.0)
+    count = _unwrapped(ca + cb + (p <= 0.0))
     scale = np.abs(ka) + np.abs(kb) + np.abs(s)
     near = np.abs(p) <= _NEAR * scale
     if near.any():
@@ -167,7 +185,7 @@ def _plan(tree: VTree, level: int) -> list:
     types = np.array([tree.root_type], np.intp)
     expo = np.zeros((1, int(code.max()) + 1), np.int64)
     prods = np.ones(1)
-    plan = []
+    plan, n_keys = [], 1
     for g in range(level):
         sys_ = tree.level_sys[g][types]
         has = real[sys_]
@@ -175,6 +193,10 @@ def _plan(tree: VTree, level: int) -> list:
         rows = np.column_stack((tree.child[g][types[key], slot], expo[key]))
         rows[np.arange(key.shape[0]), 1 + code[sys_[key], slot]] += 1
         first, inverse = _unique_rows(rows)
+        n_keys += first.shape[0]
+        if n_keys > DEFAULT_NODE_CAP:
+            raise TreeTooLargeError(
+                f"condensing needs more than {DEFAULT_NODE_CAP} keys by generation {g + 1}")
         children = np.zeros(has.shape, np.intp)
         children[key, slot] = inverse
         ratio = table[sys_, :, 0]
@@ -225,7 +247,7 @@ def _chunk_counts(plan, h: float, splits: int, xs) -> tuple[np.ndarray, ...]:
     zero = p1 == 0.0
     p1 = np.where(zero, -(1e-300 + _kernels._EPS * (np.abs(k) + np.abs(l))), p1)
     p2 = (k * (l + r) + l * r) / p1
-    return nd, nd + (p1 <= 0.0) + (p2 <= 0.0), unsure
+    return nd, _unwrapped(nd + (p1 <= 0.0) + (p2 <= 0.0)), unsure
 
 
 def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -233,27 +255,38 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     (plus ``splits`` uniform splits of every cell) at the shifts ``xs``:
     the counts of ``_kernels.sturm_counts`` on those pencils, by
     condensation. Shifts are counted in chunks of at most ``_kernels._CHUNK``
-    keys x shifts per generation.
+    keys x shifts per generation. Only the environment table is read, so
+    ``level`` may pass ``tree.depth``; a build's ``node_cap`` bounds its
+    materialized nodes and does not apply here. The rare recount of shifts
+    at a near-pole reads the nodes of ``level``, and builds them when the
+    tree stops above it.
 
     Raises, as ``measure.decompose`` and ``assembly.refine_uniform`` do,
-    ``DepthExhaustedError`` past the tree's depth, ``TreeTooLargeError``
-    for a refinement past the node cap and ``InvalidInputError`` for
-    overlapping cells (measured in the local coordinates of their parent,
-    so deep debris overlaps that ``decompose`` clamps raise here too), and
-    ``InvalidInputError`` for a shift that is not finite or whose absolute
-    value passes ``eigensolve.MAX_SCALED_MASS``: the root's row sums carry
-    x times the measure's mass, 1."""
+    ``DepthExhaustedError`` past the tree's environment levels,
+    ``TreeTooLargeError`` for a refinement past the node cap and
+    ``InvalidInputError`` for overlapping cells (measured in the local
+    coordinates of their parent, so deep debris overlaps that ``decompose``
+    clamps raise here too), and ``InvalidInputError`` for a shift that is
+    not finite or whose absolute value passes ``eigensolve.MAX_SCALED_MASS``:
+    the root's row sums carry x times the measure's mass, 1. It also raises
+    ``TreeTooLargeError`` for a plan of more keys than the node cap and
+    ``InvalidInputError`` for a count past 2^63 - 1, which no level that
+    materializes within ``DEFAULT_NODE_CAP`` nodes meets."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    if level > tree.depth:
+    if level > tree.env_levels:
         raise DepthExhaustedError(
-            f"tree materialized to depth {tree.depth}, requested level {level}",
-            extra_depth_hint=level - tree.depth)
+            f"tree has {tree.env_levels} environment levels, requested level {level}",
+            extra_depth_hint=level - tree.env_levels)
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    cells = tree.generations[level].size
-    if splits > 1 and cells * splits > DEFAULT_NODE_CAP:
-        raise TreeTooLargeError(f"refinement would create {cells * splits} cells")
+    if splits > 1:
+        n_maps = _map_counts(tree.catalog)
+        cells = [int(t == tree.root_type) for t in range(tree.v_types)]  # per type
+        for sys_row, child_row in zip(tree.level_sys[:level], tree.child[:level]):
+            cells = next_type_counts(cells, sys_row, child_row, n_maps)
+        if sum(cells) * splits > DEFAULT_NODE_CAP:
+            raise TreeTooLargeError(f"refinement would create {sum(cells) * splits} cells")
     xs = checked_shifts(xs, 1.0)
     plan = _plan(tree, level)
     widest = max([plan[-1].shape[0]] + [keys.shape[0] for (keys, _), _ in plan[:-1]])
@@ -265,6 +298,9 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
         nd[lo:lo + step], nn[lo:lo + step], unsure[lo:lo + step] = _chunk_counts(
             plan, h, splits, xs[lo:lo + step])
     if unsure.any():
+        if level > tree.depth:
+            tree = build_tree(tree.catalog, tree.v_types, level, root_type=tree.root_type,
+                              environments=(tree.level_sys, tree.child))
         dec = refine_uniform(decompose(tree, level), splits)
         for counts, bc in ((nd, DIRICHLET), (nn, NEUMANN)):
             pencil = assemble(dec, bc)

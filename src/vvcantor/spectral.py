@@ -415,6 +415,8 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
     uniform splits as the center), evaluated at its rescaled shifts. With
     this resolution matching the member meshes are exactly the center mesh
     restricted to the member cells, so the chain holds up to rounding ties.
+    Members with the same product have the same counts, so each distinct
+    product of a level is counted once and weighted by its members.
     """
     if k == 0:
         return center
@@ -426,13 +428,12 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
             f"level {level} is shallower than the deepest cut-set member ({max_level})")
 
     lower, upper = np.zeros((2, xs.shape[0]), np.int64)
-    for l in np.unique(cs.levels):
-        prods = cs.products[cs.levels == l]
-        args = (prods[:, None] * xs[None, :]).ravel()
-        sub_d, sub_n = condensed_counts(neck_subtree(tree, int(l), level - int(l)),
-                                        level - int(l), splits, args)
-        lower += sub_d.reshape(prods.shape[0], -1).sum(axis=0)
-        upper += sub_n.reshape(prods.shape[0], -1).sum(axis=0)
+    for l in np.unique(cs.levels).tolist():
+        prods, members = np.unique(cs.products[cs.levels == l], return_counts=True)
+        sub_d, sub_n = condensed_counts(neck_subtree(tree, l, level - l), level - l, splits,
+                                        np.outer(prods, xs).ravel())
+        lower += members @ sub_d.reshape(prods.shape[0], -1)
+        upper += members @ sub_n.reshape(prods.shape[0], -1)
     return BracketingResult(k=k, level=level, splits=splits, x=xs, lower=lower,
                             center_dirichlet=center.center_dirichlet,
                             center_neumann=center.center_neumann, upper=upper)

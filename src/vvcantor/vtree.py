@@ -161,6 +161,17 @@ class VTree:
         return sum(g.size for g in self.generations)
 
 
+def next_type_counts(counts: list, sys_row, child_row, n_maps) -> list:
+    """Per-type node counts of the generation that the table level
+    ``(sys_row, child_row)`` splits from one with per-type ``counts``
+    (Python ints, so no overflow)."""
+    nxt = [0] * len(counts)
+    for count, j, row in zip(counts, sys_row.tolist(), child_row.tolist()):
+        for t in row[:n_maps[j]]:
+            nxt[t] += count
+    return nxt
+
+
 def _check_table(level_sys: np.ndarray, child: np.ndarray, v_types: int,
                  n_maps: np.ndarray) -> None:
     """Reject a caller's table that does not fit the tree and catalog,
@@ -219,11 +230,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
 
     def grow(g: int, sys_row, child_row) -> None:
         nonlocal counts, total_nodes
-        nxt = [0] * v_types
-        for count, j, row in zip(counts, sys_row.tolist(), child_row.tolist()):
-            for t in row[:n_maps[j]]:
-                nxt[t] += count
-        counts = nxt
+        counts = next_type_counts(counts, sys_row, child_row, n_maps)
         total_nodes += sum(counts)
         if total_nodes > node_cap:
             raise TreeTooLargeError(
@@ -303,7 +310,8 @@ class CutSet:
 
 
 def cut_set(tree: VTree, k: int) -> CutSet:
-    """Members, one per deep path, selected at neck levels by exp(-k)."""
+    """Members, one per deep path, selected at neck levels by exp(-k), in
+    (level, node index) order: each level's members are found in node order."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -349,8 +357,6 @@ def cut_set(tree: VTree, k: int) -> CutSet:
     nodes = np.concatenate(nodes)
     prevs = np.concatenate(prevs)
     prods = np.concatenate(prods)
-    order = np.lexsort((nodes, levels))
-    levels, nodes, prevs, prods = levels[order], nodes[order], prevs[order], prods[order]
     size = int(levels.shape[0])
     return CutSet(
         k=k, levels=levels, node_index=nodes, prev_neck=prevs, products=prods,
@@ -415,8 +421,7 @@ def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
                     block_log_sums=sums[:-1], log_direct=sums[-1])
 
 
-def neck_subtree(tree: VTree, level: int, depth: int,
-                 node_cap: int = DEFAULT_NODE_CAP) -> VTree:
+def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:
     """The common subtree rooted at any node of a neck generation.
 
     All generation-``level`` nodes of a neck level share one type and all
@@ -435,8 +440,7 @@ def neck_subtree(tree: VTree, level: int, depth: int,
             extra_depth_hint=level + depth - tree.env_levels)
     return build_tree(tree.catalog, tree.v_types, depth, root_type=start,
                       environments=(tree.level_sys[level:level + depth],
-                                    tree.child[level:level + depth]),
-                      node_cap=node_cap)
+                                    tree.child[level:level + depth]))
 
 
 # ---------------------------------------------------------------------------

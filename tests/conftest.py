@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from vvcantor import (Catalog, ContractionMap, Environment, NeckTimeoutError,
-                      WeightedIFS)
+                      WeightedIFS, condensed_counts, cut_set, neck_subtree)
 from vvcantor.catalog import map_table
 from vvcantor.measure import write_meta
 from vvcantor.spectral import DEFAULT_ENV_CAP, MC_BLOCK_STREAM_BASE
@@ -251,6 +251,26 @@ def template_tree_to_jsonl(tree, fp) -> None:
             for path, t, s, r, m in zip(paths, gen.types.tolist(),
                                         gen.system.tolist(), gen.rprod.tolist(),
                                         gen.mprod.tolist()))
+
+
+# The bracketing sums as ``spectral.bracketing_check`` made them before it
+# counted each distinct product of a neck level once, kept verbatim as its
+# oracle: one condensed count per cut-set member at its rescaled shifts.
+
+def member_bracketing_sums(tree, k, center) -> tuple:
+    """The lower and upper sums of the k-th cut set at ``center``'s level,
+    splits and shifts."""
+    level, splits, xs = center.level, center.splits, center.x
+    cs = cut_set(tree, k)
+    lower, upper = np.zeros((2, xs.shape[0]), np.int64)
+    for l in np.unique(cs.levels):
+        prods = cs.products[cs.levels == l]
+        args = (prods[:, None] * xs[None, :]).ravel()
+        sub_d, sub_n = condensed_counts(neck_subtree(tree, int(l), level - int(l)),
+                                        level - int(l), splits, args)
+        lower += sub_d.reshape(prods.shape[0], -1).sum(axis=0)
+        upper += sub_n.reshape(prods.shape[0], -1).sum(axis=0)
+    return lower, upper
 
 
 @pytest.fixture

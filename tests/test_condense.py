@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap, DepthExhaustedError,
-                      InvalidInputError, WeightedIFS, Xoshiro256StarStar, _kernels,
-                      assemble, build_tree, condensed_counts, decompose, inertia_counts,
-                      refine_uniform, stream_seed)
-from vvcantor.cli import RunConfig, _build, main
+                      InvalidInputError, TreeTooLargeError, WeightedIFS, Xoshiro256StarStar,
+                      _kernels, assemble, build_tree, cli, condense, condensed_counts,
+                      decompose, inertia_counts, refine_uniform, stream_seed)
+from vvcantor.cli import RunConfig, _build, _tree_rng, main
 from conftest import dense_counts, dense_eigenvalues, make_lebesgue, make_two_system
 from test_properties import catalogs
 
@@ -170,3 +170,92 @@ def test_huge_shifts_are_invalid_input(tmp_path):
     assert [c.tolist() for c in condensed_counts(tree, 4, 1, xs)] == [[0, 30], [1, 32]]
     assert inertia_counts(pd, xs).tolist() == [0, 30]
     assert inertia_counts(pn, xs).tolist() == [1, 32]
+
+
+# ---------------------------------------------------------------------------
+# Counts from the environment table alone
+
+TWO_SYSTEM_V2 = json.loads((CONFIGS / "two_system_v2.json").read_text())
+
+
+def _recorded_builds(monkeypatch, module) -> list:
+    """The depths that ``module`` calls ``build_tree`` with from here on."""
+    depths = []
+
+    def recorded(catalog, v, depth, **kwargs):
+        depths.append(depth)
+        return build_tree(catalog, v, depth, **kwargs)
+
+    monkeypatch.setattr(module, "build_tree", recorded)
+    return depths
+
+
+def test_table_only_counts_equal_the_materialized_tree():
+    """two_system_v2 at level 16: a tree with only its root materialized has
+    the table of the full tree, 2,945,651 nodes (past the config's node cap,
+    raised here for the oracle), and the same counts and refinement cap."""
+    cfg = RunConfig.from_dict(TWO_SYSTEM_V2)
+    table = _build(cfg, 0, 16)
+    full = build_tree(cfg.catalog, cfg.v, 16, rng=_tree_rng(cfg), node_cap=3_000_000)
+    assert (table.depth, table.env_levels, full.node_count) == (0, 16, 2_945_651)
+    assert np.array_equal(table.level_sys, full.level_sys)
+    assert np.array_equal(table.child, full.child)
+    xs = np.concatenate((cfg.grid(), np.geomspace(1e5, 1e12, 8)))
+    for splits in (1, 2):
+        got, want = condensed_counts(table, 16, splits, xs), condensed_counts(full, 16, splits, xs)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for tree in (table, full):  # 1,843,968 cells
+        with pytest.raises(TreeTooLargeError, match="11063808 cells"):
+            condensed_counts(tree, 16, 6, xs)
+
+
+def test_exponent_materializes_only_the_root(tmp_path, monkeypatch):
+    """``exponent`` on two_system_v2 at level 18 builds the table alone and
+    exits 0, where a full build passes the config's node cap at generation
+    16."""
+    doc = dict(TWO_SYSTEM_V2, depth=18, level=18)
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(TreeTooLargeError, match="generation 16"):
+        _build(RunConfig.from_dict(doc), 18)
+    depths = _recorded_builds(monkeypatch, cli)
+    assert main(["exponent", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert depths == [0]
+    doc = json.loads((tmp_path / "out" / "exponent.json").read_text())
+    assert doc["empirical"]["level"] == 18
+
+
+def test_count_past_int64_is_invalid_input():
+    """two_system_v2 at level 60: N_D grows about as x^0.4 and passes
+    2^63 - 1 by x = 1e50, which raises instead of wrapping to a negative
+    count. Up to 1e45 the counts are positive and nondecreasing."""
+    tree = _build(RunConfig.from_dict(TWO_SYSTEM_V2), 0, 60)
+    xs = np.geomspace(1e2, 1e45, 44)
+    nd, nn = condensed_counts(tree, 60, 1, xs)
+    assert (nd > 0).all() and (nd <= nn).all()
+    assert (np.diff(nd) >= 0).all() and (np.diff(nn) >= 0).all()
+    with pytest.raises(InvalidInputError, match="2\\^63"):
+        condensed_counts(tree, 60, 1, [1e50])
+
+
+def test_plan_past_the_key_cap_is_too_large(monkeypatch):
+    """two_system_v2 seed 1 at level 200 has 15,832 keys: counted under the
+    node cap, refused early under a cap of 10,000 keys."""
+    tree = _build(RunConfig.from_dict(dict(TWO_SYSTEM_V2, seed=1)), 0, 200)
+    assert condensed_counts(tree, 200, 1, [1e6])[0][0] > 0
+    monkeypatch.setattr(condense, "DEFAULT_NODE_CAP", 10_000)
+    with pytest.raises(TreeTooLargeError, match="10000 keys by generation 1[0-9][0-9]$"):
+        condensed_counts(tree, 200, 1, [1e6])
+
+
+def test_near_pole_recount_builds_the_level(monkeypatch):
+    """``DYADIC``'s exact-zero join pivot at x = 1000 on a tree with only its
+    root materialized: the recount builds level 3 from the table and counts
+    as the flat scan of the full tree does."""
+    full = build_tree(DYADIC, 1, 3, rng=Xoshiro256StarStar(stream_seed(1, 0)))
+    table = build_tree(DYADIC, 1, 0, rng=Xoshiro256StarStar(stream_seed(1, 0)), env_levels=3)
+    depths = _recorded_builds(monkeypatch, condense)
+    xs = np.array([999.0, 1000.0, 1001.0])
+    got = condensed_counts(table, 3, 2, xs)
+    assert depths == [3]
+    assert all(np.array_equal(g, f) for g, f in zip(got, _flat(full, 3, 2, xs)))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st, target
 
 from vvcantor import (BracketingResult, Catalog, ContractionMap, DIRICHLET,
                       InsufficientDataError, MonteCarloNeckEvaluator,
@@ -12,7 +13,9 @@ from vvcantor import (BracketingResult, Catalog, ContractionMap, DIRICHLET,
                       empirical_exponent, f_exact_homogeneous,
                       gamma_exact_homogeneous, inertia_counts, solve_gamma,
                       solve_gamma_recursive, stream_seed)
-from conftest import env_table, scalar_neck_blocks, scalar_tree_stream
+from conftest import (env_table, member_bracketing_sums, scalar_neck_blocks,
+                      scalar_tree_stream)
+from test_properties import catalogs
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
 
@@ -315,6 +318,78 @@ def test_bracketing_holds_on_random_trees(two_system):
         assert (res.lower <= res.center_dirichlet).all()
         assert (res.center_dirichlet <= res.center_neumann).all()
         assert (res.center_neumann <= res.upper).all()
+
+
+@st.composite
+def necked_trees(draw):
+    """Trees of ``catalogs()`` with V = 1-3 types and depth 2-8 whose table
+    levels are necks three times in four, so that cut sets exist at V > 1
+    too and spread over several neck levels."""
+    from vvcantor import TreeTooLargeError
+
+    catalog = draw(catalogs())
+    v, depth = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    n_maps = [s.size for s in catalog.systems]
+    level_sys = np.zeros((depth, v), np.int64)
+    child = np.zeros((depth, v, max(n_maps)), np.int64)
+    for l in range(depth):
+        neck, common = draw(st.integers(0, 3)) > 0, draw(st.integers(0, v - 1))
+        for t in range(v):
+            j = level_sys[l, t] = draw(st.integers(0, len(n_maps) - 1))
+            for i in range(n_maps[j]):
+                child[l, t, i] = common if neck else draw(st.integers(0, v - 1))
+    try:
+        return build_tree(catalog, v, depth, root_type=draw(st.integers(0, v - 1)),
+                          environments=(level_sys, child), node_cap=20_000)
+    except TreeTooLargeError:
+        assume(False)
+
+
+@settings(deadline=None)
+@given(tree=necked_trees(), k=st.integers(1, 3))
+def test_bracketing_sums_match_member_oracle(tree, k):
+    """On random catalogs, the sums that count each distinct product of a
+    neck level once equal the member-by-member sums."""
+    from vvcantor import DepthExhaustedError
+
+    try:
+        cs = cut_set(tree, k)
+    except DepthExhaustedError:
+        assume(False)
+    spread = np.unique(cs.levels).size
+    target(float(spread))  # steer the search to cut sets over many neck levels
+    event(f"V = {tree.v_types}, cut set over {min(spread, 3)}{'+' * (spread >= 3)} neck levels")
+    event(f"members share products: {np.unique(cs.products).size < cs.size}")
+    center = center_counts(tree, np.geomspace(1.0, 1e5, 12), tree.depth)
+    res = bracketing_check(tree, k, center)
+    lower, upper = member_bracketing_sums(tree, k, center)
+    assert np.array_equal(res.lower, lower) and np.array_equal(res.upper, upper)
+
+
+def test_bracketing_counts_each_distinct_product_once(two_system, monkeypatch):
+    """perfbench's fixed spectral tree has 50,664 cut-set members at its one
+    neck level, 11, with 4 distinct products: each k passes 4 x 16 shifts to
+    the condensed count, not 50,664 x 16, and gets the oracle's sums."""
+    from vvcantor import condensed_counts, spectral
+
+    tree = build_tree(two_system, 2, 11, rng=rng_for(17678329206797003235))
+    center = center_counts(tree, np.geomspace(2.0, 5e4, 16), 11)
+    shifts = []
+
+    def recorded(tree, level, splits, xs):
+        shifts.append(len(xs))
+        return condensed_counts(tree, level, splits, xs)
+
+    monkeypatch.setattr(spectral, "condensed_counts", recorded)
+    for k in (1, 2, 3):
+        shifts.clear()
+        cs = cut_set(tree, k)
+        res = bracketing_check(tree, k, center)
+        assert cs.size == 50_664 and set(cs.levels.tolist()) == {11}
+        assert shifts == [np.unique(cs.products).size * 16] == [64]
+        assert res.ok
+    assert all(np.array_equal(a, b) for a, b in
+               zip((res.lower, res.upper), member_bracketing_sums(tree, 3, center)))
 
 
 def test_bracketing_small_shift_zeroes_dirichlet_side(two_system):

@@ -161,7 +161,9 @@ def test_cut_set_coverage_exactly_once(two_system):
         except (TreeTooLargeError, DepthExhaustedError):
             continue
         found += 1
-        members = set(zip(cs.levels.tolist(), cs.node_index.tolist()))
+        pairs = list(zip(cs.levels.tolist(), cs.node_index.tolist()))
+        assert pairs == sorted(set(pairs))  # strictly increasing (level, node)
+        members = set(pairs)
         deepest = tree.generations[tree.depth]
         for node in range(0, deepest.size, max(1, deepest.size // 97)):
             hits, idx = 0, node
