@@ -53,11 +53,10 @@ from .spectral import (DEFAULT_ENV_CAP, CutsetStatsRow, MonteCarloNeckEvaluator,
 from .vtree import DEFAULT_NODE_CAP, build_tree, environments_to_obj, tree_to_jsonl
 
 _TOP_KEYS = {"schema", "catalog", "v", "seed", "depth", "level", "splits",
-             "k_range", "x_grid", "mc_blocks", "root_type", "node_cap",
-             "env_levels"}
+             "k_range", "x_grid", "mc_blocks", "root_type", "node_cap"}
 _INT_KEYS = {"v", "seed", "depth", "level", "splits", "mc_blocks", "root_type",
-             "node_cap", "env_levels"}
-_NULLABLE_KEYS = {"root_type", "env_levels"}
+             "node_cap"}
+_NULLABLE_KEYS = {"root_type"}
 
 
 def _check_int(value, name: str) -> int:
@@ -90,7 +89,6 @@ class RunConfig:
     mc_blocks: int
     root_type: int | None
     node_cap: int
-    env_levels: int | None
     raw: dict
 
     @classmethod
@@ -116,6 +114,8 @@ class RunConfig:
         level = doc.get("level", depth)
         if depth < 0 or level < 0:
             raise ValueError("depth and level must be >= 0")
+        if max(depth, level) > DEFAULT_ENV_CAP:
+            raise ValueError(f"depth and level must be <= {DEFAULT_ENV_CAP}")
         splits = doc.get("splits", 1)
         if splits < 1:
             raise ValueError("splits must be >= 1")
@@ -138,14 +138,11 @@ class RunConfig:
         if root_type is not None and not 0 <= root_type < v:
             raise ValueError("root_type outside {0..v-1}")
         node_cap = doc.get("node_cap", DEFAULT_NODE_CAP)
-        env_levels = doc.get("env_levels")
-        if env_levels is not None and not max(depth, level) <= env_levels <= DEFAULT_ENV_CAP:
-            raise ValueError(f"env_levels must be >= depth and level and <= {DEFAULT_ENV_CAP}")
         return cls(catalog=catalog, v=v, seed=seed, depth=depth, level=level,
                    splits=splits, k_range=k_range,
                    x_grid=(lo, hi, grid["count"]),
                    mc_blocks=mc_blocks, root_type=root_type, node_cap=node_cap,
-                   env_levels=env_levels, raw=doc)
+                   raw=doc)
 
     def grid(self) -> np.ndarray:
         lo, hi, count = self.x_grid
@@ -185,9 +182,11 @@ def _tree_rng(cfg: RunConfig) -> Xoshiro256StarStar:
     return Xoshiro256StarStar(stream_seed(cfg.seed, TREE_STREAM))
 
 
-def _build(cfg: RunConfig, depth: int, env_levels: int | None = None):
+def _build(cfg: RunConfig, depth: int):
+    """The run's tree: one table of ``max(cfg.depth, cfg.level)`` levels,
+    the same draws for every subcommand, materialized to ``depth``."""
     return build_tree(cfg.catalog, cfg.v, depth, root_type=cfg.root_type,
-                      rng=_tree_rng(cfg), env_levels=cfg.env_levels or env_levels,
+                      rng=_tree_rng(cfg), env_levels=max(cfg.depth, cfg.level),
                       node_cap=cfg.node_cap)
 
 
@@ -250,7 +249,7 @@ def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
     evaluator = MonteCarloNeckEvaluator(cfg.catalog, cfg.v, cfg.mc_blocks, cfg.seed)
     mc = solve_gamma(evaluator)
 
-    tree = _build(cfg, 0, cfg.level)  # the table alone: the same draws as a full build
+    tree = _build(cfg, 0)  # the table alone
     xs = cfg.grid()
     counts_d = condensed_counts(tree, cfg.level, cfg.splits, xs)[0]
     fit = empirical_exponent((xs, counts_d), (cfg.x_grid[0], cfg.x_grid[1]))
@@ -288,8 +287,7 @@ def _cmd_bracket(cfg: RunConfig, out: Path) -> int:
 def _cmd_cutsets(cfg: RunConfig, out: Path) -> int:
     tree = _build(cfg, cfg.depth)
     ks = range(cfg.k_range[0], cfg.k_range[1] + 1)
-    rows = cutset_stats_check(tree, ks, level=min(cfg.level, tree.depth),
-                              splits=cfg.splits)
+    rows = cutset_stats_check(tree, ks, level=cfg.level, splits=cfg.splits)
     with open(out / "cutsets.csv", "w", newline="") as fp:
         write_meta(fp, _meta(cfg, "cutsets"))
         fp.write(",".join(f.name for f in fields(CutsetStatsRow)) + "\n")

@@ -61,7 +61,7 @@ shifts within rounding of an eigenvalue.
 
 Apart from that recount, only the environment table is read, so ``level``
 may lie below the materialized generations, and nothing bounds a count
-by a materialized mesh. Two checks take the place of that bound:
+by a materialized mesh. Three checks take the place of that bound:
 
 - Every join adds two counts below 2^63 and a pivot's 0 or 1, so a
   negative sum is an exact sign that a count passed 2^63 - 1, which
@@ -72,9 +72,16 @@ by a materialized mesh. Two checks take the place of that bound:
   outnumber nodes, so every level that can be materialized counts. They
   grow about with the square of the level: 1,494 at level 60 and 371,864
   at level 1,000 on a two_system_v2 tree.
+- A leaf's shift ``x r m / splits`` below the smallest normal float,
+  ``sys.float_info.min``, for a nonzero x raises ``InvalidInputError``:
+  past it the leaf masses underflow and the counts fall to those of a
+  massless pencil (two_system_v2 from about level 294 at x = 2, Cantor
+  from level 400 at x = 1000).
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -269,9 +276,10 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     clamps raise here too), and ``InvalidInputError`` for a shift that is
     not finite or whose absolute value passes ``eigensolve.MAX_SCALED_MASS``:
     the root's row sums carry x times the measure's mass, 1. It also raises
-    ``TreeTooLargeError`` for a plan of more keys than the node cap and
+    ``TreeTooLargeError`` for a plan of more keys than the node cap,
     ``InvalidInputError`` for a count past 2^63 - 1, which no level that
-    materializes within ``DEFAULT_NODE_CAP`` nodes meets."""
+    materializes within ``DEFAULT_NODE_CAP`` nodes meets, and
+    ``InvalidInputError`` for a nonzero shift whose leaf shift underflows."""
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > tree.env_levels:
@@ -289,6 +297,13 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
             raise TreeTooLargeError(f"refinement would create {sum(cells) * splits} cells")
     xs = checked_shifts(xs, 1.0)
     plan = _plan(tree, level)
+    nonzero = np.abs(xs[xs != 0.0])
+    if nonzero.shape[0]:
+        leaf = float(plan[-1].min()) * float(nonzero.min()) * (1.0 / splits)
+        if leaf < sys.float_info.min:
+            raise InvalidInputError(
+                f"a leaf shift at level {level} is {leaf!r}, below the smallest normal "
+                "float: the leaf masses underflow")
     widest = max([plan[-1].shape[0]] + [keys.shape[0] for (keys, _), _ in plan[:-1]])
     step = max(1, _kernels._CHUNK // widest)
     h = (tree.catalog.upper - tree.catalog.lower) / splits

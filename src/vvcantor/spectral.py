@@ -38,6 +38,7 @@ TREE_STREAM = 0
 MC_BLOCK_STREAM_BASE = 1
 
 DEFAULT_ENV_CAP = 100_000
+SIGN_Z = 3.0  # standard errors: a Monte Carlo f's sure sign and its CI half-width
 _ROW_BUDGET = 1 << 20  # rows held for Monte Carlo lanes still running
 
 
@@ -215,8 +216,7 @@ class ExponentReport:
 
 
 def solve_gamma(evaluator, tolerance: float | None = None, *,
-                method: str | None = None, z: float = 3.0,
-                max_growth: int = 16) -> ExponentReport:
+                method: str | None = None, max_growth: int = 16) -> ExponentReport:
     """Root of a strictly decreasing f by doubling bracket search from x = 1
     and bisection.
 
@@ -224,10 +224,11 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
     tolerance 1e-10) or a MonteCarloNeckEvaluator (default tolerance 1e-3).
     For Monte Carlo, common random numbers make the estimate deterministic,
     so only the bracket endpoints are checked for sign ambiguity: if
-    |f| <= z * SE there, the block count is grown up to ``max_growth`` times
-    the initial count before giving up with ``NoisyRootError``. The reported
-    confidence interval propagates the standard error at the root through a
-    secant slope and usually dominates the bisection tolerance.
+    |f| <= ``SIGN_Z`` * SE there, the block count is grown up to
+    ``max_growth`` times the initial count before giving up with
+    ``NoisyRootError``. The reported confidence interval, ``SIGN_Z`` standard
+    errors at the root through a secant slope, usually dominates the
+    bisection tolerance.
     """
     is_mc = hasattr(evaluator, "f")
     if tolerance is None:
@@ -243,9 +244,9 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
     def resolved(x: float) -> float:
         """Value at x, growing the block count while the sign is ambiguous."""
         v, se = feval(x)
-        while is_mc and se > 0.0 and abs(v) <= z * se:
+        while is_mc and se > 0.0 and abs(v) <= SIGN_Z * se:
             if evaluator.blocks >= initial_blocks * max_growth:
-                half = z * se
+                half = SIGN_Z * se
                 raise NoisyRootError(
                     f"sign of f({x}) ambiguous at {evaluator.blocks} blocks",
                     ci=(x - half, x + half))
@@ -292,7 +293,7 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
         v_left, _ = feval(x_left)
         slope = (v_right - v_left) / (x_right - x_left)
         _, se_root = feval(gamma)
-        half = z * se_root / max(abs(slope), 1e-300)
+        half = SIGN_Z * se_root / max(abs(slope), 1e-300)
         ci = (gamma - half, gamma + half)
 
     if method is None:
@@ -412,7 +413,8 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
     shifts and center counts are reused; for k = 0 it is the answer. Every
     cut-set member at neck level l contributes the counting functions of
     the shared subtree, discretized at level ``level - l`` (plus the same
-    uniform splits as the center), evaluated at its rescaled shifts. With
+    uniform splits as the center), evaluated at its rescaled shifts and
+    counted from the subtree's table alone. With
     this resolution matching the member meshes are exactly the center mesh
     restricted to the member cells, so the chain holds up to rounding ties.
     Members with the same product have the same counts, so each distinct
@@ -430,7 +432,7 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
     lower, upper = np.zeros((2, xs.shape[0]), np.int64)
     for l in np.unique(cs.levels).tolist():
         prods, members = np.unique(cs.products[cs.levels == l], return_counts=True)
-        sub_d, sub_n = condensed_counts(neck_subtree(tree, l, level - l), level - l, splits,
+        sub_d, sub_n = condensed_counts(neck_subtree(tree, l, 0), level - l, splits,
                                         np.outer(prods, xs).ravel())
         lower += members @ sub_d.reshape(prods.shape[0], -1)
         upper += members @ sub_n.reshape(prods.shape[0], -1)

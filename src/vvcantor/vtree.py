@@ -202,13 +202,17 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     ``environments`` is a ``(level_sys, child)`` table, checked, then stored
     narrow; when it is None, the one-lane ``rng`` draws it with
     ``LevelDraws`` after the root type (drawn only if ``root_type`` is
-    None). ``env_levels`` may exceed ``depth`` so
-    that operations needing only environments can look past the
-    materialized part. Raises ``TreeTooLargeError`` before allocating
-    anything past ``node_cap``, checking drawn levels as they are drawn.
+    None). ``env_levels``, the number of levels drawn (default ``depth``),
+    may exceed ``depth`` so that operations needing only environments can
+    look past the materialized part; a given table has its own length, so
+    passing both is an error. Raises ``TreeTooLargeError`` before
+    allocating anything past ``node_cap``, checking drawn levels as they
+    are drawn.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if environments is not None and env_levels is not None:
+        raise ValueError("env_levels is the length of the given environments")
     if env_levels is None:
         env_levels = depth
     if env_levels < depth:
@@ -426,7 +430,7 @@ def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:
 
     All generation-``level`` nodes of a neck level share one type and all
     deeper environments, so their subtrees coincide; this builds that shared
-    subtree once, materialized to ``depth``.
+    subtree once, materialized to ``depth``, with the whole table below it.
     """
     if level == 0:
         start = tree.root_type
@@ -439,8 +443,7 @@ def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:
             f"subtree at level {level} needs {depth} more environment levels",
             extra_depth_hint=level + depth - tree.env_levels)
     return build_tree(tree.catalog, tree.v_types, depth, root_type=start,
-                      environments=(tree.level_sys[level:level + depth],
-                                    tree.child[level:level + depth]))
+                      environments=(tree.level_sys[level:], tree.child[level:]))
 
 
 # ---------------------------------------------------------------------------

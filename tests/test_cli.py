@@ -70,21 +70,33 @@ def test_unknown_field_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("subcommand", ["tree", "exponent"])
-def test_env_levels_below_depth_is_a_config_error(tmp_path, capsys, subcommand):
-    cfg = write_cfg(tmp_path, small_cantor_doc(depth=6, level=4, env_levels=5))
+def test_env_levels_is_an_unknown_field(tmp_path, capsys, subcommand):
+    """The table is always drawn to ``max(depth, level)``: no key sets its
+    length."""
+    cfg = write_cfg(tmp_path, small_cantor_doc(env_levels=10))
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "env_levels" in capsys.readouterr().err
-    assert not (tmp_path / "exponent.json").exists()
+    assert "unknown config fields: ['env_levels']" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("subcommand", ["tree", "exponent"])
-def test_env_levels_above_cap_is_a_config_error(tmp_path, capsys, subcommand):
-    doc = small_cantor_doc(env_levels=DEFAULT_ENV_CAP + 1)
-    with pytest.raises(ValueError, match="env_levels"):
+@pytest.mark.parametrize("field", ["depth", "level"])
+def test_depth_or_level_past_the_cap_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       subcommand, field):
+    """A table of ``DEFAULT_ENV_CAP + 1`` levels is refused before any level
+    is drawn, for the Monte Carlo blocks too."""
+    from vvcantor.vtree import LevelDraws
+
+    def no_draw(*args):
+        raise AssertionError("a level was drawn")
+
+    monkeypatch.setattr(LevelDraws, "__call__", no_draw)
+    doc = small_cantor_doc(**{field: DEFAULT_ENV_CAP + 1})
+    with pytest.raises(ValueError, match=f"depth and level must be <= {DEFAULT_ENV_CAP}"):
         RunConfig.from_dict(doc)
     cfg = write_cfg(tmp_path, doc)
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "env_levels" in capsys.readouterr().err
+    assert "config error: depth and level must be <=" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -92,8 +104,7 @@ def test_env_levels_above_cap_is_a_config_error(tmp_path, capsys, subcommand):
     ("v", 1.7), ("v", True), ("seed", 42.0), ("seed", "42"), ("depth", 6.9),
     ("level", 6.0), ("splits", "2"), ("k_range", [0, 3.0]), ("k_range", [False, 3]),
     ("x_grid", {"lo": 10.0, "hi": 10000.0, "count": 12.0}), ("mc_blocks", 200.0),
-    ("root_type", 0.0), ("root_type", False), ("node_cap", 1e7), ("env_levels", 10.0),
-    ("env_levels", "10"),
+    ("root_type", 0.0), ("root_type", False), ("node_cap", 1e7),
 ])
 def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, value):
     """Integer fields take JSON integers only: a float, string or boolean
@@ -154,9 +165,8 @@ def test_non_finite_x_grid_is_a_config_error(tmp_path, capsys, key, value):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-def test_null_root_type_and_env_levels_are_allowed():
-    cfg = RunConfig.from_dict(small_cantor_doc(root_type=None, env_levels=None))
-    assert cfg.root_type is None and cfg.env_levels is None
+def test_null_root_type_is_allowed():
+    assert RunConfig.from_dict(small_cantor_doc(root_type=None)).root_type is None
 
 
 def test_invalid_catalog_blocks_other_commands(tmp_path, capsys):
@@ -236,6 +246,38 @@ def test_tree_measure_count_outputs(tmp_path):
     assert len(rows) == 12
     assert all(int(r[1]) <= int(r[2]) <= int(r[1]) + 2 for r in rows)
 
+
+def test_tree_lists_the_table_to_level(tmp_path):
+    """With depth 4 and level 6, ``tree`` materializes 4 generations and
+    lists all 6 levels of the run's table, the first 4 as at depth and
+    level 4."""
+    for name, depth, level in (("deep", 4, 6), ("flat", 4, 4)):
+        cfg = write_cfg(tmp_path, small_cantor_doc(depth=depth, level=level), f"{name}.json")
+        assert main(["tree", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    deep, flat = (json.loads((tmp_path / name / "environments.json").read_text())
+                  for name in ("deep", "flat"))
+    assert len(deep["environments"]) == 6 and deep["environments"][:4] == flat["environments"]
+    assert ((tmp_path / "deep" / "tree.jsonl").read_bytes()
+            == (tmp_path / "flat" / "tree.jsonl").read_bytes())
+
+
+def test_cutsets_count_at_level(tmp_path, monkeypatch):
+    """``cutsets`` with depth 8 and level 11 finds its cut sets on 8
+    generations and counts at level 11, not at the materialized depth."""
+    from vvcantor import spectral
+
+    levels = []
+    counts = spectral.condensed_counts
+
+    def recorded(tree, level, splits, xs):
+        levels.append((tree.depth, level))
+        return counts(tree, level, splits, xs)
+
+    monkeypatch.setattr(spectral, "condensed_counts", recorded)
+    doc = dict(json.loads(TWOSYS_CFG.read_text()), depth=8, level=11)
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["cutsets", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert levels == [(8, 11)]
 
 
 LF_OUTPUTS = ("tree.jsonl", "environments.json", "necks.json", "exponent.json",

@@ -178,6 +178,12 @@ def test_huge_shifts_are_invalid_input(tmp_path):
 TWO_SYSTEM_V2 = json.loads((CONFIGS / "two_system_v2.json").read_text())
 
 
+def _table(doc, level):
+    """The tree of the config ``doc`` at ``level`` with only its root
+    materialized."""
+    return _build(RunConfig.from_dict(dict(doc, level=level)), 0)
+
+
 def _recorded_builds(monkeypatch, module) -> list:
     """The depths that ``module`` calls ``build_tree`` with from here on."""
     depths = []
@@ -195,7 +201,7 @@ def test_table_only_counts_equal_the_materialized_tree():
     the table of the full tree, 2,945,651 nodes (past the config's node cap,
     raised here for the oracle), and the same counts and refinement cap."""
     cfg = RunConfig.from_dict(TWO_SYSTEM_V2)
-    table = _build(cfg, 0, 16)
+    table = _table(TWO_SYSTEM_V2, 16)
     full = build_tree(cfg.catalog, cfg.v, 16, rng=_tree_rng(cfg), node_cap=3_000_000)
     assert (table.depth, table.env_levels, full.node_count) == (0, 16, 2_945_651)
     assert np.array_equal(table.level_sys, full.level_sys)
@@ -229,7 +235,7 @@ def test_count_past_int64_is_invalid_input():
     """two_system_v2 at level 60: N_D grows about as x^0.4 and passes
     2^63 - 1 by x = 1e50, which raises instead of wrapping to a negative
     count. Up to 1e45 the counts are positive and nondecreasing."""
-    tree = _build(RunConfig.from_dict(TWO_SYSTEM_V2), 0, 60)
+    tree = _table(TWO_SYSTEM_V2, 60)
     xs = np.geomspace(1e2, 1e45, 44)
     nd, nn = condensed_counts(tree, 60, 1, xs)
     assert (nd > 0).all() and (nd <= nn).all()
@@ -241,7 +247,7 @@ def test_count_past_int64_is_invalid_input():
 def test_plan_past_the_key_cap_is_too_large(monkeypatch):
     """two_system_v2 seed 1 at level 200 has 15,832 keys: counted under the
     node cap, refused early under a cap of 10,000 keys."""
-    tree = _build(RunConfig.from_dict(dict(TWO_SYSTEM_V2, seed=1)), 0, 200)
+    tree = _table(dict(TWO_SYSTEM_V2, seed=1), 200)
     assert condensed_counts(tree, 200, 1, [1e6])[0][0] > 0
     monkeypatch.setattr(condense, "DEFAULT_NODE_CAP", 10_000)
     with pytest.raises(TreeTooLargeError, match="10000 keys by generation 1[0-9][0-9]$"):
@@ -259,3 +265,31 @@ def test_near_pole_recount_builds_the_level(monkeypatch):
     got = condensed_counts(table, 3, 2, xs)
     assert depths == [3]
     assert all(np.array_equal(g, f) for g, f in zip(got, _flat(full, 3, 2, xs)))
+
+
+@pytest.mark.parametrize("name, last", [("two_system_v2", 293), ("cantor", 399)])
+def test_leaf_shift_underflow_is_invalid_input(name, last):
+    """At the config's grid, the leaf shifts ``x r m`` of ``last + 1``
+    levels fall below the smallest normal float, where the leaf masses
+    underflow and the counts collapsed to 0 (N_D at level 340 of
+    two_system_v2 and 420 of Cantor). That level is refused; at ``last``
+    the counts still equal level 60's."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    xs = RunConfig.from_dict(doc).grid()
+    want = condensed_counts(_table(doc, 60), 60, 1, xs)
+    got = condensed_counts(_table(doc, last), last, 1, xs)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    deep = _table(doc, last + 1)
+    with pytest.raises(InvalidInputError, match=f"leaf shift at level {last + 1} is"):
+        condensed_counts(deep, last + 1, 1, xs)
+    assert condensed_counts(deep, last + 1, 1, [0.0])[0].tolist() == [0]
+
+
+def test_exponent_past_the_underflow_names_it(tmp_path, capsys):
+    """``exponent`` on two_system_v2 at level 340 fails on the underflow,
+    not on an empirical fit over collapsed counts."""
+    config = tmp_path / "underflow.json"
+    config.write_text(json.dumps(dict(TWO_SYSTEM_V2, level=340)))
+    assert main(["exponent", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "exponent failed: InvalidInputError: a leaf shift at level 340" in (
+        capsys.readouterr().err)

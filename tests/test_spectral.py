@@ -392,6 +392,30 @@ def test_bracketing_counts_each_distinct_product_once(two_system, monkeypatch):
                zip((res.lower, res.upper), member_bracketing_sums(tree, 3, center)))
 
 
+def test_bracketing_counts_on_root_only_subtrees(two_system, monkeypatch):
+    """Every neck subtree that ``bracketing_check`` builds materializes its
+    root alone and keeps the table below it; the sums still equal the
+    member-by-member oracle's."""
+    from vvcantor import neck_subtree, spectral
+
+    tree, _ = _feasible_tree(two_system, 2, 3, 12, range(40))
+    center = center_counts(tree, np.geomspace(2.0, 5e4, 16), tree.depth)
+    built = []
+
+    def recorded(tree, level, depth):
+        sub = neck_subtree(tree, level, depth)
+        built.append((sub.node_count, sub.env_levels + level))
+        return sub
+
+    monkeypatch.setattr(spectral, "neck_subtree", recorded)
+    for k in (1, 2, 3):
+        built.clear()
+        res = bracketing_check(tree, k, center)
+        assert built and set(built) == {(1, tree.env_levels)}
+        lower, upper = member_bracketing_sums(tree, k, center)
+        assert np.array_equal(res.lower, lower) and np.array_equal(res.upper, upper)
+
+
 def test_bracketing_small_shift_zeroes_dirichlet_side(two_system):
     tree, _ = _feasible_tree(two_system, 2, 1, 10, range(40))
     xs = np.array([0.25, 0.5])  # below 1/(b-a) = 1

@@ -107,6 +107,18 @@ def test_bad_environment_table_is_rejected(two_system, edit, message):
                    environments=edit(tree.level_sys, tree.child))
 
 
+def test_env_levels_with_a_given_table_is_rejected(two_system):
+    """A given table's length is its level count; a second count beside it
+    is refused, not ignored."""
+    tree = build_tree(two_system, 2, 4, rng=rng_for(7), env_levels=40)
+    for env_levels in (4, 40):
+        with pytest.raises(ValueError, match="env_levels is the length of the given"):
+            build_tree(two_system, 2, 4, root_type=0, env_levels=env_levels,
+                       environments=(tree.level_sys, tree.child))
+    assert build_tree(two_system, 2, 4, root_type=0,
+                      environments=(tree.level_sys, tree.child)).env_levels == 40
+
+
 def test_build_deterministic(two_system):
     t1 = build_tree(two_system, 2, 6, rng=rng_for(7))
     t2 = build_tree(two_system, 2, 6, rng=rng_for(7))
