@@ -46,10 +46,10 @@ from .eigensolve import counting_to_csv
 from .eigensolve import inertia_counts  # noqa: F401
 from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
 from .rng import Xoshiro256StarStar, stream_seed
-from .spectral import (DEFAULT_ENV_CAP, CutsetStatsRow, MonteCarloNeckEvaluator,
-                       TREE_STREAM, bracketing_check, center_counts, cutset_stats_check,
-                       empirical_exponent, gamma_exact_homogeneous, solve_gamma,
-                       solve_gamma_recursive)
+from .spectral import (DEFAULT_ENV_CAP, MAX_BLOCK_GROWTH, CutsetStatsRow,
+                       MonteCarloNeckEvaluator, TREE_STREAM, bracketing_check,
+                       center_counts, cutset_stats_check, empirical_exponent,
+                       gamma_exact_homogeneous, solve_gamma, solve_gamma_recursive)
 from .vtree import DEFAULT_NODE_CAP, build_tree, environments_to_obj, tree_to_jsonl
 
 _TOP_KEYS = {"schema", "catalog", "v", "seed", "depth", "level", "splits",
@@ -126,14 +126,15 @@ class RunConfig:
         unknown = set(json_object(grid, "x_grid")) - {"lo", "hi", "count"}
         if unknown:
             raise ValueError(f"unknown x_grid fields: {sorted(unknown)}")
-        if _check_int(grid["count"], "x_grid count") < 2:
-            raise ValueError("x_grid count must be >= 2")
+        if not 2 <= _check_int(grid["count"], "x_grid count") <= DEFAULT_NODE_CAP:
+            raise ValueError(f"x_grid count must be in [2, {DEFAULT_NODE_CAP}]")
         lo, hi = (_check_finite(grid[key], f"x_grid {key}") for key in ("lo", "hi"))
         if not 0 < lo < hi:
             raise ValueError("x_grid needs 0 < lo < hi")
         mc_blocks = doc.get("mc_blocks", 1000)
-        if mc_blocks < 2:
-            raise ValueError("mc_blocks must be >= 2")
+        max_blocks = DEFAULT_NODE_CAP // MAX_BLOCK_GROWTH  # solve_gamma grows them within the cap
+        if not 2 <= mc_blocks <= max_blocks:
+            raise ValueError(f"mc_blocks must be in [2, {max_blocks}]")
         root_type = doc.get("root_type")
         if root_type is not None and not 0 <= root_type < v:
             raise ValueError("root_type outside {0..v-1}")

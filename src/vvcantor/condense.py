@@ -20,7 +20,8 @@ A complement ``[[κ + σ_L, -κ], [-κ, κ + σ_R]]`` is stored as its coupling
 
 - A leaf sub-element of length h and mass μ at shift x̂ is
   ``κ = 1/h + x̂μ/6``, ``σ_L = σ_R = -x̂μ/2``. A leaf cell is a chain of
-  ``splits`` of them, with ``h = (b - a)/splits`` and ``μ = 1/splits``.
+  ``splits`` of them (``h = (b - a)/splits``, ``μ = 1/splits``), built by
+  doubling in O(log splits) joins.
 - A gap of length ℓ is ``κ = 1/ℓ``, ``σ = 0``. A gap at or below
   ``measure.touching_tol``, the tolerance of ``measure.decompose``, joins
   its neighbours directly.
@@ -76,7 +77,8 @@ by a materialized mesh. Three checks take the place of that bound:
   ``sys.float_info.min``, for a nonzero x raises ``InvalidInputError``:
   past it the leaf masses underflow and the counts fall to those of a
   massless pencil (two_system_v2 from about level 294 at x = 2, Cantor
-  from level 400 at x = 1000).
+  from level 400 at x = 1000). Products ``r m`` only shrink with depth, so
+  planning raises at the first generation past the floor.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ from .catalog import map_table
 from .eigensolve import checked_shifts
 from .errors import DepthExhaustedError, InvalidInputError, TreeTooLargeError
 from .measure import decompose, touching_tol
-from .vtree import DEFAULT_NODE_CAP, VTree, _map_counts, build_tree, next_type_counts
+from .vtree import DEFAULT_NODE_CAP, VTree, build_tree
 
 
 # A join pivot within this fraction of its terms of 0 puts a term about
@@ -158,13 +160,14 @@ def _unique_rows(rows):
     return order[new], inverse
 
 
-def _plan(tree: VTree, level: int) -> list:
+def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
     """Keys of generations 0 .. ``level``, top-down. Each generation above
     ``level`` is ``(first, joins)``: ``first = (keys, ratio)``, the child
     in slot 0 of every key, and per slot i >= 1 ``(rows, gapped,
     gap_kappa, keys, ratio)``, the keys of the generation that have slot
     i, those of them with a gap before it and its ``1/ℓ``, and the child
-    in slot i. ``level`` itself is its keys' products ``r m``."""
+    in slot i. ``level`` itself is its keys' products ``r m``. Raises at
+    the first generation whose leaf shift at ``xmin`` (inf for none) underflows."""
     catalog = tree.catalog
     a, b = catalog.lower, catalog.upper
     tol = touching_tol(a, b)
@@ -193,7 +196,14 @@ def _plan(tree: VTree, level: int) -> list:
     expo = np.zeros((1, int(code.max()) + 1), np.int64)
     prods = np.ones(1)
     plan, n_keys = [], 1
-    for g in range(level):
+    for g in range(level + 1):
+        leaf = float(prods.min()) * xmin * (1.0 / splits)
+        if leaf < sys.float_info.min:
+            raise InvalidInputError(
+                f"a leaf shift at level {level} is {leaf!r} by generation {g}, below the "
+                "smallest normal float: the leaf masses underflow")
+        if g == level:
+            break
         sys_ = tree.level_sys[g][types]
         has = real[sys_]
         key, slot = np.nonzero(has)  # key-major, slots in order
@@ -240,8 +250,10 @@ def _chunk_counts(plan, h: float, splits: int, xs) -> tuple[np.ndarray, ...]:
     leaf = (1.0 / h + xm / 6.0, sigma, sigma, np.zeros(xm.shape, np.int64))
     unsure = np.zeros(xs.shape[0], bool)
     below = leaf
-    for _ in range(splits - 1):
-        below = _join(below, leaf, unsure)
+    for bit in bin(splits)[3:]:  # MSB first: double the chain, then add a leaf
+        below = _join(below, below, unsure)
+        if bit == "1":
+            below = _join(below, leaf, unsure)
     for (keys, ratio), joins in reversed(plan[:-1]):
         acc = _children(below, keys, ratio)
         for rows, gapped, gap_kappa, slot_keys, slot_ratio in joins:
@@ -268,18 +280,19 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     at a near-pole reads the nodes of ``level``, and builds them when the
     tree stops above it.
 
-    Raises, as ``measure.decompose`` and ``assembly.refine_uniform`` do,
-    ``DepthExhaustedError`` past the tree's environment levels,
-    ``TreeTooLargeError`` for a refinement past the node cap and
-    ``InvalidInputError`` for overlapping cells (measured in the local
-    coordinates of their parent, so deep debris overlaps that ``decompose``
-    clamps raise here too), and ``InvalidInputError`` for a shift that is
-    not finite or whose absolute value passes ``eigensolve.MAX_SCALED_MASS``:
-    the root's row sums carry x times the measure's mass, 1. It also raises
+    Raises, as ``measure.decompose`` does, ``DepthExhaustedError`` past the
+    tree's environment levels and ``InvalidInputError`` for overlapping
+    cells (measured in the local coordinates of their parent, so deep
+    debris overlaps that ``decompose`` clamps raise here too), and
+    ``InvalidInputError`` for a shift that is not finite or whose absolute
+    value passes ``eigensolve.MAX_SCALED_MASS``: the root's row sums carry
+    x times the measure's mass, 1. It also raises
     ``TreeTooLargeError`` for a plan of more keys than the node cap,
     ``InvalidInputError`` for a count past 2^63 - 1, which no level that
     materializes within ``DEFAULT_NODE_CAP`` nodes meets, and
-    ``InvalidInputError`` for a nonzero shift whose leaf shift underflows."""
+    ``InvalidInputError`` for a nonzero shift whose leaf shift underflows,
+    at the first generation planned where it does. A cell's ``splits``
+    leaves take O(log splits) joins, so no cap bounds ``splits``."""
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > tree.env_levels:
@@ -288,22 +301,8 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
             extra_depth_hint=level - tree.env_levels)
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    if splits > 1:
-        n_maps = _map_counts(tree.catalog)
-        cells = [int(t == tree.root_type) for t in range(tree.v_types)]  # per type
-        for sys_row, child_row in zip(tree.level_sys[:level], tree.child[:level]):
-            cells = next_type_counts(cells, sys_row, child_row, n_maps)
-        if sum(cells) * splits > DEFAULT_NODE_CAP:
-            raise TreeTooLargeError(f"refinement would create {sum(cells) * splits} cells")
     xs = checked_shifts(xs, 1.0)
-    plan = _plan(tree, level)
-    nonzero = np.abs(xs[xs != 0.0])
-    if nonzero.shape[0]:
-        leaf = float(plan[-1].min()) * float(nonzero.min()) * (1.0 / splits)
-        if leaf < sys.float_info.min:
-            raise InvalidInputError(
-                f"a leaf shift at level {level} is {leaf!r}, below the smallest normal "
-                "float: the leaf masses underflow")
+    plan = _plan(tree, level, float(np.abs(xs[xs != 0.0]).min(initial=np.inf)), splits)
     widest = max([plan[-1].shape[0]] + [keys.shape[0] for (keys, _), _ in plan[:-1]])
     step = max(1, _kernels._CHUNK // widest)
     h = (tree.catalog.upper - tree.catalog.lower) / splits

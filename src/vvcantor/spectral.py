@@ -39,6 +39,7 @@ MC_BLOCK_STREAM_BASE = 1
 
 DEFAULT_ENV_CAP = 100_000
 SIGN_Z = 3.0  # standard errors: a Monte Carlo f's sure sign and its CI half-width
+MAX_BLOCK_GROWTH = 16  # solve_gamma's default cap on the growth of its block count
 _ROW_BUDGET = 1 << 20  # rows held for Monte Carlo lanes still running
 
 
@@ -216,7 +217,7 @@ class ExponentReport:
 
 
 def solve_gamma(evaluator, tolerance: float | None = None, *,
-                method: str | None = None, max_growth: int = 16) -> ExponentReport:
+                method: str | None = None, max_growth: int = MAX_BLOCK_GROWTH) -> ExponentReport:
     """Root of a strictly decreasing f by doubling bracket search from x = 1
     and bisection.
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vvcantor import spectral
 from vvcantor.cli import RunConfig, main
 from vvcantor.spectral import DEFAULT_ENV_CAP
 
@@ -97,6 +98,32 @@ def test_depth_or_level_past_the_cap_is_a_config_error(tmp_path, capsys, monkeyp
     cfg = write_cfg(tmp_path, doc)
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "config error: depth and level must be <=" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("subcommand, field, largest", [
+    ("exponent", "mc_blocks", 625_000), ("count", "x_grid count", 10_000_000)])
+def test_oversized_sizes_are_config_errors(tmp_path, capsys, monkeypatch, subcommand, field,
+                                           largest):
+    """Monte Carlo blocks that ``solve_gamma`` may grow 16-fold past the node
+    cap, or a shift grid past it, are a config error before anything is
+    allocated; 10^15 of either crashed with an untyped allocation error."""
+    def sized(n):
+        if field == "mc_blocks":
+            return small_cantor_doc(mc_blocks=n)
+        return small_cantor_doc(x_grid={"lo": 10.0, "hi": 10000.0, "count": n})
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    RunConfig.from_dict(sized(largest))
+    with pytest.raises(ValueError, match=f"^{field} must be in \\[2, {largest}\\]$"):
+        RunConfig.from_dict(sized(largest + 1))
+    monkeypatch.setattr(spectral, "_draw_blocks", no_alloc)
+    monkeypatch.setattr(np, "geomspace", no_alloc)
+    cfg = write_cfg(tmp_path, sized(10 ** 15))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"config error: {field} must be in [2, {largest}]" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 

@@ -41,7 +41,7 @@ DYADIC = Catalog(0.0, 1.0, (WeightedIFS(
 @settings(deadline=None)
 @example(catalog=DYADIC, v=1, depth=3, splits=2, seed=1)
 @given(catalog=catalogs(), v=st.integers(1, 3), depth=st.integers(0, 5),
-       splits=st.integers(1, 3), seed=st.integers(0, 2 ** 64 - 1))
+       splits=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1))
 def test_condensed_counts_match_dense_oracle(catalog, v, depth, splits, seed):
     """On random catalogs, at a shift grid and 1e-7 relative off every
     eigenvalue of both pencils, the condensed counts equal the dense oracle
@@ -102,6 +102,35 @@ def test_chunked_shifts_give_the_same_counts(monkeypatch, chunk):
     monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     got = condensed_counts(tree, 6, 2, xs)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_leaf_chain_matches_the_closed_form(monkeypatch):
+    """Lebesgue at level 0 split into n = 10^7 elements: the consistent-mass
+    eigenvalues are ``6 n^2 (1 - cos(k pi/n)) / (2 + cos(k pi/n))``, with
+    k = 1 .. n-1 for Dirichlet and k = 0 .. n for Neumann, and the counts
+    equal theirs. The chain of n leaves is built by doubling: at most two
+    joins per bit of n."""
+    root = _lebesgue_tree(0)
+    n = 10 ** 7
+    xs = np.geomspace(1e2, 1e6, 17)
+    theta = np.arange(1000) * np.pi / n  # lam[999] > 9.8e6, past every shift
+    lam = 12.0 * n * n * np.sin(theta / 2) ** 2 / (2 + np.cos(theta))
+    nd, nn = condensed_counts(root, 0, n, xs)
+    assert nd.tolist() == (lam[1:, None] <= xs).sum(axis=0).tolist()
+    assert nn.tolist() == (nd + 1).tolist()  # k = 0; k = n is 12 n^2
+    assert (nd[0], nd[8]) == (3, 31)
+
+    calls, join = [], condense._join
+
+    def counted(*args):
+        calls.append(1)
+        return join(*args)
+
+    monkeypatch.setattr(condense, "_join", counted)
+    for splits in (2 ** 20, 2 ** 20 - 1):
+        calls.clear()
+        condensed_counts(root, 0, splits, xs)
+        assert 20 <= len(calls) <= 40
 
 
 def test_level_past_the_tree_is_depth_exhausted():
@@ -199,7 +228,8 @@ def _recorded_builds(monkeypatch, module) -> list:
 def test_table_only_counts_equal_the_materialized_tree():
     """two_system_v2 at level 16: a tree with only its root materialized has
     the table of the full tree, 2,945,651 nodes (past the config's node cap,
-    raised here for the oracle), and the same counts and refinement cap."""
+    raised here for the oracle), and the same counts, at splits 6 too, where
+    the 1,843,968 cells refine past the node cap."""
     cfg = RunConfig.from_dict(TWO_SYSTEM_V2)
     table = _table(TWO_SYSTEM_V2, 16)
     full = build_tree(cfg.catalog, cfg.v, 16, rng=_tree_rng(cfg), node_cap=3_000_000)
@@ -207,12 +237,9 @@ def test_table_only_counts_equal_the_materialized_tree():
     assert np.array_equal(table.level_sys, full.level_sys)
     assert np.array_equal(table.child, full.child)
     xs = np.concatenate((cfg.grid(), np.geomspace(1e5, 1e12, 8)))
-    for splits in (1, 2):
+    for splits in (1, 2, 6):
         got, want = condensed_counts(table, 16, splits, xs), condensed_counts(full, 16, splits, xs)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    for tree in (table, full):  # 1,843,968 cells
-        with pytest.raises(TreeTooLargeError, match="11063808 cells"):
-            condensed_counts(tree, 16, 6, xs)
 
 
 def test_exponent_materializes_only_the_root(tmp_path, monkeypatch):
@@ -283,6 +310,23 @@ def test_leaf_shift_underflow_is_invalid_input(name, last):
     with pytest.raises(InvalidInputError, match=f"leaf shift at level {last + 1} is"):
         condensed_counts(deep, last + 1, 1, xs)
     assert condensed_counts(deep, last + 1, 1, [0.0])[0].tolist() == [0]
+
+
+def test_underflow_is_refused_while_planning(monkeypatch):
+    """two_system_v2 at level 3,000: the leaf shifts underflow from
+    generation 294, and planning stops there instead of planning 3,000
+    generations first."""
+    planned, unique_rows = [], condense._unique_rows
+
+    def recorded(rows):
+        planned.append(1)
+        return unique_rows(rows)
+
+    monkeypatch.setattr(condense, "_unique_rows", recorded)
+    tree = _table(TWO_SYSTEM_V2, 3000)
+    with pytest.raises(InvalidInputError, match="leaf shift at level 3000 is .* by generation 294,"):
+        condensed_counts(tree, 3000, 1, RunConfig.from_dict(TWO_SYSTEM_V2).grid())
+    assert len(planned) == 294
 
 
 def test_exponent_past_the_underflow_names_it(tmp_path, capsys):
