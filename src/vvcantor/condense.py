@@ -41,11 +41,16 @@ A complement ``[[κ + σ_L, -κ], [-κ, κ + σ_R]]`` is stored as its coupling
 - A join pivot within ``_NEAR`` (2^-20) of 0, relative to
   ``|κ_A| + |κ_B| + |s|``, is a near-pole of the complement: its entries
   grow like 1/p and cancel at a later join, taking the digits of the rest
-  with them. The row recurrence handles such a pivot (the next one is
-  huge and absorbs it), so the shifts where one occurs, exact ties among
-  them, are recounted by ``_kernels.sturm_counts`` on the assembled
-  pencils. That is rare: 11 of 18,576 shifts on trees of a catalog of
-  twelve distinct ``r m`` values, none of 12,192 on the shipped configs.
+  with them. The shifts where one occurs, exact zeros among them, are
+  counted again by the same plan and the same joins on ``decimal.Decimal``
+  arrays at precision ``_PRECISION`` (100 digits), from the same numbers
+  (``Decimal(float)`` is exact). There a pivot of exactly 0 is a tie: it
+  counts and is replaced by ``-(1e-300 + 10^-70 (|κ_A| + |κ_B| + |s|))``,
+  as the row recurrence replaces one. A nonzero pivot still within 10^-50
+  of its terms raises ``InvalidInputError`` naming the shift, never a
+  guess. That is rare: 11 of 18,576 shifts on trees of a catalog of
+  twelve distinct ``r m`` values, none of 12,192 on the shipped configs,
+  and about one in 10^4 at level 60 of two_system_v2.
 
 Why row sums: where ``x̂μ`` is far below ``1/h``, the entries of a
 complement carry the shift only as a relative perturbation of about
@@ -60,9 +65,9 @@ off-diagonals and row sums (Demmel & Koev 2004). The counts equal the row
 recurrence of ``_kernels.sturm_counts`` on the assembled pencil except at
 shifts within rounding of an eigenvalue.
 
-Apart from that recount, only the environment table is read, so ``level``
-may lie below the materialized generations, and nothing bounds a count
-by a materialized mesh. Three checks take the place of that bound:
+Only the environment table is read, never a node, so ``level`` may lie
+below the materialized generations, and nothing bounds a count by a
+materialized mesh. Three checks take the place of that bound:
 
 - Every join adds two counts below 2^63 and a pivot's 0 or 1, so a
   negative sum is an exact sign that a count passed 2^63 - 1, which
@@ -78,29 +83,36 @@ by a materialized mesh. Three checks take the place of that bound:
   past it the leaf masses underflow and the counts fall to those of a
   massless pencil (two_system_v2 from about level 294 at x = 2, Cantor
   from level 400 at x = 1000). Products ``r m`` only shrink with depth, so
-  planning raises at the first generation past the floor.
+  planning raises at the first generation past the floor, before any end
+  inset or gap is computed.
 """
 
 from __future__ import annotations
 
 import sys
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
 from . import _kernels
-from .assembly import DIRICHLET, NEUMANN, assemble, refine_uniform
 from .catalog import map_table
 from .eigensolve import checked_shifts
 from .errors import DepthExhaustedError, InvalidInputError, TreeTooLargeError
-from .measure import decompose, touching_tol
-from .vtree import DEFAULT_NODE_CAP, VTree, build_tree
+from .measure import touching_tol
+from .vtree import DEFAULT_NODE_CAP, VTree
 
 
 # A join pivot within this fraction of its terms of 0 puts a term about
 # 1/p into the complement, which cancels at a later join and leaves the
-# rest with a relative error of about eps / _NEAR: the shift is recounted
-# on the assembled pencils.
+# rest with a relative error of about eps / _NEAR: the shift is counted
+# again in decimal, where the same error is about 10^-_PRECISION / _DECIMAL_NEAR.
 _NEAR = 2.0 ** -20
+_PRECISION = 100
+_DECIMAL_NEAR = Decimal("1e-50")
+# The tie replacement ``-(tiny + rel * scale)`` of an exact-zero pivot,
+# indexed by ``dtype == object``: the row recurrence's in float, a
+# relative 10^-70, far below the decimal near threshold, in decimal.
+_TIES = ((1e-300, _kernels._EPS), (Decimal("1e-300"), Decimal("1e-70")))
 
 
 def _unwrapped(count):
@@ -111,20 +123,33 @@ def _unwrapped(count):
     return count
 
 
+def _tie(p, scale):
+    """``p`` with each exact 0 replaced by a negative value far below
+    ``scale``, so that a tie "eigenvalue == x" counts as ``<= x``."""
+    tiny, rel = _TIES[p.dtype == object]
+    return np.where(p == 0, -(tiny + rel * scale), p)
+
+
 def _join(a, b, unsure):
-    """A then B joined at their shared node: ``(κ, σ_L, σ_R, count)``.
-    Marks in ``unsure`` the shifts at which the node's pivot is within
-    ``_NEAR`` of 0, relative to the terms that make it."""
+    """A then B joined at their shared node: ``(κ, σ_L, σ_R, count)``, on
+    float arrays or on ``Decimal`` object arrays. Marks in ``unsure`` the
+    shifts at which the node's pivot is within ``_NEAR`` of 0 (float, an
+    exact 0 too) or is nonzero within ``_DECIMAL_NEAR`` of 0 (decimal, where
+    an exact 0 is a tie), relative to the terms that make it."""
     ka, la, ra, ca = a
     kb, lb, rb, cb = b
     s = ra + lb
     p = ka + kb + s
-    count = _unwrapped(ca + cb + (p <= 0.0))
+    count = _unwrapped(ca + cb + (p <= 0))
     scale = np.abs(ka) + np.abs(kb) + np.abs(s)
-    near = np.abs(p) <= _NEAR * scale
+    if p.dtype == object:
+        near = (p != 0) & (np.abs(p) <= _DECIMAL_NEAR * scale)
+        p = _tie(p, scale)
+    else:
+        near = np.abs(p) <= _NEAR * scale
     if near.any():
         unsure |= near.any(axis=0)
-        p = np.where(near, scale, p)  # any finite value: these shifts are recounted
+        p = np.where(near, scale, p)  # any nonzero value: these shifts are counted again
     return ka * kb / p, la + ka * s / p, rb + kb * s / p, count
 
 
@@ -167,7 +192,9 @@ def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
     gap_kappa, keys, ratio)``, the keys of the generation that have slot
     i, those of them with a gap before it and its ``1/ℓ``, and the child
     in slot i. ``level`` itself is its keys' products ``r m``. Raises at
-    the first generation whose leaf shift at ``xmin`` (inf for none) underflows."""
+    the first generation whose leaf shift at ``xmin`` (inf for none)
+    underflows, or past the key cap, before any end inset or gap is
+    computed."""
     catalog = tree.catalog
     a, b = catalog.lower, catalog.upper
     tol = touching_tol(a, b)
@@ -176,26 +203,11 @@ def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
     rm = table[..., 0] * table[..., 1]
     code = np.zeros(rm.shape, np.intp)  # index of each map's r m among the distinct values
     code[real] = np.unique(rm[real], return_inverse=True)[1].reshape(-1)
-    last = real.sum(axis=1) - 1
-
-    # left[t, i] and right[t, i]: where the first and the last cell below
-    # slot i of a type-t node start and end, in the node's coordinates;
-    # bottom-up from the leaf cells, whose insets are 0.
-    ends = [None] * level
-    inset_l = inset_r = np.zeros(tree.v_types)
-    for g in reversed(range(level)):
-        sys_, child = tree.level_sys[g], tree.child[g]
-        r, c = table[sys_, :, 0], table[sys_, :, 2]
-        left = r * (a + inset_l[child]) + c
-        right = r * (b - inset_r[child]) + c
-        inset_l = left[:, 0] - a
-        inset_r = b - right[np.arange(tree.v_types), last[sys_]]
-        ends[g] = left, right
 
     types = np.array([tree.root_type], np.intp)
     expo = np.zeros((1, int(code.max()) + 1), np.int64)
     prods = np.ones(1)
-    plan, n_keys = [], 1
+    keyed, n_keys = [], 1  # per generation above level: (types, has, children, ratio)
     for g in range(level + 1):
         leaf = float(prods.min()) * xmin * (1.0 / splits)
         if leaf < sys.float_info.min:
@@ -216,8 +228,27 @@ def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
                 f"condensing needs more than {DEFAULT_NODE_CAP} keys by generation {g + 1}")
         children = np.zeros(has.shape, np.intp)
         children[key, slot] = inverse
-        ratio = table[sys_, :, 0]
+        keyed.append((types, has, children, table[sys_, :, 0]))
+        prods = prods[key[first]] * rm[sys_[key[first]], slot[first]]
+        types, expo = rows[first, 0], rows[first, 1:]
 
+    # left[t, i] and right[t, i]: where the first and the last cell below
+    # slot i of a type-t node start and end, in the node's coordinates;
+    # bottom-up from the leaf cells, whose insets are 0.
+    last = real.sum(axis=1) - 1
+    ends = [None] * level
+    inset_l = inset_r = np.zeros(tree.v_types)
+    for g in reversed(range(level)):
+        sys_, child = tree.level_sys[g], tree.child[g]
+        r, c = table[sys_, :, 0], table[sys_, :, 2]
+        left = r * (a + inset_l[child]) + c
+        right = r * (b - inset_r[child]) + c
+        inset_l = left[:, 0] - a
+        inset_r = b - right[np.arange(tree.v_types), last[sys_]]
+        ends[g] = left, right
+
+    plan = []
+    for g, (types, has, children, ratio) in enumerate(keyed):
         left, right = ends[g]
         gaps = left[types, 1:] - right[types, :-1]
         overlap = has[:, 1:] & (gaps < -tol)
@@ -235,19 +266,26 @@ def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
                               (1.0 / gap[wide])[:, None], children[rows_i, i],
                               ratio[rows_i, i]))
         plan.append(((children[:, 0], ratio[:, 0]), joins))
-
-        prods = prods[key[first]] * rm[sys_[key[first]], slot[first]]
-        types, expo = rows[first, 0], rows[first, 1:]
     plan.append(prods)
     return plan
 
 
-def _chunk_counts(plan, h: float, splits: int, xs) -> tuple[np.ndarray, ...]:
-    """N_D and N_N at the shifts ``xs``, one bottom-up pass, and which
-    shifts met a join pivot near 0."""
-    xm = plan[-1][:, None] * xs * (1.0 / splits)
-    sigma = -xm / 2.0
-    leaf = (1.0 / h + xm / 6.0, sigma, sigma, np.zeros(xm.shape, np.int64))
+def _decimal(plan) -> list:
+    """``plan`` with its float arrays as ``Decimal`` object arrays of the
+    same values (``Decimal(float)`` is exact)."""
+    exact = np.frompyfunc(Decimal, 1, 1)
+    return [((keys, exact(ratio)), [(rows, gapped, exact(gap_kappa), slot_keys, exact(slot_ratio))
+                                    for rows, gapped, gap_kappa, slot_keys, slot_ratio in joins])
+            for (keys, ratio), joins in plan[:-1]] + [exact(plan[-1])]
+
+
+def _chunk_counts(plan, h, mu, splits: int, xs) -> tuple[np.ndarray, ...]:
+    """N_D and N_N at the shifts ``xs``, one bottom-up pass over leaves of
+    length ``h`` and mass ``mu``, and which shifts met a join pivot near 0.
+    The same body runs on floats and on ``Decimal`` objects."""
+    xm = plan[-1][:, None] * xs * mu
+    sigma = -xm / 2
+    leaf = (1 / h + xm / 6, sigma, sigma, np.zeros(xm.shape, np.int64))
     unsure = np.zeros(xs.shape[0], bool)
     below = leaf
     for bit in bin(splits)[3:]:  # MSB first: double the chain, then add a leaf
@@ -258,15 +296,23 @@ def _chunk_counts(plan, h: float, splits: int, xs) -> tuple[np.ndarray, ...]:
         acc = _children(below, keys, ratio)
         for rows, gapped, gap_kappa, slot_keys, slot_ratio in joins:
             if gap_kappa.shape[0]:
-                _join_rows(acc, gapped, (gap_kappa, 0.0, 0.0, 0), unsure)
+                _join_rows(acc, gapped, (gap_kappa, 0, 0, 0), unsure)
             _join_rows(acc, rows, _children(below, slot_keys, slot_ratio), unsure)
         below = acc
     k, l, r, nd = (v[0] for v in below)
-    p1 = k + l
-    zero = p1 == 0.0
-    p1 = np.where(zero, -(1e-300 + _kernels._EPS * (np.abs(k) + np.abs(l))), p1)
+    p1 = _tie(k + l, np.abs(k) + np.abs(l))
     p2 = (k * (l + r) + l * r) / p1
-    return nd, _unwrapped(nd + (p1 <= 0.0) + (p2 <= 0.0)), unsure
+    return nd, _unwrapped(nd + (p1 <= 0) + (p2 <= 0)), unsure
+
+
+def _counts(plan, h, mu, splits: int, xs, step: int) -> tuple[np.ndarray, ...]:
+    """``_chunk_counts`` over ``xs`` in chunks of ``step`` shifts."""
+    nd, nn = np.zeros((2, xs.shape[0]), np.int64)
+    unsure = np.zeros(xs.shape[0], bool)
+    for lo in range(0, xs.shape[0], step):
+        nd[lo:lo + step], nn[lo:lo + step], unsure[lo:lo + step] = _chunk_counts(
+            plan, h, mu, splits, xs[lo:lo + step])
+    return nd, nn, unsure
 
 
 def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -276,9 +322,10 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     condensation. Shifts are counted in chunks of at most ``_kernels._CHUNK``
     keys x shifts per generation. Only the environment table is read, so
     ``level`` may pass ``tree.depth``; a build's ``node_cap`` bounds its
-    materialized nodes and does not apply here. The rare recount of shifts
-    at a near-pole reads the nodes of ``level``, and builds them when the
-    tree stops above it.
+    materialized nodes and does not apply here. The rare shifts at which a
+    join pivot comes near 0 are counted again by the same condensation in
+    decimal, at ``_PRECISION`` digits, where an exact-zero pivot is a tie
+    that counts as ``<= x``.
 
     Raises, as ``measure.decompose`` does, ``DepthExhaustedError`` past the
     tree's environment levels and ``InvalidInputError`` for overlapping
@@ -291,8 +338,10 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     ``InvalidInputError`` for a count past 2^63 - 1, which no level that
     materializes within ``DEFAULT_NODE_CAP`` nodes meets, and
     ``InvalidInputError`` for a nonzero shift whose leaf shift underflows,
-    at the first generation planned where it does. A cell's ``splits``
-    leaves take O(log splits) joins, so no cap bounds ``splits``."""
+    at the first generation planned where it does, and ``InvalidInputError``
+    naming the shifts at which a nonzero join pivot stays within
+    ``_DECIMAL_NEAR`` of 0 in decimal. A cell's ``splits`` leaves take
+    O(log splits) joins, so no cap bounds ``splits``."""
     if level < 0:
         raise ValueError("level must be >= 0")
     if level > tree.env_levels:
@@ -305,19 +354,15 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     plan = _plan(tree, level, float(np.abs(xs[xs != 0.0]).min(initial=np.inf)), splits)
     widest = max([plan[-1].shape[0]] + [keys.shape[0] for (keys, _), _ in plan[:-1]])
     step = max(1, _kernels._CHUNK // widest)
-    h = (tree.catalog.upper - tree.catalog.lower) / splits
-    nd, nn = np.zeros((2, xs.shape[0]), np.int64)
-    unsure = np.zeros(xs.shape[0], bool)
-    for lo in range(0, xs.shape[0], step):
-        nd[lo:lo + step], nn[lo:lo + step], unsure[lo:lo + step] = _chunk_counts(
-            plan, h, splits, xs[lo:lo + step])
+    h, mu = (tree.catalog.upper - tree.catalog.lower) / splits, 1.0 / splits
+    nd, nn, unsure = _counts(plan, h, mu, splits, xs, step)
     if unsure.any():
-        if level > tree.depth:
-            tree = build_tree(tree.catalog, tree.v_types, level, root_type=tree.root_type,
-                              environments=(tree.level_sys, tree.child))
-        dec = refine_uniform(decompose(tree, level), splits)
-        for counts, bc in ((nd, DIRICHLET), (nn, NEUMANN)):
-            pencil = assemble(dec, bc)
-            counts[unsure] = _kernels.sturm_counts(pencil.kd, pencil.ko, pencil.md,
-                                                   pencil.mo, xs[unsure])
+        exact = np.frompyfunc(Decimal, 1, 1)
+        with localcontext(Context(prec=_PRECISION)):  # the default traps stay on
+            nd[unsure], nn[unsure], near = _counts(_decimal(plan), Decimal(h), Decimal(mu),
+                                                   splits, exact(xs[unsure]), step)
+        if near.any():
+            raise InvalidInputError(
+                f"a join pivot stays within {_DECIMAL_NEAR} of 0 at {_PRECISION} digits at "
+                f"the shifts {xs[unsure][near].tolist()}")
     return nd, nn

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap, DepthExhaustedError,
                       InvalidInputError, TreeTooLargeError, WeightedIFS, Xoshiro256StarStar,
-                      _kernels, assemble, build_tree, cli, condense, condensed_counts,
-                      decompose, inertia_counts, refine_uniform, stream_seed)
+                      _kernels, assemble, assembly, build_tree, cli, condense,
+                      condensed_counts, decompose, inertia_counts, refine_uniform,
+                      stream_seed, vtree)
 from vvcantor.cli import RunConfig, _build, _tree_rng, main
 from conftest import dense_counts, dense_eigenvalues, make_lebesgue, make_two_system
 from test_properties import catalogs
@@ -38,25 +39,37 @@ DYADIC = Catalog(0.0, 1.0, (WeightedIFS(
         (ContractionMap(0.5, 0.0), ContractionMap(0.5, 0.5)), (0.4, 0.6)),), (1 / 3,) * 3)
 
 
-@settings(deadline=None)
-@example(catalog=DYADIC, v=1, depth=3, splits=2, seed=1)
-@given(catalog=catalogs(), v=st.integers(1, 3), depth=st.integers(0, 5),
-       splits=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1))
-def test_condensed_counts_match_dense_oracle(catalog, v, depth, splits, seed):
+@pytest.mark.parametrize("path", ["float", "decimal"])
+def test_condensed_counts_match_dense_oracle(monkeypatch, path):
     """On random catalogs, at a shift grid and 1e-7 relative off every
     eigenvalue of both pencils, the condensed counts equal the dense oracle
-    wherever the flat count does not change within 1e-9 relative."""
-    tree = build_tree(catalog, v, depth, rng=Xoshiro256StarStar(stream_seed(seed, 0)))
-    level = max(l for l in range(depth + 1)
-                if tree.generations[l].size * splits <= MAX_ROWS)
-    pencils = _pencils(tree, level, splits)
-    lam = np.concatenate([dense_eigenvalues(p) for p in pencils])
-    lam = lam[lam > 1e-6]
-    xs = np.concatenate((np.geomspace(1.0, 1e6, 25), lam * (1 - 1e-7), lam * (1 + 1e-7)))
-    for pencil, counts in zip(pencils, condensed_counts(tree, level, splits, xs)):
-        near = (inertia_counts(pencil, xs * (1 - 1e-9))
-                != inertia_counts(pencil, xs * (1 + 1e-9)))
-        assert np.array_equal(counts[~near], dense_counts(pencil, xs)[~near])
+    wherever the flat count does not change within 1e-9 relative. With
+    ``_NEAR`` at 1 every shift is counted in decimal, and the counts equal
+    the oracle at every shift."""
+    decimal = path == "decimal"
+    if decimal:
+        monkeypatch.setattr(condense, "_NEAR", 1.0)
+
+    # Hypothesis inside the test, so that the decimal run, about 0.1 s an
+    # example, keeps its own example count under the ci profile.
+    @settings(deadline=None, **({"max_examples": 30} if decimal else {}))
+    @example(catalog=DYADIC, v=1, depth=3, splits=2, seed=1)
+    @given(catalog=catalogs(), v=st.integers(1, 3), depth=st.integers(0, 5),
+           splits=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1))
+    def check(catalog, v, depth, splits, seed):
+        tree = build_tree(catalog, v, depth, rng=Xoshiro256StarStar(stream_seed(seed, 0)))
+        level = max(l for l in range(depth + 1)
+                    if tree.generations[l].size * splits <= MAX_ROWS)
+        pencils = _pencils(tree, level, splits)
+        lam = np.concatenate([dense_eigenvalues(p) for p in pencils])
+        lam = lam[lam > 1e-6]
+        xs = np.concatenate((np.geomspace(1.0, 1e6, 25), lam * (1 - 1e-7), lam * (1 + 1e-7)))
+        for pencil, counts in zip(pencils, condensed_counts(tree, level, splits, xs)):
+            near = (np.zeros(xs.shape, bool) if decimal else
+                    inertia_counts(pencil, xs * (1 - 1e-9)) != inertia_counts(pencil, xs * (1 + 1e-9)))
+            assert np.array_equal(counts[~near], dense_counts(pencil, xs)[~near])
+
+    check()
 
 
 @pytest.mark.parametrize("name", ["lebesgue", "cantor", "two_system_v2"])
@@ -80,9 +93,10 @@ def _lebesgue_tree(level):
 
 def test_ties_count_as_at_or_below():
     """Level 1: the join pivot of the middle node, 3 + 3 - 6, is exactly 0
-    at x = 12; the shift is recounted row by row, and N_D = 1. Level 0: the
-    root's ``det`` is exactly 0 at x = 12, so both Neumann eigenvalues, 0
-    and 12, count."""
+    at x = 12; the shift is counted again in decimal, where that exact 0 is
+    a tie, counted and replaced by a tiny negative pivot as the row
+    recurrence does, and N_D = 1. Level 0: the root's ``det`` is exactly 0
+    at x = 12, so both Neumann eigenvalues, 0 and 12, count."""
     below, at = np.array([12.0 * (1 - 1e-12)]), np.array([12.0])
     one = _lebesgue_tree(1)
     assert condensed_counts(one, 1, 1, below)[0].tolist() == [0]
@@ -281,17 +295,53 @@ def test_plan_past_the_key_cap_is_too_large(monkeypatch):
         condensed_counts(tree, 200, 1, [1e6])
 
 
-def test_near_pole_recount_builds_the_level(monkeypatch):
+def _fail(*args, **kwargs):
+    raise AssertionError("a table-only count built, assembled or scanned a pencil")
+
+
+def test_near_pole_recount_reads_only_the_table(monkeypatch):
     """``DYADIC``'s exact-zero join pivot at x = 1000 on a tree with only its
-    root materialized: the recount builds level 3 from the table and counts
-    as the flat scan of the full tree does."""
+    root materialized, a rounding artifact of the float pass: the decimal
+    recount builds and scans nothing and counts as the flat scan of the
+    full tree does, 8/9."""
     full = build_tree(DYADIC, 1, 3, rng=Xoshiro256StarStar(stream_seed(1, 0)))
     table = build_tree(DYADIC, 1, 0, rng=Xoshiro256StarStar(stream_seed(1, 0)), env_levels=3)
-    depths = _recorded_builds(monkeypatch, condense)
     xs = np.array([999.0, 1000.0, 1001.0])
+    want = _flat(full, 3, 2, xs)
+    depths = _recorded_builds(monkeypatch, vtree)
+    monkeypatch.setattr(_kernels, "sturm_counts", _fail)
     got = condensed_counts(table, 3, 2, xs)
-    assert depths == [3]
-    assert all(np.array_equal(g, f) for g, f in zip(got, _flat(full, 3, 2, xs)))
+    assert depths == []
+    assert all(np.array_equal(g, f) for g, f in zip(got, want))
+    assert [g[1] for g in got] == [8, 9]
+
+
+@pytest.mark.parametrize("seed, poles, want", [
+    (1, [2.2152319919411354e+20, 7.046251508637102e+27],
+     [(76203694, 76203696), (76523222542, 76523222544)]),
+    (2, [1750254637112820.0, 1.795413515307934e+23],
+     [(697918, 697920), (1059867647, 1059867648)])])
+def test_near_pole_shifts_count_at_level_60(monkeypatch, seed, poles, want):
+    """two_system_v2 at level 60, table only: a shift within 1e-9 of each of
+    these near-poles meets a join pivot near 0 in float, where a recount on
+    the assembled pencils could not build the level (``TreeTooLargeError``
+    by generation 17). The decimal recount counts them, with no build,
+    assembly or Sturm scan, and each count equals its neighbours'."""
+    tree = _table(dict(TWO_SYSTEM_V2, seed=seed), 60)
+    for module, name in ((vtree, "build_tree"), (assembly, "assemble"),
+                         (_kernels, "sturm_counts")):
+        monkeypatch.setattr(module, name, _fail)
+    recounted, chunk_counts = [], condense._chunk_counts
+
+    def recorded(*args):
+        recounted.extend(args[-1].tolist() if args[-1].dtype == object else [])
+        return chunk_counts(*args)
+
+    monkeypatch.setattr(condense, "_chunk_counts", recorded)
+    for x, (n_d, n_n) in zip(poles, want):
+        nd, nn = condensed_counts(tree, 60, 1, [x * (1 - 1e-9), x, x * (1 + 1e-9)])
+        assert nd.tolist() == [n_d] * 3 and nn.tolist() == [n_n] * 3
+    assert len(recounted) == 6
 
 
 @pytest.mark.parametrize("name, last", [("two_system_v2", 293), ("cantor", 399)])
@@ -315,7 +365,8 @@ def test_leaf_shift_underflow_is_invalid_input(name, last):
 def test_underflow_is_refused_while_planning(monkeypatch):
     """two_system_v2 at level 3,000: the leaf shifts underflow from
     generation 294, and planning stops there instead of planning 3,000
-    generations first."""
+    generations first. Nor does it read a table row below the refusal,
+    for end insets or gaps: those rows name no system here."""
     planned, unique_rows = [], condense._unique_rows
 
     def recorded(rows):
@@ -324,6 +375,8 @@ def test_underflow_is_refused_while_planning(monkeypatch):
 
     monkeypatch.setattr(condense, "_unique_rows", recorded)
     tree = _table(TWO_SYSTEM_V2, 3000)
+    tree.level_sys = tree.level_sys.copy()
+    tree.level_sys[294:] = 255
     with pytest.raises(InvalidInputError, match="leaf shift at level 3000 is .* by generation 294,"):
         condensed_counts(tree, 3000, 1, RunConfig.from_dict(TWO_SYSTEM_V2).grid())
     assert len(planned) == 294
