@@ -10,6 +10,7 @@ surface every problem in a config at once.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,9 +146,9 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
     if len(catalog.index_probs) != len(catalog.systems):
         rep.add(None, "index distribution length does not match system count")
     else:
-        if any(p < 0 for p in catalog.index_probs):
-            rep.add(None, "index distribution has negative entries")
-        if catalog.index_probs and abs(sum(catalog.index_probs) - 1.0) > WEIGHT_TOL:
+        if not all(p >= 0 for p in catalog.index_probs):
+            rep.add(None, "index distribution has negative or NaN entries")
+        if catalog.index_probs and not abs(sum(catalog.index_probs) - 1.0) <= WEIGHT_TOL:
             rep.add(None, f"index distribution sums to {sum(catalog.index_probs)!r}, not 1")
 
     for j, sys_ in enumerate(catalog.systems):
@@ -159,23 +160,23 @@ def validate_catalog(catalog: Catalog) -> ValidationReport:
         for i, m in enumerate(sys_.maps):
             if not 0.0 < m.ratio < 1.0:
                 rep.add(j, f"map {i}: ratio {m.ratio!r} outside (0, 1)")
-            if m(a) < a - tol or m(b) > b + tol:
+            if not (m(a) >= a - tol and m(b) <= b + tol):
                 rep.add(j, f"map {i}: image [{m(a)!r}, {m(b)!r}] leaves the base interval")
         for i, w in enumerate(sys_.weights):
             if not 0.0 < w < 1.0:
                 rep.add(j, f"weight {i}: {w!r} outside (0, 1)")
-        if abs(sum(sys_.weights) - 1.0) > WEIGHT_TOL:
+        if not abs(sum(sys_.weights) - 1.0) <= WEIGHT_TOL:
             rep.add(j, f"weights sum to {sum(sys_.weights)!r}, not 1")
         if any(not 0.0 < m.ratio < 1.0 for m in sys_.maps):
             continue  # ordering checks are meaningless with bad ratios
-        if abs(sys_.maps[0](a) - a) > tol:
+        if not abs(sys_.maps[0](a) - a) <= tol:
             rep.add(j, f"leftmost image starts at {sys_.maps[0](a)!r}, not at {a!r}")
-        if abs(sys_.maps[-1](b) - b) > tol:
+        if not abs(sys_.maps[-1](b) - b) <= tol:
             rep.add(j, f"rightmost image ends at {sys_.maps[-1](b)!r}, not at {b!r}")
         for i in range(sys_.size - 1):
             right_i = sys_.maps[i](b)
             left_next = sys_.maps[i + 1](a)
-            if right_i > left_next:
+            if not right_i <= left_next:
                 rep.add(j, f"cells overlap: map {i} ends at {right_i!r} past map {i + 1} start {left_next!r}")
     return rep
 
@@ -191,6 +192,24 @@ def json_object(value, name: str) -> dict:
     return value
 
 
+def json_number(value, name: str) -> float:
+    """``value`` as a float if it is a finite JSON number; a boolean, string,
+    null, NaN, infinity or int past the float range is a config error."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_int(value, name: str, lo: int, hi: int) -> int:
+    """``value`` if it is a JSON integer in ``[lo, hi]``; a float, string
+    or boolean is a config error, never rounded or parsed."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}]")
+    return value
+
+
 def catalog_from_dict(doc: dict) -> Catalog:
     """Build a catalog from a parsed config document (strict keys)."""
     allowed = {"interval", "systems", "index_distribution"}
@@ -200,6 +219,7 @@ def catalog_from_dict(doc: dict) -> Catalog:
     interval = doc.get("interval", [0.0, 1.0])
     if len(interval) != 2:
         raise ValueError("interval must be [lower, upper]")
+    lower, upper = (json_number(x, f"interval {k}") for k, x in enumerate(interval))
     systems = []
     for j, sd in enumerate(doc.get("systems", [])):
         unknown = set(json_object(sd, f"system {j}")) - {"maps", "weights"}
@@ -210,13 +230,16 @@ def catalog_from_dict(doc: dict) -> Catalog:
             unknown = set(json_object(md, f"system {j} map {i}")) - {"r", "c"}
             if unknown:
                 raise ValueError(f"system {j}: unknown map fields {sorted(unknown)}")
-            maps.append(ContractionMap(float(md["r"]), float(md["c"])))
-        systems.append(WeightedIFS(tuple(maps), tuple(float(w) for w in sd.get("weights", []))))
+            maps.append(ContractionMap(*(json_number(md.get(key), f"system {j} map {i} {key}")
+                                         for key in ("r", "c"))))
+        weights = (json_number(w, f"system {j} weight {i}")
+                   for i, w in enumerate(sd.get("weights", [])))
+        systems.append(WeightedIFS(tuple(maps), tuple(weights)))
     probs = doc.get("index_distribution")
     if probs is None:
-        n = len(systems)
-        probs = [1.0 / n] * n if n else []
-    return Catalog(float(interval[0]), float(interval[1]), tuple(systems), tuple(probs))
+        probs = [1.0 / len(systems)] * len(systems) if systems else []
+    probs = (json_number(p, f"index_distribution {j}") for j, p in enumerate(probs))
+    return Catalog(lower, upper, tuple(systems), tuple(probs))
 
 
 def catalog_to_dict(catalog: Catalog) -> dict:

@@ -1,10 +1,12 @@
 """Command line interface: validate, tree, measure, count, exponent,
 bracket, cutsets.
 
-Configs are strict JSON (unknown fields are rejected so typos in experiment
-sweeps fail loudly). Scientific outputs are deterministic functions of
-(config, seed), byte for byte, and wall-clock metadata lives in a separate
-``*_meta.json`` sidecar so the main outputs are hash-comparable across runs:
+Configs are strict JSON: unknown fields, duplicate keys, ``NaN`` or
+``Infinity`` literals, numbers written as strings and numbers outside a
+field's range are rejected, so typos in experiment sweeps fail loudly.
+Scientific outputs are deterministic functions of (config, seed), byte for
+byte, and wall-clock metadata lives in a separate ``*_meta.json`` sidecar so
+the main outputs are hash-comparable across runs:
 
 - ``tree.jsonl``: one JSON object per node, generation by generation and
   left to right within one, keys sorted, floats as ``repr``, LF line ends.
@@ -36,8 +38,8 @@ import numpy as np
 
 from . import __version__
 from .assembly import DIRICHLET, assemble, pencil_to_csv, refine_uniform
-from .catalog import (Catalog, catalog_from_dict, json_object, scale_extrema,
-                      validate_catalog)
+from .catalog import (Catalog, catalog_from_dict, json_int, json_number, json_object,
+                      scale_extrema, validate_catalog)
 from .condense import condensed_counts
 from .errors import VVCantorError
 from .eigensolve import counting_to_csv
@@ -54,26 +56,14 @@ from .vtree import DEFAULT_NODE_CAP, build_tree, environments_to_obj, tree_to_js
 
 _TOP_KEYS = {"schema", "catalog", "v", "seed", "depth", "level", "splits",
              "k_range", "x_grid", "mc_blocks", "root_type", "node_cap"}
-_INT_KEYS = {"v", "seed", "depth", "level", "splits", "mc_blocks", "root_type",
-             "node_cap"}
-_NULLABLE_KEYS = {"root_type"}
 
 
-def _check_int(value, name: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or boolean is a
-    config error, never rounded or parsed."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _check_finite(value, name: str) -> float:
-    """``value`` as a float if it is a finite JSON number; a boolean, a
-    string, NaN, an infinity or an integer past the float range is a config
-    error."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a repeated key is a config error, not an overwrite."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate keys: {sorted({k for k in keys if keys.count(k) > 1})}")
+    return dict(pairs)
 
 
 @dataclass
@@ -101,47 +91,34 @@ class RunConfig:
         if "catalog" not in doc or "seed" not in doc:
             raise ValueError("config requires 'catalog' and 'seed'")
         catalog = catalog_from_dict(doc["catalog"])
-        for key in _INT_KEYS & doc.keys():
-            if doc[key] is not None or key not in _NULLABLE_KEYS:
-                _check_int(doc[key], key)
-        v = doc.get("v", 1)
-        if v < 1:
-            raise ValueError("v must be >= 1")
-        seed = doc["seed"]
-        if not 0 <= seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        depth = doc.get("depth", doc.get("level", 8))
-        level = doc.get("level", depth)
-        if depth < 0 or level < 0:
-            raise ValueError("depth and level must be >= 0")
-        if max(depth, level) > DEFAULT_ENV_CAP:
-            raise ValueError(f"depth and level must be <= {DEFAULT_ENV_CAP}")
-        splits = doc.get("splits", 1)
-        if splits < 1:
-            raise ValueError("splits must be >= 1")
-        k_range = tuple(_check_int(k, "k_range") for k in doc.get("k_range", [0, 3]))
-        if len(k_range) != 2 or k_range[0] > k_range[1] or k_range[0] < 0:
+        v = json_int(doc.get("v", 1), "v", 1, 256)  # types stay uint8 in the table
+        seed = json_int(doc["seed"], "seed", 0, 2 ** 64 - 1)
+        sizes = {key: json_int(doc[key], key, 0, DEFAULT_ENV_CAP)
+                 for key in ("depth", "level") if key in doc}
+        depth = sizes.get("depth", sizes.get("level", 8))
+        level = sizes.get("level", depth)
+        splits = json_int(doc.get("splits", 1), "splits", 1, 2 ** 53)  # exact as a float
+        k_range = tuple(json_int(k, "k_range", 0, DEFAULT_ENV_CAP)  # each neck is a table level
+                        for k in doc.get("k_range", [0, 3]))
+        if len(k_range) != 2 or k_range[0] > k_range[1]:
             raise ValueError("k_range must be [lo, hi] with 0 <= lo <= hi")
         grid = doc.get("x_grid", {"lo": 1.0, "hi": 1e4, "count": 16})
         unknown = set(json_object(grid, "x_grid")) - {"lo", "hi", "count"}
         if unknown:
             raise ValueError(f"unknown x_grid fields: {sorted(unknown)}")
-        if not 2 <= _check_int(grid["count"], "x_grid count") <= DEFAULT_NODE_CAP:
-            raise ValueError(f"x_grid count must be in [2, {DEFAULT_NODE_CAP}]")
-        lo, hi = (_check_finite(grid[key], f"x_grid {key}") for key in ("lo", "hi"))
+        count = json_int(grid.get("count"), "x_grid count", 2, DEFAULT_NODE_CAP)
+        lo, hi = (json_number(grid.get(key), f"x_grid {key}") for key in ("lo", "hi"))
         if not 0 < lo < hi:
             raise ValueError("x_grid needs 0 < lo < hi")
-        mc_blocks = doc.get("mc_blocks", 1000)
-        max_blocks = DEFAULT_NODE_CAP // MAX_BLOCK_GROWTH  # solve_gamma grows them within the cap
-        if not 2 <= mc_blocks <= max_blocks:
-            raise ValueError(f"mc_blocks must be in [2, {max_blocks}]")
+        mc_blocks = json_int(doc.get("mc_blocks", 1000), "mc_blocks", 2,
+                             DEFAULT_NODE_CAP // MAX_BLOCK_GROWTH)  # solve_gamma may grow them
         root_type = doc.get("root_type")
-        if root_type is not None and not 0 <= root_type < v:
-            raise ValueError("root_type outside {0..v-1}")
-        node_cap = doc.get("node_cap", DEFAULT_NODE_CAP)
+        if root_type is not None:
+            root_type = json_int(root_type, "root_type", 0, v - 1)
+        node_cap = json_int(doc.get("node_cap", DEFAULT_NODE_CAP), "node_cap", 1,
+                            DEFAULT_NODE_CAP)
         return cls(catalog=catalog, v=v, seed=seed, depth=depth, level=level,
-                   splits=splits, k_range=k_range,
-                   x_grid=(lo, hi, grid["count"]),
+                   splits=splits, k_range=k_range, x_grid=(lo, hi, count),
                    mc_blocks=mc_blocks, root_type=root_type, node_cap=node_cap,
                    raw=doc)
 
@@ -321,7 +298,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(Path(args.config).read_text(), object_pairs_hook=_unique_keys)
         if args.seed is not None:
             doc = dict(doc, seed=args.seed)
         cfg = RunConfig.from_dict(doc)

@@ -2,10 +2,13 @@
 tracer wraps, and the tree stream its workload plans read ahead of the CLI.
 The benchmark only changes on its own, so these must keep working."""
 
+import json
+
 import pytest
 
 from vvcantor import Xoshiro256StarStar, build_tree, stream_seed
-from vvcantor.catalog import catalog_from_dict
+from vvcantor.catalog import catalog_from_dict, catalog_to_dict
+from vvcantor.cli import RunConfig
 from vvcantor.spectral import TREE_STREAM
 
 
@@ -43,3 +46,27 @@ def test_plan_sizes_match_the_cli_tree(perfbench, tree_seed):
                       rng=Xoshiro256StarStar(stream_seed(tree_seed, TREE_STREAM)))
     assert sizes == [g.size for g in tree.generations]
     assert necks == list(tree.neck_levels)
+
+
+def test_benchmark_configs_parse_unchanged(perfbench, request):
+    """The shipped configs and every config the benchmark's full-size plans
+    write pass the config rules, each field read as the document gives it."""
+    _, workloads = perfbench
+    configs = request.config.rootpath / "configs"
+    docs = [json.loads(p.read_text()) for p in sorted(configs.glob("*.json"))]
+    assert len(docs) == 3
+    for workload in ("spectral", "montecarlo", "export"):
+        cases = workloads.PLANS[workload](1, workloads.FULL).cases
+        assert cases
+        docs += [case.doc for case in cases]
+    for doc in docs:
+        cfg = RunConfig.from_dict(doc)
+        for key, value in doc.items():
+            if key == "catalog":
+                assert catalog_to_dict(cfg.catalog) == value
+            elif key == "x_grid":
+                assert cfg.x_grid == (value["lo"], value["hi"], value["count"])
+            elif key == "k_range":
+                assert cfg.k_range == tuple(value)
+            elif key != "schema":
+                assert getattr(cfg, key) == value, key

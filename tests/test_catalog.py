@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -28,6 +29,15 @@ def test_overlapping_cells_flagged():
     assert not rep.ok
     assert any("overlap" in v.message for v in rep.violations)
     assert any(v.system == 0 for v in rep.violations)
+    # A NaN offset fails every comparison, so each check flags unless it holds.
+    nan_offset = Catalog(0.0, 1.0, (
+        WeightedIFS((ContractionMap(1 / 3, 0.0), ContractionMap(1 / 3, math.nan)),
+                    (0.5, 0.5)),
+    ), (1.0,))
+    messages = [v.message for v in validate_catalog(nan_offset).violations]
+    assert any("leaves the base interval" in m for m in messages)
+    assert any("rightmost image ends at nan" in m for m in messages)
+    assert any("overlap" in m for m in messages)
 
 
 def test_single_map_system_flagged():
@@ -46,6 +56,10 @@ def test_weight_sum_and_probability_vector_flagged():
     rep = validate_catalog(bad)
     assert any("weights sum" in v.message for v in rep.violations)
     assert any("index distribution sums" in v.message for v in rep.violations)
+    nan_prob = Catalog(0.0, 1.0, make_cantor().systems, (math.nan,))
+    messages = [v.message for v in validate_catalog(nan_prob).violations]
+    assert messages == ["index distribution has negative or NaN entries",
+                        "index distribution sums to nan, not 1"]
 
 
 def test_touching_cells_are_allowed(lebesgue):

@@ -93,37 +93,47 @@ def test_depth_or_level_past_the_cap_is_a_config_error(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(LevelDraws, "__call__", no_draw)
     doc = small_cantor_doc(**{field: DEFAULT_ENV_CAP + 1})
-    with pytest.raises(ValueError, match=f"depth and level must be <= {DEFAULT_ENV_CAP}"):
+    with pytest.raises(ValueError, match=f"^{field} must be in \\[0, {DEFAULT_ENV_CAP}\\]$"):
         RunConfig.from_dict(doc)
     cfg = write_cfg(tmp_path, doc)
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "config error: depth and level must be <=" in capsys.readouterr().err
+    assert f"config error: {field} must be in [0, 100000]" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("subcommand, field, largest", [
-    ("exponent", "mc_blocks", 625_000), ("count", "x_grid count", 10_000_000)])
+    ("exponent", "mc_blocks", 625_000), ("count", "x_grid count", 10_000_000),
+    ("tree", "v", 256), ("count", "splits", 2 ** 53), ("measure", "node_cap", 10_000_000)])
 def test_oversized_sizes_are_config_errors(tmp_path, capsys, monkeypatch, subcommand, field,
                                            largest):
     """Monte Carlo blocks that ``solve_gamma`` may grow 16-fold past the node
-    cap, or a shift grid past it, are a config error before anything is
-    allocated; 10^15 of either crashed with an untyped allocation error."""
+    cap, a shift grid, a node cap or a type count past what the program
+    holds, or more leaves per cell than a float counts exactly, are a config
+    error before anything is allocated, and so is a size below the least
+    that runs. 10^15 blocks or shifts, or 10^9 types, crashed with an
+    untyped allocation error, and 10^400 splits with an untyped overflow."""
+    smallest = {"v": 1, "splits": 1, "node_cap": 1}.get(field, 2)
+
     def sized(n):
-        if field == "mc_blocks":
-            return small_cantor_doc(mc_blocks=n)
-        return small_cantor_doc(x_grid={"lo": 10.0, "hi": 10000.0, "count": n})
+        if field == "x_grid count":
+            return small_cantor_doc(x_grid={"lo": 10.0, "hi": 10000.0, "count": n})
+        return small_cantor_doc(**{field: n})
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("allocated")
 
     RunConfig.from_dict(sized(largest))
-    with pytest.raises(ValueError, match=f"^{field} must be in \\[2, {largest}\\]$"):
-        RunConfig.from_dict(sized(largest + 1))
+    RunConfig.from_dict(sized(smallest))
+    for n in (smallest - 1, largest + 1):
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be in \\[{smallest}, {largest}\\]$"):
+            RunConfig.from_dict(sized(n))
     monkeypatch.setattr(spectral, "_draw_blocks", no_alloc)
     monkeypatch.setattr(np, "geomspace", no_alloc)
-    cfg = write_cfg(tmp_path, sized(10 ** 15))
+    cfg = write_cfg(tmp_path, sized(10 ** 400))
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert f"config error: {field} must be in [2, {largest}]" in capsys.readouterr().err
+    assert (f"config error: {field} must be in [{smallest}, {largest}]"
+            in capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -175,21 +185,57 @@ def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, doc, part):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
-@pytest.mark.parametrize("key, value", [
-    ("hi", math.inf), ("lo", -math.inf), ("hi", math.nan), ("lo", True), ("hi", "1e4"),
-    ("hi", 10 ** 400),
-], ids=["hi-inf", "lo-minus-inf", "hi-nan", "lo-true", "hi-string", "hi-huge-int"])
-def test_non_finite_x_grid_is_a_config_error(tmp_path, capsys, key, value):
-    """Shifts are finite JSON numbers: ``Infinity`` (which ``json`` reads),
-    NaN, a boolean or a string is rejected, never counted."""
-    grid = {"lo": 1.0, "hi": 10000.0, "count": 4, key: value}
-    doc = small_cantor_doc(x_grid=grid)
-    with pytest.raises(ValueError, match=f"^x_grid {key} must be a finite number"):
+# Each number field of the config: (id, path from the document, the name
+# its error gives).
+_NUMBER_FIELDS = [
+    ("lo", ["x_grid", "lo"], "x_grid lo"),
+    ("hi", ["x_grid", "hi"], "x_grid hi"),
+    ("r", ["catalog", "systems", 0, "maps", 1, "r"], "system 0 map 1 r"),
+    ("c", ["catalog", "systems", 0, "maps", 1, "c"], "system 0 map 1 c"),
+    ("weight", ["catalog", "systems", 0, "weights", 1], "system 0 weight 1"),
+    ("interval", ["catalog", "interval", 0], "interval 0"),
+    ("index", ["catalog", "index_distribution", 0], "index_distribution 0"),
+]
+_NOT_NUMBERS = [("inf", math.inf), ("minus-inf", -math.inf), ("nan", math.nan),
+                ("true", True), ("string", "0.5"), ("huge-int", 10 ** 400),
+                ("missing", None)]
+
+
+@pytest.mark.parametrize("path, name, value", [
+    (path, name, value) for _, path, name in _NUMBER_FIELDS for _, value in _NOT_NUMBERS
+], ids=[f"{f}-{v}" for f, _, _ in _NUMBER_FIELDS for v, _ in _NOT_NUMBERS])
+def test_non_finite_x_grid_is_a_config_error(tmp_path, capsys, path, name, value):
+    """Every number of the config, shifts and catalog alike, is a finite
+    JSON number: ``NaN`` or ``Infinity`` (which ``json`` reads), a boolean,
+    a string, an int past the float range or a missing key (null in a list)
+    is rejected, never validated or counted."""
+    doc = small_cantor_doc(x_grid={"lo": 1.0, "hi": 10000.0, "count": 4})
+    part = doc
+    for key in path[:-1]:
+        part = part[key]
+    if value is None and isinstance(part, dict):
+        del part[path[-1]]
+    else:
+        part[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {value!r}$"):
         RunConfig.from_dict(doc)
     cfg = write_cfg(tmp_path, doc)
     assert main(["count", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert f"x_grid {key} must be a finite number" in capsys.readouterr().err
+    assert f"config error: {name} must be a finite number" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_duplicate_key_is_a_config_error(tmp_path, capsys):
+    """A key given twice, at the top or inside the catalog, is refused
+    rather than read as its last value."""
+    text = json.dumps(small_cantor_doc(level=12))
+    for dup in (text.replace('"level": 12', '"level": 12, "level": 3'),
+                text.replace('"c": 0.0', '"c": 0.0, "c": 0.5')):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dup)
+        assert main(["measure", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "config error: duplicate keys: [" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_null_root_type_is_allowed():
