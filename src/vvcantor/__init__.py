@@ -21,12 +21,10 @@ from .vtree import (CutSet, Environment, NeckSums, VTree, build_tree, cut_set,
                     neck_subtree, sample_environment, scale_sum_at_neck)
 from .measure import (CellDecomposition, cell_mass, cells_from_csv, cells_to_csv,
                       decompose, gaps_to_csv, measure_of_interval)
-from .assembly import (DIRICHLET, NEUMANN, Pencil, assemble, pencil_to_csv,
-                       refine_uniform)
+from .pencil import (DIRICHLET, NEUMANN, Pencil, assemble, eigenvalue,
+                     first_eigenvalue_bounds, inertia_count, inertia_counts,
+                     pencil_to_csv, refine_uniform, spectral_upper_bound)
 from .condense import condensed_counts
-from .eigensolve import (CountingSample, counting_function, eigenvalue,
-                         first_eigenvalue_bounds, inertia_count, inertia_counts,
-                         spectral_upper_bound)
 from .spectral import (BracketingResult, CutsetStatsRow, EmpiricalFit,
                        ExponentReport, FEval,
                        MonteCarloNeckEvaluator, bracketing_check, center_counts,

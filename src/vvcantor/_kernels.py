@@ -7,8 +7,11 @@ one implementation. Shifts (or blocks) are numpy lanes that never
 interact, so one batched call gives the same result as one call per shift.
 The counts the CLI writes come from ``condense``, which reads the tree
 instead of a pencil; the Sturm count serves the ``Pencil`` API
-(``eigensolve``) and is the test oracle of the condensed counts, which
-share its chunk budget ``_CHUNK`` and its tie rule.
+(``pencil``) and is the test oracle of the condensed counts. Both count
+engines share what this module fixes for them: the chunk budget
+``_CHUNK``, the tie rule below, and the shift domain of
+``checked_shifts``, finite shifts whose product with a mass scale stays
+within ``MAX_SCALED_MASS``.
 
 The inertia count is the row recurrence ``d_i = (kd_i - x md_i) -
 (ko_{i-1} - x mo_{i-1})^2 / d_{i-1}``, evaluated in row chunks of at most
@@ -46,8 +49,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 _EPS = 1.1102230246251565e-16  # 2^-53
 _CHUNK = 1 << 16  # rows x shifts per chunk buffer
+
+# Largest |x| times a pencil's mass scale that a count accepts. The counts
+# square and multiply shifted entries of about that size, which leave the
+# float range past 2**512: the counts would fall as x rises.
+MAX_SCALED_MASS = 2.0 ** 500
+
+
+def checked_shifts(xs, mass: float) -> np.ndarray:
+    """``xs`` as a 1-d float array, if every shift is finite and |x| times
+    ``mass`` stays within ``MAX_SCALED_MASS``; else ``InvalidInputError``."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if not np.isfinite(xs).all():
+        raise InvalidInputError("NaN or infinite shift passed to inertia count")
+    scaled = float(np.abs(xs).max(initial=0.0)) * mass
+    if scaled > MAX_SCALED_MASS:
+        raise InvalidInputError(
+            f"shift times mass {scaled!r} exceeds {MAX_SCALED_MASS!r}: the count would overflow")
+    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,15 @@
 """Command line interface: validate, tree, measure, count, exponent,
 bracket, cutsets.
 
+``validate`` prints its report to stdout and writes nothing; every other
+subcommand writes to ``--out`` and a meta sidecar there. Each run draws
+one environment table of ``max(depth, level)`` levels and counts at
+``level``; generations are materialized to ``depth`` for ``tree``,
+``cutsets`` and ``bracket``, to ``level`` for ``measure`` and ``count``,
+and not below the root for ``exponent``. Every N_D and N_N written comes
+from ``condense.condensed_counts`` on the table; ``pencil`` serves only
+``count``'s ``pencil_dirichlet.csv``.
+
 Configs are strict JSON: unknown fields, duplicate keys, ``NaN`` or
 ``Infinity`` literals, numbers written as strings and numbers outside a
 field's range are rejected, so typos in experiment sweeps fail loudly.
@@ -37,16 +46,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import DIRICHLET, assemble, pencil_to_csv, refine_uniform
 from .catalog import (Catalog, catalog_from_dict, json_int, json_number, json_object,
                       scale_extrema, validate_catalog)
 from .condense import condensed_counts
 from .errors import VVCantorError
-from .eigensolve import counting_to_csv
+from .measure import cells_to_csv, counting_to_csv, decompose, gaps_to_csv, write_meta
+from .pencil import DIRICHLET, assemble, pencil_to_csv, refine_uniform
 # Not called here since the condensed counts; perfbench/tracing.py still
 # wraps vvcantor.cli.inertia_counts and its self-check expects it.
-from .eigensolve import inertia_counts  # noqa: F401
-from .measure import cells_to_csv, decompose, gaps_to_csv, write_meta
+from .pencil import inertia_counts  # noqa: F401
 from .rng import Xoshiro256StarStar, stream_seed
 from .spectral import (DEFAULT_ENV_CAP, MAX_BLOCK_GROWTH, CutsetStatsRow,
                        MonteCarloNeckEvaluator, TREE_STREAM, bracketing_check,
@@ -171,7 +179,7 @@ def _build(cfg: RunConfig, depth: int):
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_validate(cfg: RunConfig, out: Path) -> int:
+def _cmd_validate(cfg: RunConfig) -> int:
     rep = validate_catalog(cfg.catalog)
     obj = {"meta": _meta(cfg, "validate"),
            "valid": rep.ok,
@@ -251,7 +259,7 @@ def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_bracket(cfg: RunConfig, out: Path) -> int:
-    tree = _build(cfg, cfg.level)
+    tree = _build(cfg, cfg.depth)
     center = center_counts(tree, cfg.grid(), cfg.level, cfg.splits)
     results = []
     for k in range(cfg.k_range[0], cfg.k_range[1] + 1):
@@ -273,8 +281,8 @@ def _cmd_cutsets(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+# Subcommands that write to --out; ``validate`` prints to stdout only.
 _COMMANDS = {
-    "validate": _cmd_validate,
     "tree": _cmd_tree,
     "measure": _cmd_measure,
     "count": _cmd_count,
@@ -288,7 +296,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vvcantor",
         description="Random tree Cantor measures and their spectral asymptotics.")
-    parser.add_argument("subcommand", choices=sorted(_COMMANDS))
+    parser.add_argument("subcommand", choices=sorted(["validate", *_COMMANDS]))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (64-bit unsigned)")
@@ -306,11 +314,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.subcommand != "validate":
-        rep = validate_catalog(cfg.catalog)
-        if not rep.ok:
-            print(f"invalid catalog:\n{rep}", file=sys.stderr)
-            return 2
+    if args.subcommand == "validate":
+        return _cmd_validate(cfg)
+    rep = validate_catalog(cfg.catalog)
+    if not rep.ok:
+        print(f"invalid catalog:\n{rep}", file=sys.stderr)
+        return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -96,7 +96,6 @@ import numpy as np
 
 from . import _kernels
 from .catalog import map_table
-from .eigensolve import checked_shifts
 from .errors import DepthExhaustedError, InvalidInputError, TreeTooLargeError
 from .measure import touching_tol
 from .vtree import DEFAULT_NODE_CAP, VTree
@@ -332,7 +331,7 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
     cells (measured in the local coordinates of their parent, so deep
     debris overlaps that ``decompose`` clamps raise here too), and
     ``InvalidInputError`` for a shift that is not finite or whose absolute
-    value passes ``eigensolve.MAX_SCALED_MASS``: the root's row sums carry
+    value passes ``_kernels.MAX_SCALED_MASS``: the root's row sums carry
     x times the measure's mass, 1. It also raises
     ``TreeTooLargeError`` for a plan of more keys than the node cap,
     ``InvalidInputError`` for a count past 2^63 - 1, which no level that
@@ -350,7 +349,7 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
             extra_depth_hint=level - tree.env_levels)
     if splits < 1:
         raise ValueError("splits must be >= 1")
-    xs = checked_shifts(xs, 1.0)
+    xs = _kernels.checked_shifts(xs, 1.0)
     plan = _plan(tree, level, float(np.abs(xs[xs != 0.0]).min(initial=np.inf)), splits)
     widest = max([plan[-1].shape[0]] + [keys.shape[0] for (keys, _), _ in plan[:-1]])
     step = max(1, _kernels._CHUNK // widest)

@@ -35,12 +35,10 @@ def touching_tol(a: float, b: float) -> float:
 class CellDecomposition:
     """Ordered cells and gaps of one tree generation (or a refinement)."""
 
-    level: int
     interval: tuple[float, float]
     lefts: np.ndarray
     rights: np.ndarray
     masses: np.ndarray
-    splits: int = 1
 
     @property
     def n_cells(self) -> int:
@@ -89,8 +87,7 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
         lefts = lefts.copy()
         lefts[1:][clamp] = rights[:-1][clamp]
 
-    return CellDecomposition(
-        level=level, interval=(a, b), lefts=lefts, rights=rights, masses=masses)
+    return CellDecomposition(interval=(a, b), lefts=lefts, rights=rights, masses=masses)
 
 
 def cell_mass(decomposition: CellDecomposition, index: int) -> float:
@@ -143,13 +140,19 @@ def gaps_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) 
     write_csv(fp, "left,right", (d.gap_lefts, d.gap_rights), meta)
 
 
-def cells_from_csv(fp, level: int, interval: tuple[float, float],
-                   splits: int = 1) -> CellDecomposition:
+def counting_to_csv(fp, xs, counts_d, counts_n, level: int, splits: int,
+                    meta: dict | None = None) -> None:
+    xs = np.asarray(xs, np.float64)
+    write_csv(fp, "x,n_dirichlet,n_neumann,level,splits",
+              (xs, np.asarray(counts_d, np.int64), np.asarray(counts_n, np.int64),
+               np.full(xs.shape, level), np.full(xs.shape, splits)), meta)
+
+
+def cells_from_csv(fp, interval: tuple[float, float]) -> CellDecomposition:
     """Rebuild a decomposition from its cells CSV; gaps follow from the cells."""
     rows = [r for r in csv.reader(line for line in fp if not line.startswith("#"))]
     body = rows[1:]
     lefts = np.array([float(r[0]) for r in body])
     rights = np.array([float(r[1]) for r in body])
     masses = np.array([float(r[2]) for r in body])
-    return CellDecomposition(level=level, interval=interval, lefts=lefts,
-                             rights=rights, masses=masses, splits=splits)
+    return CellDecomposition(interval=interval, lefts=lefts, rights=rights, masses=masses)

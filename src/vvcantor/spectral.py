@@ -21,15 +21,15 @@ import numpy as np
 from . import _kernels
 from .catalog import Catalog, map_table, scale_extrema
 from .condense import condensed_counts
-from .errors import InsufficientDataError, NeckTimeoutError, NoisyRootError
+from .errors import (DepthExhaustedError, InsufficientDataError, NeckTimeoutError,
+                     NoisyRootError)
 from .rng import Xoshiro256StarStarLanes, stream_seeds
 from .vtree import LevelDraws, VTree, cut_set, neck_mask, neck_subtree
 # Not called here since the Monte Carlo lanes and the condensed counts;
 # perfbench/tracing.py still wraps these names in vvcantor.spectral and its
 # self-check expects them.
-from .assembly import assemble, refine_uniform  # noqa: F401
-from .eigensolve import inertia_counts  # noqa: F401
 from .measure import decompose  # noqa: F401
+from .pencil import assemble, inertia_counts, refine_uniform  # noqa: F401
 from .vtree import sample_environment  # noqa: F401
 
 # Stream ids (reproducibility contract): the main tree uses stream 0, Monte
@@ -427,8 +427,9 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
     cs = cut_set(tree, k)
     max_level = int(cs.levels.max())
     if level < max_level:
-        raise ValueError(
-            f"level {level} is shallower than the deepest cut-set member ({max_level})")
+        raise DepthExhaustedError(
+            f"level {level} is shallower than the deepest cut-set member ({max_level})",
+            extra_depth_hint=max_level - level)
 
     lower, upper = np.zeros((2, xs.shape[0]), np.int64)
     for l in np.unique(cs.levels).tolist():

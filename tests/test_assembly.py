@@ -8,7 +8,7 @@ from vvcantor import (DIRICHLET, NEUMANN, Pencil, SingularMassError,
                       Xoshiro256StarStar, assemble, build_tree, decompose,
                       eigenvalue, inertia_counts, pencil_to_csv,
                       refine_uniform, stream_seed)
-from vvcantor.assembly import _check_mass_definite
+from vvcantor.pencil import _check_mass_definite
 
 
 def rng_for(seed):
@@ -93,10 +93,9 @@ def test_dirichlet_empty_for_single_unrefined_cell(lebesgue):
 
 def test_singular_mass_detected():
     # crafted pencil with an isolated massless node
-    pen = Pencil(bc=NEUMANN, mesh=np.arange(4.0),
+    pen = Pencil(mesh=np.arange(4.0),
                  kd=np.array([1.0, 2.0, 2.0, 1.0]), ko=np.array([-1.0, -1.0, -1.0]),
-                 md=np.array([1.0, 0.0, 1.0, 1.0]), mo=np.zeros(3),
-                 provenance={})
+                 md=np.array([1.0, 0.0, 1.0, 1.0]), mo=np.zeros(3))
     with pytest.raises(SingularMassError) as err:
         _check_mass_definite(pen)
     assert err.value.node == 1

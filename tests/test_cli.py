@@ -49,10 +49,13 @@ def small_cantor_doc(**overrides):
 
 
 def test_validate_valid_config(tmp_path, capsys):
-    assert main(["validate", "--config", str(CANTOR_CFG), "--out", str(tmp_path)]) == 0
+    """``validate`` prints its report and creates no output directory."""
+    out_dir = tmp_path / "out"
+    assert main(["validate", "--config", str(CANTOR_CFG), "--out", str(out_dir)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] is True and out["violations"] == []
     assert out["extrema"]["eta"] == (1 / 3) * 0.5
+    assert not out_dir.exists()
 
 
 def test_validate_invalid_config(tmp_path, capsys):
@@ -353,6 +356,28 @@ def test_cutsets_count_at_level(tmp_path, monkeypatch):
     assert levels == [(8, 11)]
 
 
+def test_bracket_finds_cut_sets_at_depth_and_counts_at_level(tmp_path):
+    """``bracket`` materializes generations to ``depth``, as ``cutsets``
+    does: at depth 12 and level 60 it needs no generation past 12."""
+    doc = dict(json.loads(TWOSYS_CFG.read_text()), depth=12, level=60,
+               x_grid={"lo": 1e6, "hi": 1e30, "count": 57})
+    cfg = write_cfg(tmp_path, doc)
+    assert main(["bracket", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    results = json.loads((tmp_path / "bracketing.json").read_text())["results"]
+    assert [r["k"] for r in results] == [1, 2, 3]
+    assert all(r["n_fail"] == 0 for r in results)
+
+
+def test_bracket_level_above_a_cut_set_member_is_a_typed_error(tmp_path, capsys):
+    """A cut-set member deeper than ``level`` is a ``DepthExhaustedError``
+    with exit code 2, and ``bracketing.json`` is not written."""
+    cfg = write_cfg(tmp_path, dict(json.loads(TWOSYS_CFG.read_text()), depth=12, level=2))
+    out_dir = tmp_path / "out"
+    assert main(["bracket", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    assert "DepthExhaustedError" in capsys.readouterr().err
+    assert not (out_dir / "bracketing.json").exists()
+
+
 LF_OUTPUTS = ("tree.jsonl", "environments.json", "necks.json", "exponent.json",
               "bracketing.json", "tree_meta.json", "exponent_meta.json",
               "bracket_meta.json")
@@ -387,7 +412,7 @@ def test_decomposition_round_trips_to_identical_pencil(tmp_path):
     cfg = write_cfg(tmp_path, small_cantor_doc())
     assert main(["measure", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     with open(tmp_path / "cells.csv") as fp:
-        dec = cells_from_csv(fp, level=6, interval=(0.0, 1.0))
+        dec = cells_from_csv(fp, interval=(0.0, 1.0))
     from vvcantor import Xoshiro256StarStar, build_tree, decompose, stream_seed
     from conftest import make_cantor
 

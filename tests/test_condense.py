@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap, DepthExhaustedError,
                       InvalidInputError, TreeTooLargeError, WeightedIFS, Xoshiro256StarStar,
-                      _kernels, assemble, assembly, build_tree, cli, condense,
-                      condensed_counts, decompose, inertia_counts, refine_uniform,
+                      _kernels, assemble, build_tree, cli, condense,
+                      condensed_counts, decompose, inertia_counts, pencil, refine_uniform,
                       stream_seed, vtree)
 from vvcantor.cli import RunConfig, _build, _tree_rng, main
 from conftest import dense_counts, dense_eigenvalues, make_lebesgue, make_two_system
@@ -64,10 +64,10 @@ def test_condensed_counts_match_dense_oracle(monkeypatch, path):
         lam = np.concatenate([dense_eigenvalues(p) for p in pencils])
         lam = lam[lam > 1e-6]
         xs = np.concatenate((np.geomspace(1.0, 1e6, 25), lam * (1 - 1e-7), lam * (1 + 1e-7)))
-        for pencil, counts in zip(pencils, condensed_counts(tree, level, splits, xs)):
+        for pen, counts in zip(pencils, condensed_counts(tree, level, splits, xs)):
             near = (np.zeros(xs.shape, bool) if decimal else
-                    inertia_counts(pencil, xs * (1 - 1e-9)) != inertia_counts(pencil, xs * (1 + 1e-9)))
-            assert np.array_equal(counts[~near], dense_counts(pencil, xs)[~near])
+                    inertia_counts(pen, xs * (1 - 1e-9)) != inertia_counts(pen, xs * (1 + 1e-9)))
+            assert np.array_equal(counts[~near], dense_counts(pen, xs)[~near])
 
     check()
 
@@ -328,7 +328,7 @@ def test_near_pole_shifts_count_at_level_60(monkeypatch, seed, poles, want):
     by generation 17). The decimal recount counts them, with no build,
     assembly or Sturm scan, and each count equals its neighbours'."""
     tree = _table(dict(TWO_SYSTEM_V2, seed=seed), 60)
-    for module, name in ((vtree, "build_tree"), (assembly, "assemble"),
+    for module, name in ((vtree, "build_tree"), (pencil, "assemble"),
                          (_kernels, "sturm_counts")):
         monkeypatch.setattr(module, name, _fail)
     recounted, chunk_counts = [], condense._chunk_counts

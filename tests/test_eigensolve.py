@@ -5,7 +5,7 @@ import pytest
 
 from vvcantor import (DIRICHLET, NEUMANN, InvalidInputError, Pencil,
                       Xoshiro256StarStar, assemble, build_tree,
-                      counting_function, decompose, eigenvalue,
+                      decompose, eigenvalue,
                       first_eigenvalue_bounds, inertia_count, inertia_counts,
                       refine_uniform, spectral_upper_bound, stream_seed)
 from conftest import dense_counts, dense_eigenvalues, make_two_system
@@ -17,9 +17,9 @@ def rng_for(seed):
 
 def diag_pencil(kd, md):
     n = len(kd)
-    return Pencil(bc=DIRICHLET, mesh=np.arange(float(n + 1)),
+    return Pencil(mesh=np.arange(float(n + 1)),
                   kd=np.asarray(kd, float), ko=np.zeros(n - 1),
-                  md=np.asarray(md, float), mo=np.zeros(n - 1), provenance={})
+                  md=np.asarray(md, float), mo=np.zeros(n - 1))
 
 
 def random_pencil(rng, n):
@@ -27,8 +27,7 @@ def random_pencil(rng, n):
     ko = rng.uniform(-1.0, 1.0, n - 1)
     md = rng.uniform(1.0, 2.0, n)
     mo = rng.uniform(-0.25, 0.25, n - 1)
-    return Pencil(bc=DIRICHLET, mesh=np.arange(float(n + 1)), kd=kd, ko=ko,
-                  md=md, mo=mo, provenance={})
+    return Pencil(mesh=np.arange(float(n + 1)), kd=kd, ko=ko, md=md, mo=mo)
 
 
 def test_diagonal_pencil_count():
@@ -55,16 +54,12 @@ def test_negative_shift_counts(lebesgue):
     assert inertia_count(pn, 0.0) >= 1  # constant null mode, dyadic mesh
 
 
-def test_counting_function_monotone_and_sorted_required(lebesgue):
+def test_inertia_counts_monotone(lebesgue):
     dec = refine_uniform(decompose(build_tree(lebesgue, 1, 0, rng=rng_for(1)), 0), 4096)
     pen = assemble(dec, DIRICHLET)
-    samples = counting_function(pen, np.geomspace(1.0, 1e5, 30))
-    counts = [s.count for s in samples]
+    counts = inertia_counts(pen, np.geomspace(1.0, 1e5, 30)).tolist()
     assert counts == sorted(counts)
-    with pytest.raises(ValueError):
-        counting_function(pen, [3.0, 1.0])
-    assert counting_function(pen, [0.0])[0].count == 0
-    assert [s.count for s in counting_function(pen, [50.0])] == [2]
+    assert inertia_counts(pen, [0.0, 50.0]).tolist() == [0, 2]
 
 
 def test_nan_rejected(lebesgue):

@@ -12,7 +12,7 @@ from vvcantor import (DIRICHLET, NEUMANN, Pencil, Xoshiro256StarStar, assemble,
                       pencil_to_csv, refine_uniform, stream_seed)
 from vvcantor import _format
 from vvcantor._format import format_distinct, write_rows
-from vvcantor.eigensolve import counting_to_csv
+from vvcantor.measure import counting_to_csv
 from vvcantor.vtree import tree_to_jsonl
 from conftest import (template_cells_to_csv, template_counting_to_csv,
                       template_gaps_to_csv, template_pencil_to_csv,
@@ -106,7 +106,7 @@ def test_pencil_with_signed_zeros_and_repeats_matches_oracle():
     ko = np.array([-1.0, 0.0, -0.0, -1.0, -1.0, -0.0])
     md = np.full(7, 1 / 3)
     mo = np.array([1 / 6, -0.0, 1 / 6, 0.0, 1 / 6, 1 / 6])
-    pencil = Pencil(DIRICHLET, np.linspace(0.0, 1.0, 9), kd, ko, md, mo, {})
+    pencil = Pencil(np.linspace(0.0, 1.0, 9), kd, ko, md, mo)
     _same(pencil_to_csv, template_pencil_to_csv, pencil, META)
     lines = io.StringIO()
     pencil_to_csv(pencil, lines)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vvcantor import DIRICHLET, MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
+from vvcantor import MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
 from conftest import dense_counts, make_two_system, sequential_sturm_counts
 
 
@@ -22,9 +22,8 @@ def test_sturm_zero_pivot_after_first_row():
     # 2 - 1 - 1/1 = 0; it counts as nonpositive and, in the 3-row pencil,
     # its tiny negative replacement keeps the third pivot from dividing by 0.
     for n in (2, 3):
-        pen = Pencil(bc=DIRICHLET, mesh=np.arange(n + 2.0), kd=np.full(n, 2.0),
-                     ko=np.full(n - 1, -1.0), md=np.ones(n), mo=np.zeros(n - 1),
-                     provenance={})
+        pen = Pencil(mesh=np.arange(n + 2.0), kd=np.full(n, 2.0),
+                     ko=np.full(n - 1, -1.0), md=np.ones(n), mo=np.zeros(n - 1))
         assert inertia_counts(pen, [1.0]).tolist() == [1]
         xs = np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.5, 3.0 - 1e-9, 3.0 + 1e-9, 4.0])
         assert np.array_equal(inertia_counts(pen, xs), dense_counts(pen, xs))

@@ -146,7 +146,7 @@ def test_cells_csv_round_trip(cantor):
     buf = io.StringIO()
     cells_to_csv(dec, buf, meta={"seed": 1})
     buf.seek(0)
-    back = cells_from_csv(buf, level=5, interval=(0.0, 1.0))
+    back = cells_from_csv(buf, interval=(0.0, 1.0))
     assert np.array_equal(back.lefts, dec.lefts)
     assert np.array_equal(back.rights, dec.rights)
     assert np.array_equal(back.masses, dec.masses)

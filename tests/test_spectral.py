@@ -424,6 +424,19 @@ def test_bracketing_small_shift_zeroes_dirichlet_side(two_system):
     assert (res.center_dirichlet == 0).all()
 
 
+def test_bracketing_below_a_cut_set_member_raises_depth_exhausted(two_system):
+    """A center level above the deepest cut-set member is a typed error whose
+    hint is the levels missing, not an untyped ``ValueError``."""
+    from vvcantor import DepthExhaustedError
+
+    tree, _ = _feasible_tree(two_system, 2, 3, 12, range(40))
+    deepest = int(cut_set(tree, 3).levels.max())
+    center = center_counts(tree, np.geomspace(2.0, 5e4, 4), deepest - 1)
+    with pytest.raises(DepthExhaustedError) as err:
+        bracketing_check(tree, 3, center)
+    assert err.value.extra_depth_hint == 1
+
+
 def test_cutset_stats_cantor(cantor):
     tree = build_tree(cantor, 1, 10, rng=rng_for(1))
     rows = cutset_stats_check(tree, range(0, 6), level=8)
