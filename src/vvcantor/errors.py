@@ -47,10 +47,6 @@ class InsufficientDataError(VVCantorError):
 class NoisyRootError(VVCantorError):
     """Monte Carlo noise left a sign decision ambiguous after widening."""
 
-    def __init__(self, message: str, ci: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.ci = ci
-
 
 class InvalidInputError(VVCantorError):
     """Numeric input outside the documented domain (NaN, overlap, ...)."""

@@ -41,7 +41,6 @@ _LADDER = 15
 class Pencil:
     """Symmetric tridiagonal stiffness/mass pair on a fixed mesh."""
 
-    mesh: np.ndarray
     kd: np.ndarray
     ko: np.ndarray
     md: np.ndarray
@@ -106,10 +105,9 @@ def assemble(decomposition: CellDecomposition, bc: str) -> Pencil:
     keep[0::2] = True  # cells always kept; only zero-length gaps drop out
     starts, ends, dens = starts[keep], ends[keep], dens[keep]
 
-    mesh = np.concatenate((starts[:1], ends))
     h = ends - starts
     inv_h = 1.0 / h
-    nn = mesh.shape[0]
+    nn = h.shape[0] + 1
 
     kd = np.zeros(nn)
     kd[:-1] += inv_h
@@ -123,7 +121,7 @@ def assemble(decomposition: CellDecomposition, bc: str) -> Pencil:
     if bc == DIRICHLET:
         kd, ko, md, mo = kd[1:-1], ko[1:-1], md[1:-1], mo[1:-1]
 
-    pencil = Pencil(mesh=mesh, kd=kd, ko=ko, md=md, mo=mo)
+    pencil = Pencil(kd=kd, ko=ko, md=md, mo=mo)
     _check_mass_definite(pencil)
     return pencil
 

@@ -39,7 +39,7 @@ MC_BLOCK_STREAM_BASE = 1
 
 DEFAULT_ENV_CAP = 100_000
 SIGN_Z = 3.0  # standard errors: a Monte Carlo f's sure sign and its CI half-width
-MAX_BLOCK_GROWTH = 16  # solve_gamma's default cap on the growth of its block count
+MAX_BLOCK_GROWTH = 16  # solve_gamma's cap on the growth of its block count
 _ROW_BUDGET = 1 << 20  # rows held for Monte Carlo lanes still running
 
 
@@ -217,7 +217,7 @@ class ExponentReport:
 
 
 def solve_gamma(evaluator, tolerance: float | None = None, *,
-                method: str | None = None, max_growth: int = MAX_BLOCK_GROWTH) -> ExponentReport:
+                method: str | None = None) -> ExponentReport:
     """Root of a strictly decreasing f by doubling bracket search from x = 1
     and bisection.
 
@@ -226,7 +226,7 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
     For Monte Carlo, common random numbers make the estimate deterministic,
     so only the bracket endpoints are checked for sign ambiguity: if
     |f| <= ``SIGN_Z`` * SE there, the block count is grown up to
-    ``max_growth`` times the initial count before giving up with
+    ``MAX_BLOCK_GROWTH`` times the initial count before giving up with
     ``NoisyRootError``. The reported confidence interval, ``SIGN_Z`` standard
     errors at the root through a secant slope, usually dominates the
     bisection tolerance.
@@ -246,11 +246,8 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
         """Value at x, growing the block count while the sign is ambiguous."""
         v, se = feval(x)
         while is_mc and se > 0.0 and abs(v) <= SIGN_Z * se:
-            if evaluator.blocks >= initial_blocks * max_growth:
-                half = SIGN_Z * se
-                raise NoisyRootError(
-                    f"sign of f({x}) ambiguous at {evaluator.blocks} blocks",
-                    ci=(x - half, x + half))
+            if evaluator.blocks >= initial_blocks * MAX_BLOCK_GROWTH:
+                raise NoisyRootError(f"sign of f({x}) ambiguous at {evaluator.blocks} blocks")
             evaluator.extend(evaluator.blocks)
             v, se = feval(x)
         return v

@@ -117,12 +117,12 @@ def sample_environment(catalog: Catalog, v_types: int, rng: Xoshiro256StarStar) 
 
 @dataclass
 class Generation:
-    """Node arrays for one generation (parent-major, left to right)."""
+    """Node arrays for one generation (parent-major, left to right). The
+    systems that split generation g are ``tree.level_sys[g][types]``."""
 
     parent: np.ndarray  # index into previous generation, -1 for the root
     pos: np.ndarray     # map position within the parent's system
     types: np.ndarray   # in the table's dtype
-    system: np.ndarray  # system splitting this node (table dtype), int64 -1 when unknown
     rprod: np.ndarray   # cumulative ratio product
     mprod: np.ndarray   # cumulative weight product
     shift: np.ndarray   # cumulative affine offset
@@ -207,7 +207,9 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     look past the materialized part; a given table has its own length, so
     passing both is an error. Raises ``TreeTooLargeError`` before
     allocating anything past ``node_cap``, checking drawn levels as they
-    are drawn.
+    are drawn. Each generation is split as ``condense`` splits keys: one
+    ``np.nonzero`` over the real map slots of every node's system gives
+    the children's parents and slots, parent-major and slot-ascending.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -258,12 +260,12 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
             grow(g, level_sys[g], child[g])
 
     table = map_table(catalog)
+    real = table[..., 0] > 0.0
 
     root = Generation(
         parent=np.array([-1], np.int64),
         pos=np.array([-1], np.int64),
         types=np.array([root_type], draw.dtype),
-        system=np.array([-1], np.int64),
         rprod=np.array([1.0]),
         mprod=np.array([1.0]),
         shift=np.array([0.0]),
@@ -271,18 +273,13 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     generations = [root]
     for g in range(depth):
         gen = generations[-1]
-        gen.system = level_sys[g][gen.types]  # the system that splits this generation
-        n_children = n_maps[gen.system]
-        total = int(n_children.sum())
-        parent = np.repeat(np.arange(gen.size, dtype=np.int64), n_children)
-        starts = np.cumsum(n_children) - n_children
-        pos = np.arange(total, dtype=np.int64) - np.repeat(starts, n_children)
-        system = gen.system[parent]
+        parent_sys = level_sys[g][gen.types]
+        parent, pos = np.nonzero(real[parent_sys])  # parent-major, slots in order
+        system = parent_sys[parent]
         generations.append(Generation(
             parent=parent,
             pos=pos,
             types=child[g][gen.types[parent], pos],
-            system=np.full(total, -1, np.int64),
             rprod=gen.rprod[parent] * table[system, pos, 0],
             mprod=gen.mprod[parent] * table[system, pos, 1],
             shift=gen.rprod[parent] * table[system, pos, 2] + gen.shift[parent],
@@ -449,15 +446,11 @@ def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:
 # ---------------------------------------------------------------------------
 # Exports
 
-def _json_int(value: int) -> str:
-    """A system index as JSON: negative (unknown) is null."""
-    return "null" if value < 0 else str(value)
-
-
 def tree_to_jsonl(tree: VTree, fp) -> None:
     """One node per line, generation by generation, left to right: path
-    (child positions from the root), type, system index (null in the last
-    generation, which no system splits), ratio and weight products.
+    (child positions from the root), type, system index (``level_sys`` of
+    the node's generation and type; null in the last generation, which no
+    system splits), ratio and weight products.
 
     Lines are JSON objects with sorted keys, ``", "``/``": "`` separators
     and ``repr`` floats, as ``json.dumps(..., sort_keys=True)`` writes them.
@@ -471,10 +464,12 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
             paths = [f"{paths[p]}{sep}{q}"
                      for p, q in zip(gen.parent.tolist(), gen.pos.tolist())]
             sep = ", "
+        systems = (format_distinct(tree.level_sys[level][gen.types], str)
+                   if level < tree.depth else ["null"] * gen.size)
         write_rows(fp, ('{"m_product": ', ', "path": [', '], "r_product": ',
                         ', "system": ', ', "type": ', '}\n'),
                    (format_distinct(gen.mprod, repr), paths, format_distinct(gen.rprod, repr),
-                    format_distinct(gen.system, _json_int), format_distinct(gen.types, str)))
+                    systems, format_distinct(gen.types, str)))
 
 
 def environments_to_obj(tree: VTree) -> list:

@@ -245,12 +245,13 @@ def template_tree_to_jsonl(tree, fp) -> None:
             paths = [f"{paths[p]}{sep}{q}"
                      for p, q in zip(gen.parent.tolist(), gen.pos.tolist())]
             sep = ", "
+        systems = (tree.level_sys[level][gen.types].tolist() if level < tree.depth
+                   else ["null"] * gen.size)
         fp.writelines(
             f'{{"m_product": {m!r}, "path": [{path}], "r_product": {r!r}, '
-            f'"system": {"null" if s < 0 else s}, "type": {t}}}\n'
-            for path, t, s, r, m in zip(paths, gen.types.tolist(),
-                                        gen.system.tolist(), gen.rprod.tolist(),
-                                        gen.mprod.tolist()))
+            f'"system": {s}, "type": {t}}}\n'
+            for path, t, s, r, m in zip(paths, gen.types.tolist(), systems,
+                                        gen.rprod.tolist(), gen.mprod.tolist()))
 
 
 # The bracketing sums as ``spectral.bracketing_check`` made them before it

@@ -8,7 +8,6 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from vvcantor import (DIRICHLET, NEUMANN, DepthExhaustedError,
                       MonteCarloNeckEvaluator, TreeTooLargeError,
@@ -175,8 +174,7 @@ def test_criterion_8_oracle_equivalence():
 
         for _ in range(100):
             n = int(rng.integers(1, 9))
-            pen = Pencil(mesh=np.arange(float(n + 1)),
-                         kd=rng.uniform(-2, 2, n), ko=rng.uniform(-1, 1, max(n - 1, 0)),
+            pen = Pencil(kd=rng.uniform(-2, 2, n), ko=rng.uniform(-1, 1, max(n - 1, 0)),
                          md=rng.uniform(1, 2, n), mo=rng.uniform(-0.25, 0.25, max(n - 1, 0)))
             eigs = dense_eigenvalues(pen)
             shifts = np.sort(rng.uniform(eigs.min() - 1, eigs.max() + 1, 20))

@@ -37,7 +37,7 @@ def test_two_element_uniform_neumann_null_mode(lebesgue):
 def test_cantor_gap_element_keeps_mass_definite(cantor):
     dec = decompose(build_tree(cantor, 1, 1, rng=rng_for(1)), 1)
     pen = assemble(dec, NEUMANN)
-    assert np.allclose(pen.mesh, [0.0, 1 / 3, 2 / 3, 1.0])
+    assert pen.dim == 4  # nodes 0, 1/3, 2/3 and 1
     # middle element is a gap: stiffness couples through, mass does not
     assert pen.mo[1] == 0.0
     deco = np.array([0.0])
@@ -93,8 +93,7 @@ def test_dirichlet_empty_for_single_unrefined_cell(lebesgue):
 
 def test_singular_mass_detected():
     # crafted pencil with an isolated massless node
-    pen = Pencil(mesh=np.arange(4.0),
-                 kd=np.array([1.0, 2.0, 2.0, 1.0]), ko=np.array([-1.0, -1.0, -1.0]),
+    pen = Pencil(kd=np.array([1.0, 2.0, 2.0, 1.0]), ko=np.array([-1.0, -1.0, -1.0]),
                  md=np.array([1.0, 0.0, 1.0, 1.0]), mo=np.zeros(3))
     with pytest.raises(SingularMassError) as err:
         _check_mass_definite(pen)

@@ -1,6 +1,5 @@
 import json
 import math
-import shutil
 import subprocess
 import sys
 from pathlib import Path

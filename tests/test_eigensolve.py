@@ -8,7 +8,7 @@ from vvcantor import (DIRICHLET, NEUMANN, InvalidInputError, Pencil,
                       decompose, eigenvalue,
                       first_eigenvalue_bounds, inertia_count, inertia_counts,
                       refine_uniform, spectral_upper_bound, stream_seed)
-from conftest import dense_counts, dense_eigenvalues, make_two_system
+from conftest import dense_counts, dense_eigenvalues
 
 
 def rng_for(seed):
@@ -17,8 +17,7 @@ def rng_for(seed):
 
 def diag_pencil(kd, md):
     n = len(kd)
-    return Pencil(mesh=np.arange(float(n + 1)),
-                  kd=np.asarray(kd, float), ko=np.zeros(n - 1),
+    return Pencil(kd=np.asarray(kd, float), ko=np.zeros(n - 1),
                   md=np.asarray(md, float), mo=np.zeros(n - 1))
 
 
@@ -27,7 +26,7 @@ def random_pencil(rng, n):
     ko = rng.uniform(-1.0, 1.0, n - 1)
     md = rng.uniform(1.0, 2.0, n)
     mo = rng.uniform(-0.25, 0.25, n - 1)
-    return Pencil(mesh=np.arange(float(n + 1)), kd=kd, ko=ko, md=md, mo=mo)
+    return Pencil(kd=kd, ko=ko, md=md, mo=mo)
 
 
 def test_diagonal_pencil_count():

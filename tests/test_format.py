@@ -106,7 +106,7 @@ def test_pencil_with_signed_zeros_and_repeats_matches_oracle():
     ko = np.array([-1.0, 0.0, -0.0, -1.0, -1.0, -0.0])
     md = np.full(7, 1 / 3)
     mo = np.array([1 / 6, -0.0, 1 / 6, 0.0, 1 / 6, 1 / 6])
-    pencil = Pencil(np.linspace(0.0, 1.0, 9), kd, ko, md, mo)
+    pencil = Pencil(kd, ko, md, mo)
     _same(pencil_to_csv, template_pencil_to_csv, pencil, META)
     lines = io.StringIO()
     pencil_to_csv(pencil, lines)

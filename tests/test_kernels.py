@@ -22,8 +22,8 @@ def test_sturm_zero_pivot_after_first_row():
     # 2 - 1 - 1/1 = 0; it counts as nonpositive and, in the 3-row pencil,
     # its tiny negative replacement keeps the third pivot from dividing by 0.
     for n in (2, 3):
-        pen = Pencil(mesh=np.arange(n + 2.0), kd=np.full(n, 2.0),
-                     ko=np.full(n - 1, -1.0), md=np.ones(n), mo=np.zeros(n - 1))
+        pen = Pencil(kd=np.full(n, 2.0), ko=np.full(n - 1, -1.0),
+                     md=np.ones(n), mo=np.zeros(n - 1))
         assert inertia_counts(pen, [1.0]).tolist() == [1]
         xs = np.array([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.5, 3.0 - 1e-9, 3.0 + 1e-9, 4.0])
         assert np.array_equal(inertia_counts(pen, xs), dense_counts(pen, xs))

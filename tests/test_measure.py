@@ -97,7 +97,7 @@ def test_child_rescaling_matches_subtree(two_system):
     tree = build_tree(two_system, 2, n + 1, rng=rng_for(12), node_cap=2_000_000)
     parent = decompose(tree, n + 1)
     gen1 = tree.generations[1]
-    sys0 = two_system.systems[tree.generations[0].system[0]]
+    sys0 = two_system.systems[tree.level_sys[0][tree.root_type]]
     rng = np.random.default_rng(1)
     for i in range(gen1.size):
         child = build_tree(two_system, 2, n, root_type=int(gen1.types[i]),

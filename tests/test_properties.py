@@ -94,7 +94,6 @@ def test_tree_nodes_follow_parent_row_and_map(catalog, v, depth, seed):
     for level_sys, child, up, gen in zip(tree.level_sys.tolist(), tree.child.tolist(),
                                          tree.generations, tree.generations[1:]):
         sys_of = [level_sys[t] for t in up.types.tolist()]
-        assert up.system.tolist() == sys_of
         assert list(zip(gen.parent.tolist(), gen.pos.tolist())) == [
             (p, q) for p, j in enumerate(sys_of) for q in range(catalog.systems[j].size)]
         for p, q, t, r, m, c in zip(gen.parent.tolist(), gen.pos.tolist(), gen.types.tolist(),
@@ -105,7 +104,6 @@ def test_tree_nodes_follow_parent_row_and_map(catalog, v, depth, seed):
             assert r == up_r * system.maps[q].ratio
             assert m == up.mprod[p].item() * system.weights[q]
             assert c == up_r * system.maps[q].offset + up.shift[p].item()
-    assert (tree.generations[-1].system == -1).all()
 
 
 # Three systems whose index probabilities add up, left to right, to

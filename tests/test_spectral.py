@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st, target
 
-from vvcantor import (BracketingResult, Catalog, ContractionMap, DIRICHLET,
+from vvcantor import (BracketingResult, Catalog, ContractionMap,
                       InsufficientDataError, MonteCarloNeckEvaluator,
                       NoisyRootError, WeightedIFS, Xoshiro256StarStar,
-                      assemble, bracketing_check, build_tree, center_counts,
-                      cutset_stats_check, cut_set, decompose,
-                      empirical_exponent, f_exact_homogeneous,
-                      gamma_exact_homogeneous, inertia_counts, solve_gamma,
+                      bracketing_check, build_tree, center_counts,
+                      cutset_stats_check, cut_set, empirical_exponent,
+                      f_exact_homogeneous, gamma_exact_homogeneous, solve_gamma,
                       solve_gamma_recursive, stream_seed)
 from conftest import (env_table, member_bracketing_sums, scalar_neck_blocks,
                       scalar_tree_stream)
@@ -191,7 +190,7 @@ def test_neck_timeout_names_scalar_block_within_row_budget(two_system, monkeypat
     assert peak < naive / 8
 
 
-def test_noisy_root_raised_when_growth_capped():
+def test_noisy_root_raised_when_growth_capped(monkeypatch):
     # mixture dominated by a system whose root sits exactly on a probe point
     cat = Catalog(0.0, 1.0, (
         WeightedIFS((ContractionMap(0.5, 0.0), ContractionMap(0.5, 0.5)),
@@ -203,8 +202,9 @@ def test_noisy_root_raised_when_growth_capped():
         ev = MonteCarloNeckEvaluator(cat, 1, 4, master_seed=seed)
         v, se = ev.f(0.5)
         if se > 0 and abs(v) <= 3 * se:  # ambiguous at the first halving probe
+            monkeypatch.setattr("vvcantor.spectral.MAX_BLOCK_GROWTH", 1)
             with pytest.raises(NoisyRootError):
-                solve_gamma(ev, max_growth=1)
+                solve_gamma(ev)
             return
     pytest.fail("no seed produced an ambiguous probe")
 

@@ -137,7 +137,7 @@ def test_cumulative_products_multiply(two_system):
         parent = tree.generations[g - 1]
         for i in range(gen.size):
             p = gen.parent[i]
-            sys_ = two_system.systems[parent.system[p]]
+            sys_ = two_system.systems[tree.level_sys[g - 1][parent.types[p]]]
             pos = gen.pos[i]
             assert gen.rprod[i] == parent.rprod[p] * sys_.maps[pos].ratio
             assert gen.mprod[i] == parent.mprod[p] * sys_.weights[pos]
