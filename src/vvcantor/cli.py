@@ -229,16 +229,15 @@ def _cmd_count(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_exponent(cfg: RunConfig, out: Path) -> int:
-    exact = gamma_exact_homogeneous(cfg.catalog)
-    recursive = solve_gamma_recursive(cfg.catalog)
-
-    evaluator = MonteCarloNeckEvaluator(cfg.catalog, cfg.v, cfg.mc_blocks, cfg.seed)
-    mc = solve_gamma(evaluator)
-
     tree = _build(cfg, 0)  # the table alone
     xs = cfg.grid()
     counts_d = condensed_counts(tree, cfg.level, cfg.splits, xs)[0]
     fit = empirical_exponent((xs, counts_d), (cfg.x_grid[0], cfg.x_grid[1]))
+
+    exact = gamma_exact_homogeneous(cfg.catalog)
+    recursive = solve_gamma_recursive(cfg.catalog)
+    evaluator = MonteCarloNeckEvaluator(cfg.catalog, cfg.v, cfg.mc_blocks, cfg.seed)
+    mc = solve_gamma(evaluator)
 
     primary = exact if cfg.v == 1 else mc
     obj = {

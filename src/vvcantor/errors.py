@@ -12,7 +12,9 @@ class EmptyCatalogError(VVCantorError):
 
 
 class TreeTooLargeError(VVCantorError):
-    """Raised before materializing a tree whose node count exceeds the cap."""
+    """Raised before a tree, a condensation plan or a refined pencil passes
+    its node cap, and when the rows of the Monte Carlo lanes still running
+    pass ``vtree.DEFAULT_NODE_CAP``."""
 
 
 class DepthExhaustedError(VVCantorError):

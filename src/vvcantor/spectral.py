@@ -22,9 +22,10 @@ from . import _kernels
 from .catalog import Catalog, map_table, scale_extrema
 from .condense import condensed_counts
 from .errors import (DepthExhaustedError, InsufficientDataError, NeckTimeoutError,
-                     NoisyRootError)
+                     NoisyRootError, TreeTooLargeError)
 from .rng import Xoshiro256StarStarLanes, stream_seeds
-from .vtree import LevelDraws, VTree, cut_set, neck_mask, neck_subtree
+from .vtree import (DEFAULT_NODE_CAP, LevelDraws, VTree, cut_set, neck_mask,
+                    neck_subtree)
 # Not called here since the Monte Carlo lanes and the condensed counts;
 # perfbench/tracing.py still wraps these names in vvcantor.spectral and its
 # self-check expects them.
@@ -40,7 +41,6 @@ MC_BLOCK_STREAM_BASE = 1
 DEFAULT_ENV_CAP = 100_000
 SIGN_Z = 3.0  # standard errors: a Monte Carlo f's sure sign and its CI half-width
 MAX_BLOCK_GROWTH = 16  # solve_gamma's cap on the growth of its block count
-_ROW_BUDGET = 1 << 20  # rows held for Monte Carlo lanes still running
 
 
 # ---------------------------------------------------------------------------
@@ -67,51 +67,40 @@ def _recursive_mean(catalog: Catalog, x: float) -> float:
 # Monte Carlo evaluator
 
 def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
-                 count: int, env_cap: int) -> tuple[list, np.ndarray, np.ndarray]:
+                 count: int) -> tuple[list, np.ndarray, np.ndarray]:
     """Rows, lens and roots of the neck blocks ``first + k``, k < ``count``.
 
-    Block k draws from stream ``MC_BLOCK_STREAM_BASE + first + k``: its root
-    type ``(u*V)``, then ``LevelDraws`` levels until a neck. Each pass draws
-    the blocks not yet drawn in lockstep lanes; each level appends one
-    ``block_log_sums`` entry ``(k, level_sys, child)`` to ``rows``.
+    Block b draws from stream ``MC_BLOCK_STREAM_BASE + b``: its root type
+    ``(u*V)``, then ``LevelDraws`` levels until a neck. All blocks are drawn
+    in one pass of lockstep lanes; each level appends one ``block_log_sums``
+    entry ``(blocks, level_sys, child)`` for the lanes that drew it.
 
-    When the rows held for running lanes pass ``_ROW_BUDGET`` at level l,
-    all but the lowest ``_ROW_BUDGET // (8 l)`` running blocks are shed:
-    their rows are dropped and the next pass draws them again, shedding
-    again early unless far fewer lanes are kept. At least
-    ``_ROW_BUDGET // env_cap`` lanes are kept; that many cannot pass it.
-
-    Raises ``NeckTimeoutError`` for the lowest block that saw no neck within
-    ``env_cap`` levels; every lower block has necked by then."""
+    Raises ``TreeTooLargeError`` once the rows of the lanes still running
+    (level times lanes) pass ``vtree.DEFAULT_NODE_CAP``, naming the level
+    and the lowest running block, and ``NeckTimeoutError`` for the lowest
+    block that saw no neck within ``DEFAULT_ENV_CAP`` levels; every lower
+    block has necked by then."""
     draw = LevelDraws(catalog, v_types)
-    floor = max(1, _ROW_BUDGET // env_cap)
-    lens, roots = np.zeros(count, np.int64), np.zeros(count, np.int64)
-    rows, todo = [], np.arange(count)
-    while todo.size:
-        rng = Xoshiro256StarStarLanes(
-            stream_seeds(master_seed, MC_BLOCK_STREAM_BASE + first + todo))
-        roots[todo] = rng.uniforms([None])[0] * v_types
-        lane, todo, held = todo, todo[:0], len(rows)
-        for level in range(1, env_cap + 1):
-            sys_, child, real = draw(rng)
-            rows.append((lane, sys_, child))
-            neck = neck_mask(child, real)
-            if neck.any():
-                lens[lane[neck]] = level
-                running = ~neck
-                lane = lane[running]
-                if not lane.shape[0]:
-                    break
-                rng.keep(running)
-            if lane.shape[0] > floor and lane.shape[0] * level > _ROW_BUDGET:
-                keep = max(floor, _ROW_BUDGET // (8 * level))
-                lane, todo = lane[:keep], np.concatenate((lane[keep:], todo))
-                rng.keep(slice(keep))
-                rows[held:] = [(k[m], s[m], c[m]) for k, s, c in rows[held:]
-                               for m in [(k < todo[0]) | (lens[k] > 0)]]
-        else:
-            raise NeckTimeoutError(f"block {first + int(lane[0])} saw no neck "
-                                   f"within {env_cap} levels")
+    lane = first + np.arange(count)
+    rng = Xoshiro256StarStarLanes(stream_seeds(master_seed, MC_BLOCK_STREAM_BASE + lane))
+    roots = (rng.uniforms([None])[0] * v_types).astype(np.int64)
+    lens, rows, level = np.zeros(count, np.int64), [], 0
+    while lane.shape[0]:
+        if level == DEFAULT_ENV_CAP:
+            raise NeckTimeoutError(f"block {lane[0]} saw no neck within {level} levels")
+        level += 1
+        sys_, child, real = draw(rng)
+        rows.append((lane, sys_, child))
+        neck = neck_mask(child, real)
+        if neck.any():
+            lens[lane[neck] - first] = level
+            running = ~neck
+            lane = lane[running]
+            rng.keep(running)
+        if lane.shape[0] * level > DEFAULT_NODE_CAP:
+            raise TreeTooLargeError(
+                f"{lane.shape[0]} Monte Carlo blocks from block {lane[0]} still run at "
+                f"level {level}, past {DEFAULT_NODE_CAP} rows")
     return rows, lens, roots
 
 
@@ -120,24 +109,24 @@ class MonteCarloNeckEvaluator:
 
     Block b draws its root type and environments from the stream
     ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
-    draw order of ``vtree.LevelDraws``. ``_draw_blocks`` draws the blocks in
-    lockstep lanes, one per block, and the DP reads their levels in the
-    order they were drawn. They are shared by all x (common random numbers);
-    the log-sums of the last x are kept until ``extend``.
-    ``NeckTimeoutError`` names the lowest block that saw no neck within
-    ``env_cap`` levels, the one drawing the blocks one by one would fail on.
+    draw order of ``vtree.LevelDraws``. ``_draw_blocks`` draws the blocks of
+    one call in one pass of lockstep lanes, one per block, and the DP reads
+    their levels in the order they were drawn. They are shared by all x
+    (common random numbers); the log-sums of the last x are kept until
+    ``extend``. ``NeckTimeoutError`` names the lowest block that saw no
+    neck within ``DEFAULT_ENV_CAP`` levels, the one drawing the blocks one
+    by one would fail on, unless the rows of the running lanes pass
+    ``vtree.DEFAULT_NODE_CAP`` first: that is a ``TreeTooLargeError``.
     """
 
-    def __init__(self, catalog: Catalog, v_types: int, blocks: int,
-                 master_seed: int, env_cap: int = DEFAULT_ENV_CAP):
+    def __init__(self, catalog: Catalog, v_types: int, blocks: int, master_seed: int):
         if blocks < 2:
             raise ValueError("at least 2 blocks are required")
         self.catalog = catalog
         self.v_types = v_types
         self.master_seed = master_seed
-        self.env_cap = env_cap
         self._rows, self._lens, self._roots = _draw_blocks(
-            catalog, v_types, master_seed, 0, blocks, env_cap)
+            catalog, v_types, master_seed, 0, blocks)
         self._last = (None, None)  # the last x and its read-only log-sums
 
     @property
@@ -151,10 +140,9 @@ class MonteCarloNeckEvaluator:
 
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
-        first = self.blocks
         rows, lens, roots = _draw_blocks(self.catalog, self.v_types,
-                                         self.master_seed, first, extra, self.env_cap)
-        self._rows += [(first + k, s, c) for k, s, c in rows]
+                                         self.master_seed, self.blocks, extra)
+        self._rows += rows
         self._lens = np.concatenate((self._lens, lens))
         self._roots = np.concatenate((self._roots, roots))
         self._last = (None, None)

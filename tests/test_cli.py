@@ -377,6 +377,36 @@ def test_bracket_level_above_a_cut_set_member_is_a_typed_error(tmp_path, capsys)
     assert not (out_dir / "bracketing.json").exists()
 
 
+def test_exponent_counts_before_it_draws_blocks(tmp_path, capsys, monkeypatch):
+    """``exponent`` counts and fits before the Monte Carlo solve, so a level
+    past the leaf-shift underflow (two_system_v2 at v = 3 underflows at
+    generation 281) is refused before any block is drawn."""
+    def no_draw(*args):
+        raise AssertionError("a Monte Carlo block was drawn")
+
+    monkeypatch.setattr(spectral, "_draw_blocks", no_draw)
+    cfg = write_cfg(tmp_path, dict(json.loads(TWOSYS_CFG.read_text()), v=3, level=400))
+    out_dir = tmp_path / "out"
+    assert main(["exponent", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "exponent failed: InvalidInputError: " in err
+    assert "by generation 281, below the smallest normal float" in err
+    assert not (out_dir / "exponent.json").exists()
+
+
+def test_exponent_lanes_past_the_node_cap_are_a_typed_error(tmp_path, capsys, monkeypatch):
+    """Monte Carlo lanes whose running rows pass the node cap are a
+    ``TreeTooLargeError`` with exit code 2, and ``exponent.json`` is not
+    written."""
+    monkeypatch.setattr(spectral, "DEFAULT_NODE_CAP", 1000)
+    cfg = write_cfg(tmp_path, dict(json.loads(TWOSYS_CFG.read_text()), level=6))
+    out_dir = tmp_path / "out"
+    assert main(["exponent", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "exponent failed: TreeTooLargeError: " in err and "past 1000 rows" in err
+    assert not (out_dir / "exponent.json").exists()
+
+
 LF_OUTPUTS = ("tree.jsonl", "environments.json", "necks.json", "exponent.json",
               "bracketing.json", "tree_meta.json", "exponent_meta.json",
               "bracket_meta.json")

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap,
-                      MonteCarloNeckEvaluator, NeckTimeoutError, WeightedIFS,
-                      Xoshiro256StarStar, assemble, build_tree, decompose,
+                      MonteCarloNeckEvaluator, NeckTimeoutError, TreeTooLargeError,
+                      WeightedIFS, Xoshiro256StarStar, assemble, build_tree, decompose,
                       inertia_counts, stream_seed, validate_catalog)
 from vvcantor import _kernels, spectral
 from vvcantor.catalog import map_table
@@ -222,6 +222,14 @@ def _assert_packed_equal(evaluator, want, dtype):
     assert np.array_equal(evaluator.neck_waits, want.lens)
 
 
+def _past_cap(lens, cap) -> bool:
+    """Whether the rows of one ``_draw_blocks`` call's running lanes, level
+    times the blocks whose neck wait ``lens`` is past the level, pass
+    ``cap`` at some level."""
+    levels = np.arange(1, lens.max(), dtype=np.int64)
+    return bool((levels * (lens[:, None] > levels).sum(axis=0) > cap).any())
+
+
 @settings(deadline=None, max_examples=40)
 @example(catalog=SHORT_SUM, v=3, n=12, k=5, seed=4, budget=1 << 20)
 @example(catalog=make_two_system(), v=2, n=30, k=10, seed=1, budget=50)
@@ -230,19 +238,35 @@ def _assert_packed_equal(evaluator, want, dtype):
        budget=st.sampled_from([1 << 20, 400, 1]))
 def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
     """Lockstep lanes draw exactly the scalar oracle's blocks, also after
-    ``extend`` and when a small row budget sheds and redraws lanes; a
-    timeout names the oracle's block."""
-    with mock.patch.object(spectral, "_ROW_BUDGET", budget):
+    ``extend``, while each call's running rows stay within the node cap
+    ``budget``; past it they raise ``TreeTooLargeError``. Within it a
+    timeout names the oracle's block; with a small cap the oracle cannot
+    tell whether the lanes past the failing block pass it first, so either
+    typed error is accepted there."""
+    with mock.patch.object(spectral, "DEFAULT_NODE_CAP", budget), \
+            mock.patch.object(spectral, "DEFAULT_ENV_CAP", MC_ENV_CAP):
         try:
             want = scalar_neck_blocks(catalog, v, seed, 0, n + k, MC_ENV_CAP)
         except NeckTimeoutError as err:
             event("timeout")
-            with pytest.raises(NeckTimeoutError, match=f"^{err}$"):
-                MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP).extend(k)
+            if budget == 1 << 20:  # 50 lanes at MC_ENV_CAP levels stay within it
+                with pytest.raises(NeckTimeoutError, match=f"^{err}$"):
+                    MonteCarloNeckEvaluator(catalog, v, n, seed).extend(k)
+            else:
+                with pytest.raises((NeckTimeoutError, TreeTooLargeError)):
+                    MonteCarloNeckEvaluator(catalog, v, n, seed).extend(k)
             return
-        dtype = LevelDraws(catalog, v).dtype
-        _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed, MC_ENV_CAP),
-                             want, dtype)
-        grown = MonteCarloNeckEvaluator(catalog, v, n, seed, MC_ENV_CAP)
-        grown.extend(k)
-        _assert_packed_equal(grown, want, dtype)
+        if _past_cap(want.lens, budget):
+            event("past the node cap")
+            with pytest.raises(TreeTooLargeError):
+                MonteCarloNeckEvaluator(catalog, v, n + k, seed)
+        else:
+            _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed), want,
+                                 LevelDraws(catalog, v).dtype)
+        if _past_cap(want.lens[:n], budget) or _past_cap(want.lens[n:], budget):
+            with pytest.raises(TreeTooLargeError):
+                MonteCarloNeckEvaluator(catalog, v, n, seed).extend(k)
+        else:
+            grown = MonteCarloNeckEvaluator(catalog, v, n, seed)
+            grown.extend(k)
+            _assert_packed_equal(grown, want, LevelDraws(catalog, v).dtype)

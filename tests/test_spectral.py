@@ -149,6 +149,7 @@ def test_f_by_root_type_reports_every_type(two_system):
 def test_extend_matches_fresh_evaluator(two_system):
     grown = MonteCarloNeckEvaluator(two_system, 2, 30, master_seed=17)
     grown.log_sums(0.4)  # a log-sums memo must not outlive extend
+    grown.extend(0)  # draws nothing
     grown.extend(25)
     fresh = MonteCarloNeckEvaluator(two_system, 2, 55, master_seed=17)
     assert grown.blocks == fresh.blocks == 55
@@ -158,32 +159,45 @@ def test_extend_matches_fresh_evaluator(two_system):
     assert grown.f_by_root_type(0.4) == fresh.f_by_root_type(0.4)
 
 
-def test_neck_timeout_with_tiny_cap(two_system):
-    from vvcantor import NeckTimeoutError
+def test_neck_timeout_with_tiny_cap(two_system, monkeypatch):
+    from vvcantor import NeckTimeoutError, spectral
 
+    monkeypatch.setattr(spectral, "DEFAULT_ENV_CAP", 1)
     with pytest.raises(NeckTimeoutError):
         # V=2 first environments are rarely necks; a cap of 1 trips fast
-        MonteCarloNeckEvaluator(two_system, 2, 50, master_seed=1, env_cap=1)
+        MonteCarloNeckEvaluator(two_system, 2, 50, master_seed=1)
 
 
-def test_neck_timeout_names_scalar_block_within_row_budget(two_system, monkeypatch):
+def test_neck_timeout_names_scalar_block(two_system, monkeypatch):
     """At V = 4 almost no block necks within a few thousand levels. The
     lanes must fail on the block that drawing blocks one by one fails on
-    (here block 2: blocks 0 and 1 neck in time), while the rows held for
-    running lanes stay within the row budget, far below the table that
-    running all 40 lanes to the cap would need."""
+    (here block 2: blocks 0 and 1 neck in time)."""
     from vvcantor import NeckTimeoutError, spectral
 
     blocks, cap = 40, 3000
     with pytest.raises(NeckTimeoutError) as scalar:
         scalar_neck_blocks(two_system, 4, 379, 0, blocks, cap)
     assert str(scalar.value).startswith("block 2 ")
-    monkeypatch.setattr(spectral, "_ROW_BUDGET", 3 * cap)
+    monkeypatch.setattr(spectral, "DEFAULT_ENV_CAP", cap)
+    with pytest.raises(NeckTimeoutError, match=f"^{scalar.value}$"):
+        MonteCarloNeckEvaluator(two_system, 4, blocks, master_seed=379)
+
+
+def test_running_lanes_past_the_node_cap_are_refused(two_system, monkeypatch):
+    """The same 40 blocks with the node cap at 9,000: all 40 still run at
+    level 226, where their rows pass it, so the draw stops there with
+    ``TreeTooLargeError``, far below the table that running all 40 lanes to
+    3,000 levels would need."""
+    from vvcantor import TreeTooLargeError, spectral
+
+    blocks, cap = 40, 3000
+    monkeypatch.setattr(spectral, "DEFAULT_NODE_CAP", 3 * cap)
     naive = blocks * cap * (4 + 4 * 3) * 8  # every lane to the cap, 8 bytes per table entry
     tracemalloc.start()
     try:
-        with pytest.raises(NeckTimeoutError, match=f"^{scalar.value}$"):
-            MonteCarloNeckEvaluator(two_system, 4, blocks, master_seed=379, env_cap=cap)
+        with pytest.raises(TreeTooLargeError, match="^40 Monte Carlo blocks from block 0 "
+                                                    "still run at level 226, past 9000 rows$"):
+            MonteCarloNeckEvaluator(two_system, 4, blocks, master_seed=379)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
