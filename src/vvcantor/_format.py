@@ -6,8 +6,13 @@ holds few distinct values (a pencil of 100k rows has a few hundred distinct
 stiffness entries and a handful of mass entries; a tree generation has as
 many ratio products as distinct map compositions, and a few types), so the
 formatter runs once per distinct value and the strings are gathered from
-there. Lines are then joined a block of rows at a time, with one
-``str.join`` over the interleaved cells and literal pieces.
+there. A column whose values are all distinct is not sent through it: the
+cell ends of a decomposition are formatted once per decomposition
+(``CellDecomposition.endpoint_text``) and shared by ``cells.csv`` and
+``gaps.csv``, and ``tree.jsonl`` paths are gathered from the parents' paths.
+Lines are then joined a block of rows at a time, with one ``str.join`` over
+the interleaved cells and literal pieces; a column is any sequence of
+strings, a list or an object array.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ def format_distinct(values, fmt) -> list[str]:
 def write_rows(fp, pieces, columns) -> None:
     """Write line i as ``pieces[0] + columns[0][i] + pieces[1] + ... +
     columns[-1][i] + pieces[-1]`` for every position of the ``columns``
-    string lists, stopping at the shortest; ``pieces`` holds one literal
-    more than there are columns."""
+    string sequences (lists or object arrays, read a block at a time with
+    no whole-column copy), stopping at the shortest; ``pieces`` holds one
+    literal more than there are columns."""
     width = len(pieces) + len(columns)
     n = min(map(len, columns), default=0)
     for lo in range(0, n, _BLOCK_ROWS):

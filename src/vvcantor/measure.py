@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,26 @@ class CellDecomposition:
     @property
     def gap_rights(self) -> np.ndarray:
         return self.lefts[1:][self._gap_mask]
+
+    @cached_property
+    def endpoint_text(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``.17g`` text of every left and every right end, as object
+        arrays that ``cells_to_csv`` and ``gaps_to_csv`` both read. Each left
+        is formatted once. A right end with the bit pattern of the next
+        cell's left reuses its string; bits, not values, so a ``-0.0`` end
+        touching ``0.0`` keeps its own text. Only the other right ends are
+        formatted. Computed on first use: the end arrays must not change
+        after it."""
+        fmt = "{:.17g}".format
+        lefts = np.asarray(self.lefts, np.float64)
+        rights = np.asarray(self.rights, np.float64)
+        left_text = np.array(list(map(fmt, lefts.tolist())), dtype=object)
+        shared = np.zeros(left_text.shape[0], bool)
+        shared[:-1] = rights[:-1].view(np.uint64) == lefts[1:].view(np.uint64)
+        right_text = np.empty_like(left_text)
+        right_text[shared] = left_text[1:][shared[:-1]]
+        right_text[~shared] = list(map(fmt, rights[~shared].tolist()))
+        return left_text, right_text
 
 
 def decompose(tree: VTree, level: int) -> CellDecomposition:
@@ -115,29 +136,44 @@ def write_meta(fp, meta: dict | None) -> None:
     fp.writelines(f"# {key}={value}\n" for key, value in (meta or {}).items())
 
 
+def _column_text(column):
+    column = np.asarray(column)
+    if column.dtype == object:
+        return column
+    return format_distinct(column, "{:.17g}".format if column.dtype.kind == "f" else str)
+
+
 def write_csv(fp, header: str, columns, meta: dict | None = None) -> None:
     """The layout of every table output: meta lines, then ``header`` and one
     line per position of the ``columns`` arrays, comma separated, stopping
     at the shortest; table lines end in CRLF, as ``csv.writer`` ends them.
     Floats are written with 17 significant digits (``.17g``), integers by
-    ``str``, each distinct value formatted once (``format_distinct``).
+    ``str``, each distinct value formatted once (``format_distinct``). An
+    object column is text already formatted so (the cell ends of
+    ``CellDecomposition.endpoint_text``) and is written as it is.
     """
-    texts = [format_distinct(col, "{:.17g}".format if col.dtype.kind == "f" else str)
-             for col in map(np.asarray, columns)]
+    texts = [_column_text(col) for col in columns]
     write_meta(fp, meta)
     fp.write(f"{header}\r\n")
     write_rows(fp, [""] + [","] * (len(texts) - 1) + ["\r\n"], texts)
 
 
 def cells_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
+    """One line per cell: its ends, from the decomposition's shared
+    ``endpoint_text``, then its mass and density."""
     d = decomposition
-    write_csv(fp, "left,right,mass,density",
-              (d.lefts, d.rights, d.masses, d.densities), meta)
+    write_csv(fp, "left,right,mass,density", (*d.endpoint_text, d.masses, d.densities), meta)
 
 
 def gaps_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
+    """One line per gap. Gap ends are cell ends, so their text is gathered
+    from the shared ``endpoint_text`` and nothing is formatted again: the
+    endpoints are formatted once per decomposition, whichever of the two
+    writers runs first."""
     d = decomposition
-    write_csv(fp, "left,right", (d.gap_lefts, d.gap_rights), meta)
+    left_text, right_text = d.endpoint_text
+    mask = d._gap_mask
+    write_csv(fp, "left,right", (right_text[:-1][mask], left_text[1:][mask]), meta)
 
 
 def counting_to_csv(fp, xs, counts_d, counts_n, level: int, splits: int,

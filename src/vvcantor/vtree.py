@@ -454,15 +454,17 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
 
     Lines are JSON objects with sorted keys, ``", "``/``": "`` separators
     and ``repr`` floats, as ``json.dumps(..., sort_keys=True)`` writes them.
-    Each node's path text extends its parent's, so the cost is linear in
-    the node count; every other field is formatted once per distinct value
-    of a generation (``format_distinct``).
+    Paths are object arrays of text: a generation's paths are its parents'
+    gathered by ``parent``, plus the suffix of each node's slot gathered by
+    ``pos`` (``"q"`` below the root, ``", q"`` further down), so the cost
+    is linear in the node count. Every other field is formatted once per
+    distinct value of a generation (``format_distinct``).
     """
-    paths, sep = [""], ""
+    paths, sep = np.array([""], dtype=object), ""
     for level, gen in enumerate(tree.generations):
         if level:
-            paths = [f"{paths[p]}{sep}{q}"
-                     for p, q in zip(gen.parent.tolist(), gen.pos.tolist())]
+            suffix = np.array([f"{sep}{q}" for q in range(tree.child.shape[2])], dtype=object)
+            paths = paths[gen.parent] + suffix[gen.pos]
             sep = ", "
         systems = (format_distinct(tree.level_sys[level][gen.types], str)
                    if level < tree.depth else ["null"] * gen.size)

@@ -322,6 +322,29 @@ def test_tree_measure_count_outputs(tmp_path):
     assert all(int(r[1]) <= int(r[2]) <= int(r[1]) + 2 for r in rows)
 
 
+def test_tree_and_measure_call_each_writer_once(tmp_path, monkeypatch):
+    """``tree`` and ``measure`` look their writers up on ``vvcantor.cli``
+    and call each once: an outside tracer that wraps them there sees every
+    call."""
+    from vvcantor import cli
+    calls = {}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("tree_to_jsonl", "cells_to_csv", "gaps_to_csv"):
+        counted(name)
+    cfg = write_cfg(tmp_path, small_cantor_doc())
+    assert main(["tree", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert main(["measure", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert calls == {"tree_to_jsonl": 1, "cells_to_csv": 1, "gaps_to_csv": 1}
+
+
 def test_tree_lists_the_table_to_level(tmp_path):
     """With depth 4 and level 6, ``tree`` materializes 4 generations and
     lists all 6 levels of the run's table, the first 4 as at depth and
