@@ -25,7 +25,7 @@ from .pencil import (DIRICHLET, NEUMANN, Pencil, assemble, eigenvalue,
                      first_eigenvalue_bounds, inertia_count, inertia_counts,
                      pencil_to_csv, refine_uniform, spectral_upper_bound)
 from .condense import condensed_counts
-from .spectral import (BracketingResult, CutsetStatsRow, EmpiricalFit,
+from .spectral import (BracketingResult, ClosedForm, CutsetStatsRow, EmpiricalFit,
                        ExponentReport, FEval,
                        MonteCarloNeckEvaluator, bracketing_check, center_counts,
                        cutset_stats_check, empirical_exponent,

@@ -321,17 +321,20 @@ def main(argv=None) -> int:
         return 2
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        started = time.time()
         code = _COMMANDS[args.subcommand](cfg, out)
+        _write_json(out / f"{args.subcommand}_meta.json", {
+            "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
+            "elapsed_seconds": time.time() - started,
+        })
     except VVCantorError as exc:
         print(f"{args.subcommand} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    _write_json(out / f"{args.subcommand}_meta.json", {
-        "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        "elapsed_seconds": time.time() - started,
-    })
+    except OSError as exc:  # --out is a file, lies under one, or a name is a directory
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -2,19 +2,23 @@
 and the bracketing / cut-set verification suites.
 
 The exponent of a construction is the unique positive root of a strictly
-decreasing function f. For one type per level f has the closed form
-``sum_j p_j log sum_i (r_i m_i)^x``; in general f is estimated by averaging
-log block sums over independently seeded neck blocks. Blocks are sampled
-once per evaluator and reused for every x (common random numbers), so the
-estimate is a deterministic, exactly decreasing function of x and the
-bisection below never sees sampling noise; noise enters only through the
-reported confidence interval.
+decreasing function f. Every γ method is an evaluator: ``f(x) -> (value,
+se)`` plus the ``method``, ``blocks`` and ``master_seed`` that
+``solve_gamma`` reports. For one type per level f has the closed form
+``sum_j p_j log sum_i (r_i m_i)^x`` (se 0, no blocks); in general f is
+estimated by averaging log block sums over independently seeded neck
+blocks. Blocks are sampled once per evaluator and reused for every x
+(common random numbers), so the estimate is a deterministic, exactly
+decreasing function of x and the bisection below never sees sampling
+noise; noise enters only through the reported confidence interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -57,10 +61,22 @@ def f_exact_homogeneous(catalog: Catalog, x: float) -> float:
     return total
 
 
-def _recursive_mean(catalog: Catalog, x: float) -> float:
+def _recursive_f(catalog: Catalog, x: float) -> float:
     return sum(
         p * sum((m.ratio * w) ** x for m, w in zip(sys_.maps, sys_.weights))
-        for p, sys_ in zip(catalog.index_probs, catalog.systems))
+        for p, sys_ in zip(catalog.index_probs, catalog.systems)) - 1.0
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """An f known in closed form: se 0, and no blocks to grow or report."""
+    fn: Callable[[float], float]
+    method: str
+    blocks = None
+    master_seed = None
+
+    def f(self, x: float) -> tuple[float, float]:
+        return self.fn(x), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +134,8 @@ class MonteCarloNeckEvaluator:
     by one would fail on, unless the rows of the running lanes pass
     ``vtree.DEFAULT_NODE_CAP`` first: that is a ``TreeTooLargeError``.
     """
+
+    method = "monte-carlo-neck"
 
     def __init__(self, catalog: Catalog, v_types: int, blocks: int, master_seed: int):
         if blocks < 2:
@@ -204,60 +222,48 @@ class ExponentReport:
     empirical: EmpiricalFit | None = None
 
 
-def solve_gamma(evaluator, tolerance: float | None = None, *,
-                method: str | None = None) -> ExponentReport:
-    """Root of a strictly decreasing f by doubling bracket search from x = 1
-    and bisection.
+def solve_gamma(evaluator, tolerance: float = 1e-3) -> ExponentReport:
+    """Root of a strictly decreasing f by bracket search from x = 1
+    (doubling or halving) and bisection.
 
-    ``evaluator`` is either a plain callable x -> f(x) (exact, default
-    tolerance 1e-10) or a MonteCarloNeckEvaluator (default tolerance 1e-3).
-    For Monte Carlo, common random numbers make the estimate deterministic,
-    so only the bracket endpoints are checked for sign ambiguity: if
-    |f| <= ``SIGN_Z`` * SE there, the block count is grown up to
-    ``MAX_BLOCK_GROWTH`` times the initial count before giving up with
-    ``NoisyRootError``. The reported confidence interval, ``SIGN_Z`` standard
-    errors at the root through a secant slope, usually dominates the
-    bisection tolerance.
+    ``evaluator`` follows the module's protocol. Common random numbers make a
+    Monte Carlo f deterministic, so only the bracket endpoints are checked
+    for sign ambiguity: while |f| <= ``SIGN_Z`` * se there, the block count
+    is doubled by ``extend`` up to ``MAX_BLOCK_GROWTH`` times the initial
+    count before giving up with ``NoisyRootError``; an f with se 0 never
+    extends. An evaluator with blocks gets a confidence interval, ``SIGN_Z``
+    standard errors at the root through a secant slope. It keys on
+    ``blocks``, not on se: the alike blocks of one system at v = 1 have se
+    0 or rounding, and their interval has no width.
     """
-    is_mc = hasattr(evaluator, "f")
-    if tolerance is None:
-        tolerance = 1e-3 if is_mc else 1e-10
     evals: list[FEval] = []
-    initial_blocks = evaluator.blocks if is_mc else None
+    initial_blocks = evaluator.blocks
 
     def feval(x: float) -> tuple[float, float]:
-        v, se = evaluator.f(x) if is_mc else (evaluator(x), 0.0)
+        v, se = evaluator.f(x)
         evals.append(FEval(x, v, se))
         return v, se
 
     def resolved(x: float) -> float:
         """Value at x, growing the block count while the sign is ambiguous."""
         v, se = feval(x)
-        while is_mc and se > 0.0 and abs(v) <= SIGN_Z * se:
+        while se > 0.0 and abs(v) <= SIGN_Z * se:
             if evaluator.blocks >= initial_blocks * MAX_BLOCK_GROWTH:
                 raise NoisyRootError(f"sign of f({x}) ambiguous at {evaluator.blocks} blocks")
             evaluator.extend(evaluator.blocks)
             v, se = feval(x)
         return v
 
-    # Bracket by doubling/halving from 1.
-    v = resolved(1.0)
-    if v > 0:
-        lo, hi = 1.0, 2.0
-        for _ in range(200):
-            if resolved(hi) < 0:
-                break
-            lo, hi = hi, hi * 2.0
-        else:
-            raise AssertionError("no sign change found above 1")
+    # Bracket from 1: doubling while f > 0, else halving while f <= 0.
+    sign = 1.0 if resolved(1.0) > 0 else -1.0
+    x = 1.0
+    for _ in range(200):
+        prev, x = x, x * 2.0 ** sign
+        if sign * resolved(x) < 0:
+            break
     else:
-        lo, hi = 0.5, 1.0
-        for _ in range(200):
-            if resolved(lo) > 0:
-                break
-            lo, hi = lo / 2.0, lo
-        else:
-            raise AssertionError("no sign change found below 1")
+        raise AssertionError("no sign change found from x = 1")
+    lo, hi = min(prev, x), max(prev, x)
 
     trace = [{"lo": lo, "hi": hi, "mid": None, "f_mid": None}]
     while hi - lo > tolerance:
@@ -271,7 +277,7 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
     gamma = 0.5 * (lo + hi)
 
     ci = None
-    if is_mc:
+    if evaluator.blocks is not None:
         delta = max(10.0 * tolerance, 0.02)
         x_right = gamma + delta
         x_left = max(gamma - delta, gamma / 2.0)
@@ -282,28 +288,22 @@ def solve_gamma(evaluator, tolerance: float | None = None, *,
         half = SIGN_Z * se_root / max(abs(slope), 1e-300)
         ci = (gamma - half, gamma + half)
 
-    if method is None:
-        method = "monte-carlo-neck" if is_mc else "exact"
-    return ExponentReport(gamma=gamma, method=method, f_evaluations=evals,
-                          trace=trace,
-                          blocks=evaluator.blocks if is_mc else None,
-                          seed=getattr(evaluator, "master_seed", None),
-                          ci=ci)
+    return ExponentReport(gamma=gamma, method=evaluator.method, f_evaluations=evals,
+                          trace=trace, blocks=evaluator.blocks,
+                          seed=evaluator.master_seed, ci=ci)
 
 
 def solve_gamma_recursive(catalog: Catalog, tolerance: float = 1e-10) -> float:
     """Root of sum_j p_j sum_i (r_i m_i)^gamma = 1 (the fully random
     construction's exponent; a comparison oracle for large type counts)."""
-    report = solve_gamma(lambda x: _recursive_mean(catalog, x) - 1.0,
-                         tolerance, method="recursive-oracle")
-    return report.gamma
+    evaluator = ClosedForm(partial(_recursive_f, catalog), "recursive-oracle")
+    return solve_gamma(evaluator, tolerance).gamma
 
 
 def gamma_exact_homogeneous(catalog: Catalog, tolerance: float = 1e-10) -> ExponentReport:
     """Exact exponent of the one-type-per-level construction."""
     method = "exact-selfsimilar" if catalog.n_systems == 1 else "exact-homogeneous"
-    return solve_gamma(lambda x: f_exact_homogeneous(catalog, x),
-                       tolerance, method=method)
+    return solve_gamma(ClosedForm(partial(f_exact_homogeneous, catalog), method), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,21 @@ def test_invalid_catalog_blocks_other_commands(tmp_path, capsys):
     assert "invalid catalog" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, taken", [
+    ("file", "file"),  # --out is a file
+    ("file/out", "file"),  # --out lies under a file
+    ("out", "out/counting.csv/"),  # an output name is a directory
+])
+def test_output_path_failures_exit_2(tmp_path, capsys, out, taken):
+    cfg = write_cfg(tmp_path, small_cantor_doc())
+    if taken.endswith("/"):
+        (tmp_path / taken).mkdir(parents=True)
+    else:
+        (tmp_path / taken).write_text("")
+    assert main(["count", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
 def test_exponent_cantor_gamma(tmp_path):
     cfg = write_cfg(tmp_path, small_cantor_doc(
         level=10, x_grid={"lo": 100.0, "hi": 100000.0, "count": 24}))

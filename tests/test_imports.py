@@ -3,6 +3,8 @@
 Package ``__init__.py`` files re-export and are skipped, as is any import
 statement with a ``# noqa`` comment (names kept importable for the tracer
 in ``perfbench/tracing.py``, which patches them where they are imported).
+Each name on a package ``# noqa: F401`` line must be one the tracer wraps
+at that module, so when the tracer goes this test lists the imports to drop.
 """
 
 import ast
@@ -38,3 +40,31 @@ def test_every_import_is_used():
     assert FILES
     unused = [entry for path in FILES for entry in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def tracer_spans() -> set[tuple[str, str]]:
+    """The (module, attribute path) keys of ``perfbench/tracing.SPANS``, read
+    from its source so the benchmark package is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    spans = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANS"])
+    return set(ast.literal_eval(spans))
+
+
+def test_tracer_only_imports_are_wrapped():
+    spans = tracer_spans()
+    kept, unwrapped = [], []
+    for path in sorted((ROOT / "src" / "vvcantor").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    kept.append(name)
+                    if (f"vvcantor.{path.stem}", name) not in spans:
+                        unwrapped.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert kept
+    assert not unwrapped, "noqa imports the tracer does not wrap:\n" + "\n".join(unwrapped)

@@ -1,19 +1,22 @@
 import math
 import tracemalloc
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st, target
 
-from vvcantor import (BracketingResult, Catalog, ContractionMap,
+from vvcantor import (BracketingResult, Catalog, ClosedForm, ContractionMap,
                       InsufficientDataError, MonteCarloNeckEvaluator,
                       NoisyRootError, WeightedIFS, Xoshiro256StarStar,
                       bracketing_check, build_tree, center_counts,
                       cutset_stats_check, cut_set, empirical_exponent,
                       f_exact_homogeneous, gamma_exact_homogeneous, solve_gamma,
                       solve_gamma_recursive, stream_seed)
-from conftest import (env_table, member_bracketing_sums, scalar_neck_blocks,
-                      scalar_tree_stream)
+from vvcantor.spectral import _recursive_f
+from conftest import (env_table, make_cantor, make_two_system, member_bracketing_sums,
+                      scalar_neck_blocks, scalar_tree_stream)
 from test_properties import catalogs
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
@@ -80,6 +83,51 @@ def test_recursive_root(cantor, two_system):
         else:
             hi = mid
     assert abs(solve_gamma_recursive(two_system) - 0.5 * (lo + hi)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one protocol for every evaluator
+
+EVALUATORS = {
+    "exact": lambda: ClosedForm(partial(f_exact_homogeneous, make_two_system()),
+                                "exact-homogeneous"),
+    "recursive-oracle": lambda: ClosedForm(partial(_recursive_f, make_two_system()),
+                                           "recursive-oracle"),
+    "monte-carlo": lambda: MonteCarloNeckEvaluator(make_two_system(), 2, 300, master_seed=11),
+    # alike blocks: se 0 or rounding, and still a CI
+    "monte-carlo-cantor-v1": lambda: MonteCarloNeckEvaluator(make_cantor(), 1, 200,
+                                                             master_seed=5),
+}
+
+
+@pytest.mark.parametrize("make", EVALUATORS.values(), ids=EVALUATORS.keys())
+def test_solve_gamma_reports_what_the_evaluator_carries(make):
+    ev = make()
+    rep = solve_gamma(ev)
+    assert (rep.ci is None) == (ev.blocks is None)
+    assert (rep.method, rep.seed, rep.blocks) == (ev.method, ev.master_seed, ev.blocks)
+    if ev.blocks is None:
+        assert all(e.se == 0.0 for e in rep.f_evaluations)
+
+
+def test_exact_wrappers_are_closed_form_solves(two_system):
+    exact = ClosedForm(partial(f_exact_homogeneous, two_system), "exact-homogeneous")
+    assert asdict(gamma_exact_homogeneous(two_system)) == asdict(solve_gamma(exact, 1e-10))
+    recursive = ClosedForm(partial(_recursive_f, two_system), "recursive-oracle")
+    assert solve_gamma_recursive(two_system) == solve_gamma(recursive, 1e-10).gamma
+
+
+def test_hand_written_evaluator_solves_without_a_ci():
+    """Any object with the protocol is solved; one without blocks is exact."""
+    class Line:
+        method, blocks, master_seed = "line", None, None
+
+        def f(self, x):
+            return 0.4 - x, 0.0
+
+    rep = solve_gamma(Line(), tolerance=1e-6)
+    assert abs(rep.gamma - 0.4) <= 1e-6
+    assert rep.ci is None and rep.method == "line"
 
 
 def test_exponent_ordering_diagnostic(two_system):
