@@ -32,20 +32,31 @@ divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
 loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
 
-The neck-block DP takes one step per entry ``(blocks, level_sys, child)``,
-the next table row of each listed block, in the order the Monte Carlo lanes
-draw them or ``segment_levels`` gathers them. Per entry, one
+The neck-block DP runs on a ``BlockLayout``, built once by ``block_layout``
+from entries ``(blocks, level_sys, child)``, each the next table row of
+each listed block, in the order the Monte Carlo lanes draw them or
+``segment_levels`` gathers them. The layout orders the blocks longest
+first, stable by id, so the blocks still running at level p are the first
+``counts[p]``, and stores level p's rows in that order. A DP step then
+works on leading slices of its state and of reused buffers, and the log
+sums go back to block order once, at the end. Per level, one
 ``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``, in C order
 (block, type, map slot), to their (block, child type) sums. It adds in
 index order, so a sum runs over types, then slots, ascending: the order of
 an ``np.add.at`` scatter over a flat (CSR) list of the same products, so
-the sums are bit-identical to it, however a block's rows are split into
-entries. A padded slot's factor is masked to exactly 0, never computed as
-``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative sum, which
-changes no bit, and x = 0 still gives log node counts.
+the sums are bit-identical to it, however a block's rows were split into
+entries. A row of the new vector is summed as ``numpy.sum`` sums it: by
+column adds, left to right, below 8 types, and by ``sum`` itself from 8
+on, where numpy sums pairwise. A padded slot's factor is masked to
+exactly 0, never computed as ``0.0 ** x`` (1 at x = 0), so it adds +0.0
+to a nonnegative sum, which changes no bit, and x = 0 still gives log
+node counts.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -139,26 +150,115 @@ def segment_levels(level_sys, child, starts, lens):
         yield active, level_sys[rows], child[rows]
 
 
-def block_log_sums(levels, roots, v_types: int, table, x: float) -> np.ndarray:
+@dataclass(frozen=True)
+class BlockLayout:
+    """Neck blocks longest first: the blocks that run at level p are the
+    first ``counts[p]`` of ``order``, and level p's table rows are
+    ``counts[p]`` consecutive rows of ``level_sys`` and ``child`` in that
+    order, after those of the levels above it."""
+
+    order: np.ndarray  # block ids, length descending, stable by id
+    roots: np.ndarray  # root types, in ``order``
+    counts: np.ndarray  # blocks of more than p levels, non-increasing in p
+    level_sys: np.ndarray
+    child: np.ndarray
+
+    def runs(self):
+        """Runs of levels with the same running blocks: ``(n, level_sys,
+        child)``, the rows of the run's levels as views with a leading
+        level axis."""
+        start = 0
+        for n, run in groupby(self.counts.tolist()):
+            stop = start + n * len(list(run))
+            yield (n, *(rows[start:stop].reshape((-1, n) + rows.shape[1:])
+                        for rows in (self.level_sys, self.child)))
+            start = stop
+
+    def entries(self):
+        """The layout as ``block_layout`` entries, one per level."""
+        for n, run_sys, run_child in self.runs():
+            for level_sys, child in zip(run_sys, run_child):
+                yield self.order[:n], level_sys, child
+
+    def by_block(self, a: np.ndarray) -> np.ndarray:
+        """``a``, given in ``order``, put in block id order."""
+        out = np.empty_like(a)
+        out[self.order] = a
+        return out
+
+    @property
+    def lens(self) -> np.ndarray:
+        """Levels per block, in block id order."""
+        return self.by_block(np.searchsorted(-self.counts, -np.arange(self.order.shape[0])))
+
+
+def block_layout(levels, roots) -> BlockLayout:
+    """The layout of the blocks with root types ``roots`` (in block id
+    order) whose DP steps are ``levels``: entries ``(blocks, level_sys,
+    child)`` of distinct blocks, each block's entries in its level order.
+    ``levels`` is read twice, so an iterator is listed first. Each entry's
+    rows are scattered to their blocks' sorted positions."""
+    if iter(levels) is levels:
+        levels = list(levels)
+    n_blocks = roots.shape[0]
+    lens = np.zeros(n_blocks, np.int64)
+    for blocks, _, _ in levels:
+        lens[blocks] += 1
+    order = np.argsort(-lens, kind="stable")
+    counts = n_blocks - np.cumsum(np.bincount(lens))[:-1]
+    starts = np.cumsum(counts) - counts
+    pos = np.empty(n_blocks, np.int64)
+    pos[order] = np.arange(n_blocks)
+    none = np.empty(0, np.int64)
+    _, *sample = next(iter(levels), (none, none, none))  # the table's dtype and row shape
+    level_sys, child = (np.empty((int(lens.sum()),) + col.shape[1:], col.dtype)
+                        for col in sample)
+    seen = np.zeros(n_blocks, np.int64)
+    for blocks, sys_, ch in levels:
+        p = seen[blocks]
+        rows = starts[p] + pos[blocks]
+        level_sys[rows] = sys_
+        child[rows] = ch
+        seen[blocks] = p + 1
+    return BlockLayout(order, roots[order], counts, level_sys, child)
+
+
+def block_log_sums(layout: BlockLayout, v_types: int, table, x: float) -> np.ndarray:
     """log of sum over block paths of the per-path (ratio*weight)**x
-    products; ``table`` is ``catalog.map_table``. Each entry of ``levels``
-    is one DP step ``(blocks, level_sys, child)`` of distinct blocks, and
-    each block's entries come in its level order."""
+    products, in block id order; ``table`` is ``catalog.map_table``. Level
+    p updates the running blocks, the first ``layout.counts[p]`` rows of
+    the state, in buffers sliced once per run of equal counts."""
     rm = table[..., 0] * table[..., 1]
     real = table[..., 0] > 0.0
     fx = np.zeros(rm.shape)
     fx[real] = rm[real] ** x
-    n_blocks = roots.shape[0]
+    n_blocks = layout.order.shape[0]
     out = np.zeros(n_blocks)
     amat = np.zeros((n_blocks, v_types))
-    amat[np.arange(n_blocks), roots] = 1.0
-    for blocks, level_sys, child in levels:
-        n = blocks.shape[0]
-        targets = np.arange(0, n * v_types, v_types)[:, None, None] + child
-        products = amat[blocks][:, :, None] * fx[level_sys]
-        new = np.bincount(targets.ravel(), products.ravel(),
-                          n * v_types).reshape(n, v_types)
-        sums = new.sum(axis=1)
-        out[blocks] += np.log(sums)
-        amat[blocks] = new / sums[:, None]
-    return out
+    amat[np.arange(n_blocks), layout.roots] = 1.0
+    n0 = int(layout.counts[0]) if layout.counts.shape[0] else 0
+    base = np.arange(0, n0 * v_types, v_types)[:, None, None]
+    products = np.empty((n0, v_types, fx.shape[1]))
+    targets = np.empty(products.shape, np.int64)
+    sums = np.empty(n0)
+    pairwise = v_types >= 8  # numpy's row sum; below 8 it adds left to right
+    for n, run_sys, run_child in layout.runs():
+        a, o, prod, tgt, s = amat[:n], out[:n], products[:n], targets[:n], sums[:n]
+        a3, b3, prod1, tgt1, s2 = a[:, :, None], base[:n], prod.ravel(), tgt.ravel(), s[:, None]
+        for level_sys, child in zip(run_sys, run_child):
+            # System ids are in range; "clip" spares "raise"'s buffered copy.
+            fx.take(level_sys, axis=0, out=prod, mode="clip")
+            np.multiply(a3, prod, out=prod)
+            np.add(b3, child, out=tgt)
+            new = np.bincount(tgt1, prod1, n * v_types).reshape(n, v_types)
+            if pairwise:
+                new.sum(axis=1, out=s)
+            else:
+                first, *rest = new.T
+                np.copyto(s, first)
+                for col in rest:
+                    np.add(s, col, out=s)
+            np.divide(new, s2, out=a)
+            np.log(s, out=s)
+            np.add(o, s, out=o)
+    return layout.by_block(out)

@@ -82,13 +82,26 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluator
 
+class _DrawnLevels:
+    """The ``block_layout`` entries of one ``_draw_blocks`` call, one per
+    level, made anew on each pass: the lanes that drew level p are the
+    blocks whose neck is below it, so their ids are not kept."""
+
+    def __init__(self, rows: list, lens: np.ndarray, first: int):
+        self.rows, self.lens, self.first = rows, lens, first
+
+    def __iter__(self):
+        for p, (level_sys, child) in enumerate(self.rows):
+            yield self.first + np.flatnonzero(self.lens > p), level_sys, child
+
+
 def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
-                 count: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Rows, lens and roots of the neck blocks ``first + k``, k < ``count``.
+                 count: int) -> tuple[_DrawnLevels, np.ndarray]:
+    """DP entries and roots of the neck blocks ``first + k``, k < ``count``.
 
     Block b draws from stream ``MC_BLOCK_STREAM_BASE + b``: its root type
     ``(u*V)``, then ``LevelDraws`` levels until a neck. All blocks are drawn
-    in one pass of lockstep lanes; each level appends one ``block_log_sums``
+    in one pass of lockstep lanes; each level gives one ``block_layout``
     entry ``(blocks, level_sys, child)`` for the lanes that drew it.
 
     Raises ``TreeTooLargeError`` once the rows of the lanes still running
@@ -106,7 +119,7 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
             raise NeckTimeoutError(f"block {lane[0]} saw no neck within {level} levels")
         level += 1
         sys_, child, real = draw(rng)
-        rows.append((lane, sys_, child))
+        rows.append((sys_, child))
         neck = neck_mask(child, real)
         if neck.any():
             lens[lane[neck] - first] = level
@@ -117,7 +130,7 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
             raise TreeTooLargeError(
                 f"{lane.shape[0]} Monte Carlo blocks from block {lane[0]} still run at "
                 f"level {level}, past {DEFAULT_NODE_CAP} rows")
-    return rows, lens, roots
+    return _DrawnLevels(rows, lens, first), roots
 
 
 class MonteCarloNeckEvaluator:
@@ -126,12 +139,17 @@ class MonteCarloNeckEvaluator:
     Block b draws its root type and environments from the stream
     ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
     draw order of ``vtree.LevelDraws``. ``_draw_blocks`` draws the blocks of
-    one call in one pass of lockstep lanes, one per block, and the DP reads
-    their levels in the order they were drawn. They are shared by all x
-    (common random numbers); the log-sums of the last x are kept until
-    ``extend``. ``NeckTimeoutError`` names the lowest block that saw no
-    neck within ``DEFAULT_ENV_CAP`` levels, the one drawing the blocks one
-    by one would fail on, unless the rows of the running lanes pass
+    one call in one pass of lockstep lanes, one per block, and
+    ``_kernels.block_layout`` orders them longest first, once per draw: the
+    blocks still running at a level are then a prefix of that order, so
+    each DP step of ``log_sums`` works on slices of its state and reused
+    buffers, and sums a row of fewer than 8 types left to right, as
+    ``numpy.sum`` does (pairwise from 8 on). The layout is the evaluator's
+    only copy of the drawn rows, shared by all x (common random numbers);
+    the log-sums of the last x are kept until ``extend``.
+    ``NeckTimeoutError`` names the lowest block that saw no neck within
+    ``DEFAULT_ENV_CAP`` levels, the one drawing the blocks one by one would
+    fail on, unless the rows of the running lanes pass
     ``vtree.DEFAULT_NODE_CAP`` first: that is a ``TreeTooLargeError``.
     """
 
@@ -143,26 +161,26 @@ class MonteCarloNeckEvaluator:
         self.catalog = catalog
         self.v_types = v_types
         self.master_seed = master_seed
-        self._rows, self._lens, self._roots = _draw_blocks(
-            catalog, v_types, master_seed, 0, blocks)
+        self._layout = _kernels.block_layout(
+            *_draw_blocks(catalog, v_types, master_seed, 0, blocks))
         self._last = (None, None)  # the last x and its read-only log-sums
 
     @property
     def blocks(self) -> int:
-        return self._lens.shape[0]
+        return self._layout.order.shape[0]
 
     @property
     def neck_waits(self) -> np.ndarray:
         """First neck level per block."""
-        return self._lens.copy()
+        return self._layout.lens
 
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
-        rows, lens, roots = _draw_blocks(self.catalog, self.v_types,
-                                         self.master_seed, self.blocks, extra)
-        self._rows += rows
-        self._lens = np.concatenate((self._lens, lens))
-        self._roots = np.concatenate((self._roots, roots))
+        rows, roots = _draw_blocks(self.catalog, self.v_types, self.master_seed,
+                                   self.blocks, extra)
+        layout = self._layout
+        self._layout = _kernels.block_layout(
+            [*layout.entries(), *rows], np.concatenate((layout.by_block(layout.roots), roots)))
         self._last = (None, None)
 
     # -- evaluation ----------------------------------------------------------
@@ -170,7 +188,7 @@ class MonteCarloNeckEvaluator:
     def log_sums(self, x: float) -> np.ndarray:
         """Per-block log-sums at x, read-only."""
         if self._last[0] != x:
-            ls = _kernels.block_log_sums(self._rows, self._roots, self.v_types,
+            ls = _kernels.block_log_sums(self._layout, self.v_types,
                                          map_table(self.catalog), x)
             ls.setflags(write=False)
             self._last = (x, ls)
@@ -186,7 +204,7 @@ class MonteCarloNeckEvaluator:
     def f_by_root_type(self, x: float) -> dict[int, float]:
         """Conditional block means given the root type (diagnostic)."""
         ls = self.log_sums(x)
-        roots = self._roots
+        roots = self._layout.by_block(self._layout.roots)
         return {int(t): float(ls[roots == t].mean())
                 for t in np.unique(roots)}
 

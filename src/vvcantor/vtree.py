@@ -414,9 +414,10 @@ def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
     # to the k-th neck over the same levels. One call runs both in lockstep.
     roots = np.concatenate(([tree.root_type], tree.child[bounds[1:-1] - 1, 0, 0],
                             [tree.root_type]))
-    levels = _kernels.segment_levels(tree.level_sys, tree.child, np.append(bounds[:-1], 0),
-                                     np.append(np.diff(bounds), bounds[-1]))
-    sums = _kernels.block_log_sums(levels, roots, tree.v_types, map_table(tree.catalog),
+    layout = _kernels.block_layout(
+        _kernels.segment_levels(tree.level_sys, tree.child, np.append(bounds[:-1], 0),
+                                np.append(np.diff(bounds), bounds[-1])), roots)
+    sums = _kernels.block_log_sums(layout, tree.v_types, map_table(tree.catalog),
                                    x).tolist()
     return NeckSums(x=x, k=k, neck_levels=tuple(necks[:k]),
                     block_log_sums=sums[:-1], log_direct=sums[-1])

@@ -174,14 +174,15 @@ def pack_blocks(v_types: int, width: int, root_types, blocks) -> PackedBlocks:
     return PackedBlocks(level_sys, child, lens, np.array(root_types, np.int64))
 
 
-def unpack_levels(levels, roots) -> PackedBlocks:
-    """The blocks of ``block_log_sums`` entries ``(blocks, level_sys,
-    child)``, block-major: each block's rows in entry order, and ``lens``
-    counted from the entries."""
-    blocks, level_sys, child = (np.concatenate(col) for col in zip(*levels))
+def unpack_layout(layout) -> PackedBlocks:
+    """The blocks of a ``_kernels.block_layout``, block-major: each block's
+    rows in its entries' order, ``lens`` counted from the entries, roots in
+    block order."""
+    blocks, level_sys, child = (np.concatenate(col) for col in zip(*layout.entries()))
     order = np.argsort(blocks, kind="stable")
     return PackedBlocks(level_sys[order], child[order],
-                        np.bincount(blocks, minlength=roots.shape[0]), roots)
+                        np.bincount(blocks, minlength=layout.roots.shape[0]),
+                        layout.by_block(layout.roots))
 
 
 def scalar_tree_stream(catalog, v_types: int, necks: int, seed: int,

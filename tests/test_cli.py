@@ -308,6 +308,27 @@ def test_exponent_runs_one_dp_pass_per_f_evaluation(tmp_path, monkeypatch, confi
     assert len(calls) == len(doc["monte_carlo"]["f_evaluations"])
 
 
+@pytest.mark.parametrize("config", [CANTOR_CFG, LEBESGUE_CFG, TWOSYS_CFG])
+def test_exponent_builds_the_block_layout_once(tmp_path, monkeypatch, config):
+    """The shipped configs need no ``extend``, so the longest-first block
+    layout is built once, when the evaluator draws its blocks, and every
+    DP pass reads it."""
+    from vvcantor import spectral
+
+    calls = []
+    build = spectral._kernels.block_layout
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectral._kernels, "block_layout", counted)
+    assert main(["exponent", "--config", str(config), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "exponent.json").read_text())
+    assert doc["monte_carlo"]["blocks"] == json.loads(config.read_text())["mc_blocks"]
+    assert len(calls) == 1
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path, small_cantor_doc(v=2, mc_blocks=100))
     out1, out2 = tmp_path / "a", tmp_path / "b"

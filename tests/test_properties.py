@@ -20,7 +20,7 @@ from vvcantor.vtree import LevelDraws, environments_to_obj, sample_environment
 from conftest import (PackedBlocks, ScalarXoshiro256StarStar, csr_block_log_sums,
                       csr_pack_blocks, dense_counts, make_two_system, pack_blocks,
                       scalar_is_neck, scalar_neck_blocks, scalar_sample_environment,
-                      scalar_stream_seed, unpack_levels)
+                      scalar_stream_seed, unpack_layout)
 
 XS = np.geomspace(1.0, 1e6, 25)
 MAX_CELLS = 256  # keeps the dense oracle cheap
@@ -163,16 +163,24 @@ def _scalar_blocks(catalog, v, lens, seed):
 # Types send several different products to one child type: summing them
 # map slot first, or pairwise, changes the bits.
 @example(catalog=UNEQUAL, v=3, lens=[2], seed=39, x=0.7)
+# Both sides of the row-sum rule: left to right below 8 types, pairwise
+# from 8 on, where left-to-right sums differ from the oracle's.
+@example(catalog=make_two_system(), v=7, lens=[4, 4, 4], seed=1, x=0.7)
+@example(catalog=make_two_system(), v=9, lens=[4, 4, 4], seed=1, x=0.7)
 @example(catalog=make_two_system(), v=255, lens=[2, 1, 3], seed=3, x=0.3)  # uint8
 @example(catalog=make_two_system(), v=300, lens=[2, 1, 3], seed=3, x=0.3)  # uint16
+# Zero-length blocks and tied lengths, which keep their id order.
+@example(catalog=make_two_system(), v=2, lens=[0, 3, 1, 3, 0, 1, 3], seed=5, x=0.3)
+@example(catalog=make_two_system(), v=3, lens=[0, 0], seed=2, x=0.3)
 @given(catalog=catalogs(), v=st.integers(1, 3),
        lens=st.lists(st.integers(0, 12), max_size=8), seed=st.integers(0, 2 ** 64 - 1),
        x=st.one_of(st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.7]), st.floats(0.0, 4.0)))
 def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
-    """The dense neck-block DP, fed ``segment_levels`` of the block-major
-    table, is bit-identical to the CSR layout with its ``np.add.at``
-    scatter, at x = 0 (log node counts) too, on the int64 table and on the
-    same table in ``LevelDraws``' dtype."""
+    """The dense neck-block DP, fed the ``block_layout`` of the
+    ``segment_levels`` of the block-major table, is bit-identical to the
+    CSR layout with its ``np.add.at`` scatter, at x = 0 (log node counts)
+    too, on the int64 table and on the same table in ``LevelDraws``'
+    dtype. The layout orders the blocks longest first, stable by id."""
     roots, blocks = _scalar_blocks(catalog, v, lens, seed)
     table = map_table(catalog)
     level_sys, child, lens, roots = pack_blocks(v, table.shape[1], roots, blocks)
@@ -181,8 +189,10 @@ def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
     dtype = LevelDraws(catalog, v).dtype
     starts = np.cumsum(lens) - lens
     for env in ((level_sys, child), (level_sys.astype(dtype), child.astype(dtype))):
-        levels = _kernels.segment_levels(*env, starts, lens)
-        assert _kernels.block_log_sums(levels, roots, v, table, x).tobytes() == want
+        layout = _kernels.block_layout(_kernels.segment_levels(*env, starts, lens), roots)
+        assert layout.order.tolist() == sorted(range(len(lens)), key=lambda b: -lens[b])
+        assert np.array_equal(layout.lens, lens)
+        assert _kernels.block_log_sums(layout, v, table, x).tobytes() == want
 
 
 @settings(deadline=None)
@@ -190,36 +200,42 @@ def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
        lens=st.lists(st.integers(0, 12), max_size=8), seed=st.integers(0, 2 ** 64 - 1),
        x=st.sampled_from([0.0, 0.3, 2.7]), data=st.data())
 def test_block_dp_entries_split_and_permuted(catalog, v, lens, seed, x, data):
-    """The DP's only contract is that each block's entries come in its level
-    order: splitting each level's entry in two over any subset of its blocks
-    and permuting the blocks inside an entry leaves every log-sum's bits
-    unchanged, at x = 0 too."""
+    """The layout's only contract is that each block's entries come in its
+    level order: splitting each level's entry in two over any subset of its
+    blocks and permuting the blocks inside an entry gives the same layout,
+    and every log-sum's bits stay unchanged, at x = 0 too."""
     table = map_table(catalog)
     level_sys, child, lens, roots = pack_blocks(v, table.shape[1],
                                                 *_scalar_blocks(catalog, v, lens, seed))
     starts = np.cumsum(lens) - lens
     levels = list(_kernels.segment_levels(level_sys, child, starts, lens))
-    want = _kernels.block_log_sums(levels, roots, v, table, x).tobytes()
+    layout = _kernels.block_layout(levels, roots)
+    want = _kernels.block_log_sums(layout, v, table, x).tobytes()
     split = []
     for active, sys_, ch in levels:
         order = np.array(data.draw(st.permutations(range(active.shape[0]))), np.int64)
         cut = data.draw(st.integers(0, active.shape[0]))
         split += [(active[part], sys_[part], ch[part]) for part in (order[:cut], order[cut:])]
-    assert _kernels.block_log_sums(split, roots, v, table, x).tobytes() == want
+    got = _kernels.block_layout(split, roots)
+    for name in ("order", "roots", "counts", "level_sys", "child"):
+        assert np.array_equal(getattr(got, name), getattr(layout, name)), name
+    assert _kernels.block_log_sums(got, v, table, x).tobytes() == want
 
 
 MC_ENV_CAP = 150  # keeps the scalar oracle cheap where necks are rare
 
 
 def _assert_packed_equal(evaluator, want, dtype):
-    """The evaluator's DP entries, rebuilt block-major, equal the oracle's
-    int64 blocks, with the table in ``dtype``; so do its neck waits."""
-    got = unpack_levels(evaluator._rows, evaluator._roots)
+    """The evaluator's block layout, rebuilt block-major, equals the
+    oracle's int64 blocks, with the table in ``dtype``; so do its neck
+    waits, and the layout runs longest first."""
+    got = unpack_layout(evaluator._layout)
     for name, g, w in zip(PackedBlocks._fields, got, want):
         table = name in ("level_sys", "child")
         assert g.dtype == (dtype if table else w.dtype) and g.shape == w.shape, name
         assert np.array_equal(g, w), name
     assert np.array_equal(evaluator.neck_waits, want.lens)
+    assert np.array_equal(evaluator._layout.order, np.argsort(-want.lens, kind="stable"))
 
 
 def _past_cap(lens, cap) -> bool:
