@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._format import format_distinct, write_rows
+from ._format import format_17g, format_distinct, format_distinct_17g, write_rows
 from .errors import DepthExhaustedError, InvalidInputError
 from .vtree import VTree
 
@@ -65,21 +65,20 @@ class CellDecomposition:
     @cached_property
     def endpoint_text(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``.17g`` text of every left and every right end, as object
-        arrays that ``cells_to_csv`` and ``gaps_to_csv`` both read. Each left
-        is formatted once. A right end with the bit pattern of the next
-        cell's left reuses its string; bits, not values, so a ``-0.0`` end
-        touching ``0.0`` keeps its own text. Only the other right ends are
-        formatted. Computed on first use: the end arrays must not change
-        after it."""
-        fmt = "{:.17g}".format
+        arrays of ``str`` that ``cells_to_csv`` and ``gaps_to_csv`` both
+        read, written by ``format_17g``. Each left is formatted once. A
+        right end with the bit pattern of the next cell's left reuses its
+        string; bits, not values, so a ``-0.0`` end touching ``0.0`` keeps
+        its own text. Only the other right ends are formatted. Computed on
+        first use: the end arrays must not change after it."""
         lefts = np.asarray(self.lefts, np.float64)
         rights = np.asarray(self.rights, np.float64)
-        left_text = np.array(list(map(fmt, lefts.tolist())), dtype=object)
+        left_text = format_17g(lefts)
         shared = np.zeros(left_text.shape[0], bool)
         shared[:-1] = rights[:-1].view(np.uint64) == lefts[1:].view(np.uint64)
         right_text = np.empty_like(left_text)
         right_text[shared] = left_text[1:][shared[:-1]]
-        right_text[~shared] = list(map(fmt, rights[~shared].tolist()))
+        right_text[~shared] = format_17g(rights[~shared])
         return left_text, right_text
 
 
@@ -140,16 +139,18 @@ def _column_text(column):
     column = np.asarray(column)
     if column.dtype == object:
         return column
-    return format_distinct(column, "{:.17g}".format if column.dtype.kind == "f" else str)
+    if column.dtype.kind == "f":
+        return format_distinct_17g(column)
+    return format_distinct(column, str)
 
 
 def write_csv(fp, header: str, columns, meta: dict | None = None) -> None:
     """The layout of every table output: meta lines, then ``header`` and one
     line per position of the ``columns`` arrays, comma separated, stopping
     at the shortest; table lines end in CRLF, as ``csv.writer`` ends them.
-    Floats are written with 17 significant digits (``.17g``), integers by
-    ``str``, each distinct value formatted once (``format_distinct``). An
-    object column is text already formatted so (the cell ends of
+    Floats are written with 17 significant digits (``.17g``) by
+    ``format_distinct_17g``, integers by ``str`` through ``format_distinct``,
+    each distinct value formatted once. An object column is text already formatted so (the cell ends of
     ``CellDecomposition.endpoint_text``) and is written as it is.
     """
     texts = [_column_text(col) for col in columns]

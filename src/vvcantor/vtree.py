@@ -23,6 +23,7 @@ Monte Carlo estimates) only need the environments.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -394,12 +395,15 @@ class NeckSums:
         return abs(self.log_direct - self.log_block_product) / max(1.0, abs(self.log_direct))
 
 
-def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
+def scale_sum_at_neck(tree: VTree, x: float | Sequence[float],
+                      k: int) -> NeckSums | list[NeckSums]:
     """Sum of (ratio*weight)**x over the k-th neck generation, computed both
     straight through and as a product over neck-to-neck blocks.
 
     Only the environment sequence is consulted, so the generation itself
-    need not be materialized.
+    need not be materialized. ``x`` is one exponent, giving one
+    ``NeckSums``, or a sequence of them, giving a list in the same order:
+    the block layout does not depend on x, so it is built once per call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -417,10 +421,13 @@ def scale_sum_at_neck(tree: VTree, x: float, k: int) -> NeckSums:
     layout = _kernels.block_layout(
         _kernels.segment_levels(tree.level_sys, tree.child, np.append(bounds[:-1], 0),
                                 np.append(np.diff(bounds), bounds[-1])), roots)
-    sums = _kernels.block_log_sums(layout, tree.v_types, map_table(tree.catalog),
-                                   x).tolist()
-    return NeckSums(x=x, k=k, neck_levels=tuple(necks[:k]),
-                    block_log_sums=sums[:-1], log_direct=sums[-1])
+    table = map_table(tree.catalog)
+    results = []
+    for xi in np.atleast_1d(np.asarray(x, np.float64)).tolist():
+        sums = _kernels.block_log_sums(layout, tree.v_types, table, xi).tolist()
+        results.append(NeckSums(x=xi, k=k, neck_levels=tuple(necks[:k]),
+                                block_log_sums=sums[:-1], log_direct=sums[-1]))
+    return results if np.ndim(x) else results[0]
 
 
 def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:

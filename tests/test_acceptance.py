@@ -106,8 +106,8 @@ def test_criterion_4_factorization_identity():
             root, envs = scalar_tree_stream(cat, v, 3, 1000 + i)
             tree = build_tree(cat, v, 0, root_type=root,
                               environments=env_table(cat, v, envs))
-            for x in (0.2, 0.45, 0.8):
-                worst = max(worst, scale_sum_at_neck(tree, x, 3).rel_gap)
+            for ns in scale_sum_at_neck(tree, (0.2, 0.45, 0.8), 3):
+                worst = max(worst, ns.rel_gap)
             count += 1
         assert count == 50
         assert worst < 1e-10, f"worst relative gap {worst:.3e}"

@@ -1,12 +1,19 @@
 """The output writers must write the bytes of the row-template writers they
-replaced (``conftest``), on random catalogs and on hand-built columns with
-signed zeros and repeats. Repeating columns are formatted once per distinct
-value; cell ends once per decomposition, in text that ``cells.csv`` and
-``gaps.csv`` share whichever is written first; ``tree.jsonl`` paths are
-gathered from their parents' paths, checked on a root-only tree and on a
-width-3 catalog."""
+replaced (``conftest``), on random catalogs, on hand-built columns with
+signed zeros and repeats, and on the shipped configs at level 12. Repeating
+columns are formatted once per distinct value; cell ends once per
+decomposition, in text that ``cells.csv`` and ``gaps.csv`` share whichever
+is written first; ``tree.jsonl`` paths are gathered from their parents'
+paths, checked on a root-only tree and on a width-3 catalog.
+
+``format_17g`` must write ``"{:.17g}".format``'s bytes for every double, and
+its numpy kernel must prove nearly every value it is given: a kernel that
+fell back to Python everywhere would keep the bytes and lose the speed."""
 
 import io
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -16,9 +23,10 @@ import pytest
 from vvcantor import (DIRICHLET, NEUMANN, Pencil, Xoshiro256StarStar, assemble,
                       build_tree, cells_to_csv, decompose, gaps_to_csv,
                       pencil_to_csv, refine_uniform, stream_seed)
+from vvcantor.cli import RunConfig, _build
 from vvcantor.measure import CellDecomposition
 from vvcantor import _format
-from vvcantor._format import format_distinct, write_rows
+from vvcantor._format import format_17g, format_distinct, write_rows
 from vvcantor.measure import counting_to_csv
 from vvcantor.vtree import tree_to_jsonl
 from conftest import (make_cantor, make_two_system, template_cells_to_csv,
@@ -198,3 +206,127 @@ def test_width_three_tree_matches_oracle():
     tree = build_tree(make_two_system(), 2, 5, rng=Xoshiro256StarStar(stream_seed(3, 0)))
     assert sum(int((gen.pos == 2).any()) for gen in tree.generations) >= 2
     _same(tree_to_jsonl, template_tree_to_jsonl, tree)
+
+
+# ---------------------------------------------------------------------------
+# format_17g against Python's formatter
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _proven(values) -> np.ndarray:
+    """The kernel's proven mask over a whole array, a block at a time."""
+    values = np.asarray(values, np.float64)
+    step = _format._BLOCK_ROWS
+    return np.concatenate([_format._digit_text(values[lo:lo + step])[1]
+                           for lo in range(0, values.shape[0], step)] or [np.zeros(0, bool)])
+
+
+def _check_17g(values) -> None:
+    got = format_17g(values)
+    assert got.dtype == object and all(type(t) is str for t in got)
+    assert got.tolist() == ["{:.17g}".format(v) for v in np.asarray(values).tolist()]
+
+
+def _powers_of_ten() -> list:
+    values = []
+    for k in range(-325, 309):
+        v = float(f"1e{k}")
+        values += [v, float(np.nextafter(v, -np.inf)), float(np.nextafter(v, np.inf))]
+    return values
+
+
+EDGE_VALUES = [
+    *_powers_of_ten(),
+    2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, float(2 ** 53 + 1),
+    *(float(m + d) for m in (10 ** 16, 10 ** 17) for d in (-1, 1)),
+    *(float(np.nextafter(m, t)) for m in (1e16, 1e17) for t in (0.0, np.inf)),
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1234567890123456.75, -1234567890123456.75,
+]
+
+
+def _floats_bits(v: float) -> int:
+    return int(np.array(v, np.float64).view(np.uint64))
+
+
+@settings(deadline=None)
+@example(bits=[])
+@example(bits=[0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
+               0x7FF800000000DEAD, 0xFFF0000000000000, 0x0000000000000001])
+@given(bits=st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                               st.floats(width=64).map(_floats_bits)),
+                     max_size=64))
+def test_format_17g_matches_format_on_every_bit_pattern(bits):
+    """Raw bit patterns reach NaN payloads, +-inf, +-0 and subnormals as
+    well as every exponent; ``st.floats`` adds short decimals and ties."""
+    _check_17g(_floats(bits))
+
+
+def test_format_17g_edge_values():
+    _check_17g(np.array(EDGE_VALUES))
+    assert format_17g(np.array([1234567890123456.75, -1234567890123456.75])).tolist() == [
+        "1234567890123456.8", "-1234567890123456.8"]
+
+
+def test_format_17g_across_blocks_with_fallbacks():
+    """Fallback rows (zeros, NaN, subnormals, ties) land in several blocks
+    and at both ends of one."""
+    rng = np.random.default_rng(5)
+    n = 2 * _format._BLOCK_ROWS + 7
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    odd = [0.0, -0.0, np.nan, 5e-324, 1234567890123456.75, np.inf]
+    for i, at in enumerate((0, _format._BLOCK_ROWS - 1, _format._BLOCK_ROWS,
+                            2 * _format._BLOCK_ROWS, n - 1)):
+        values[at] = odd[i % len(odd)]
+    _check_17g(values)
+    _check_17g(np.zeros(0))
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_exponent_guess_off_by_one_falls_back(monkeypatch, shift):
+    """numpy's log10 need not round correctly, so near a power of ten the
+    guessed exponent may be one off either way; the product then leaves
+    [1e16, 1e17) and the value goes to Python."""
+    rng = np.random.default_rng(7)
+    values = (1.0 + 9.0 * rng.random(1000)) * 10.0 ** rng.integers(-260, 280, 1000)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert not _proven(values).any()
+    _check_17g(values)
+
+
+def test_power_table_is_exact_rounding():
+    """Each entry is 10**(16 - k) rounded, plus its rounded remainder,
+    checked with exact rationals."""
+    ks = range(_format._K_MIN, _format._K_MAX + 1)
+    assert len(_format._P_HI) == len(ks)
+    for k, hi, lo in zip(ks, _format._P_HI.tolist(), _format._P_LO.tolist()):
+        exact = Fraction(10) ** (16 - k)
+        assert hi == float(exact)
+        assert lo == float(exact - Fraction(hi))
+
+
+def test_kernel_proves_uniform_doubles():
+    values = np.random.default_rng(29).random(100_000)
+    assert _proven(values).mean() >= 0.999
+    _check_17g(values)
+
+
+def _level_12(name: str):
+    cfg = RunConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    return decompose(_build(cfg, 12), 12)
+
+
+def test_kernel_proves_every_nonzero_cell_end():
+    """0.0, the interval's left end, is the one value the kernel leaves to
+    Python on two_system_v2 at level 12."""
+    dec = _level_12("two_system_v2")
+    ends = np.concatenate([dec.lefts, dec.rights])
+    assert _proven(ends).tolist() == (ends != 0.0).tolist()
+
+
+@pytest.mark.parametrize("name", ["cantor", "lebesgue", "two_system_v2"])
+def test_level_12_cells_and_gaps_match_oracle(name):
+    _same(cells_to_csv, template_cells_to_csv, _level_12(name), META)
+    _same(gaps_to_csv, template_gaps_to_csv, _level_12(name), META)

@@ -246,10 +246,18 @@ def test_factorization_identity_random_trees(two_system):
         root, envs = scalar_tree_stream(two_system, v, 3, 100 + i)
         tree = build_tree(two_system, v, 0, root_type=root,
                           environments=env_table(two_system, v, envs))
-        for x in (0.2, 0.45, 0.8):
-            ns = scale_sum_at_neck(tree, x, 3)
+        for ns in scale_sum_at_neck(tree, (0.2, 0.45, 0.8), 3):
             worst = max(worst, ns.rel_gap)
     assert worst < 1e-10
+
+
+def test_several_x_in_one_call_match_single_calls(two_system):
+    root, envs = scalar_tree_stream(two_system, 2, 3, 104)
+    tree = build_tree(two_system, 2, 0, root_type=root,
+                      environments=env_table(two_system, 2, envs))
+    xs = [0.2, 0.45, 0.8]
+    assert scale_sum_at_neck(tree, xs, 3) == [scale_sum_at_neck(tree, x, 3) for x in xs]
+    assert scale_sum_at_neck(tree, np.array([0.45]), 3) == [scale_sum_at_neck(tree, 0.45, 3)]
 
 
 def test_dp_matches_brute_force_node_sum(two_system):
