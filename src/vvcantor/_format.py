@@ -2,38 +2,45 @@
 
 The outputs fix their number text by Python's ``format``/``repr``/``str``.
 Table floats are written as ``"{:.17g}".format`` writes them, and
-``format_17g`` writes those bytes for a whole float64 array. numpy
+``float_text`` writes those bytes for a whole float64 array. numpy
 generates the 17 digits of every value whose rounding it can prove: the
 exact product x * 10**(16 - k), for k the decimal exponent of x, is formed
 as a double-double (Dekker 1971; the power is held as an unevaluated sum of
 two doubles), which is within 1e-14 of the true product, so the correctly
 rounded 17-digit integer is fixed whenever the product's fraction lies more
 than 1e-9 from one half. The digits are laid out by one gather from a
-template per (exponent, significant digits, sign) and read back as ``str``.
-Python's formatter, which rounds correctly for every double (Gay 1990),
-stays for the values numpy cannot prove: zero, infinities, NaN,
-subnormals, |x| outside [1e-270, 1e290), a ``floor(log10)`` exponent guess
-off by one near a power of ten, and products within 1e-9 of a tie.
-``np.char.mod("%.17g", ...)`` writes the same bytes too, but through one
-Python call per value, and is slower than ``format`` itself.
+template per (exponent, significant digits, sign). Python's formatter,
+which rounds correctly for every double (Gay 1990), stays for the values
+numpy cannot prove: zero, infinities, NaN, subnormals, |x| outside
+[1e-270, 1e290), a ``floor(log10)`` exponent guess off by one near a power
+of ten, and products within 1e-9 of a tie. ``np.char.mod("%.17g", ...)``
+writes the same bytes too, but through one Python call per value, and is
+slower than ``format`` itself. Integers are written as ``str`` writes them,
+by digit generation in numpy (``int_text``).
 
-Columns that repeat are formatted once per distinct value
-(``format_distinct``, and ``format_17g`` on the distinct floats of a table
-column); the cell ends of a decomposition once per decomposition
-(``CellDecomposition.endpoint_text``), shared by ``cells.csv`` and
-``gaps.csv``; ``tree.jsonl`` paths are gathered from the parents' paths.
-Lines are then joined a block of rows at a time, with one ``str.join`` over
-the interleaved cells and literal pieces; a column is any sequence of
-strings, a list or an object array.
+A table column's text is an (n, w) uint8 matrix of ASCII, one row per
+line, NUL-padded to the longest text w: floats left-aligned, integers
+right-aligned. Float columns that repeat are formatted once per distinct
+value and gathered by row (``column_text``); the cell ends of a
+decomposition once per decomposition (``CellDecomposition.endpoint_text``),
+shared by ``cells.csv`` and ``gaps.csv``. ``write_table`` copies a block of
+rows of every column into one buffer whose separator columns are written
+once, and drops the NULs with one compress per block; no output holds a
+NUL, so what is left is the lines' bytes.
+
+``tree.jsonl`` keeps the ``str`` path: ``format_distinct`` formats a
+column once per distinct value as ``str`` objects, and ``write_rows``
+joins a block of rows with one ``str.join`` over the interleaved cells and
+literal pieces.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Rows per ``write`` of ``write_rows``, and values per ``format_17g`` kernel
-# call: bounds the interleaved list, the joined text and the kernel's
-# temporaries while keeping the per-block overhead small.
+# Rows per ``write`` of ``write_table`` and ``write_rows``, and values per
+# ``float_text`` kernel call: bounds the row buffer, the joined text and the
+# kernel's temporaries while keeping the per-block overhead small.
 _BLOCK_ROWS = 4096
 
 # Decimal exponents k = floor(log10|x|) that the kernel formats. Within them
@@ -72,13 +79,13 @@ _P_HH, _P_HL = _split(_P_HI)
 
 
 def _code_pairs(texts) -> np.ndarray:
-    """Texts of one even length as rows of uint64 words, each holding two
-    code points in memory order."""
-    codes = np.frombuffer("".join(texts).encode("utf-32-le"), "<u4").astype(np.uint32)
-    return codes.reshape(len(texts), -1).view(np.uint64)
+    """ASCII texts of one even length as rows of uint16 words, each holding
+    two characters in memory order."""
+    codes = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
+    return codes.reshape(len(texts), -1).view(np.uint16)
 
 
-# A text is gathered from 26 source code points, stored as 13 words of two:
+# A text is gathered from 26 source characters, stored as 13 words of two:
 # the 17 digits, ".", "0", "e", the exponent's sign and three digits, "-"
 # and NUL, which pads a text to ``_WIDTH``.
 _DOT, _ZERO, _E, _ESIGN, _EXP, _MINUS, _NUL = 17, 18, 19, 20, 21, 24, 25
@@ -128,9 +135,9 @@ _TEMPLATES = _templates()
 
 
 def _digit_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``.17g`` text of a float64 block as an (n, ``_WIDTH``) uint32
-    array of NUL-padded code points, and the mask of rows it proves; the
-    other rows hold filler and must be formatted by Python."""
+    """The ``.17g`` text of a float64 block as an (n, ``_WIDTH``) uint8
+    matrix of NUL-padded ASCII, and the mask of rows it proves; the other
+    rows hold filler and must be formatted by Python."""
     n = x.shape[0]
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -154,7 +161,7 @@ def _digit_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proven &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (scaled >= _E16) & (digits < _E17)
     digits[~proven] = _E16
 
-    source = np.empty((n, _SOURCE_WIDTH // 2), np.uint64)
+    source = np.empty((n, _SOURCE_WIDTH // 2), np.uint16)
     first = digits // 10  # the first 16 digits, as two halves of 8
     last = digits - first * 10
     sig = np.where(last != 0, 17, 0)  # significant digits, as trailing zeros drop
@@ -171,28 +178,105 @@ def _digit_text(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     source[:, 9] = _ZERO_E
     np.take(_EXPONENT, row, axis=0, out=source[:, 10:12])
     source[:, 12] = _MINUS_NUL
-    text = source.view(np.uint32)
+    text = source.view(np.uint8)
     cols = np.take(_TEMPLATES, _LAYOUT[row] + 2 * sig + (x < 0), axis=0)
     cols += np.arange(0, n * _SOURCE_WIDTH, _SOURCE_WIDTH)[:, None]
     return text.ravel().take(cols), proven
 
 
-def format_17g(values) -> np.ndarray:
-    """``"{:.17g}".format`` of each value of a 1-D float array, as an object
-    array of ``str``, byte-identical to it: numpy writes the text of every
-    value ``_digit_text`` proves, a block of ``_BLOCK_ROWS`` values at a
-    time, and Python formats the rest."""
-    x = np.asarray(values, np.float64)
-    out = np.empty(x.shape[0], dtype=object)
+def float_rows(x: np.ndarray) -> np.ndarray:
+    """``.17g`` text of a float64 array as an (n, ``_WIDTH``) uint8 matrix,
+    left-aligned and NUL-padded: numpy writes every row ``_digit_text``
+    proves, a block of ``_BLOCK_ROWS`` values at a time, and Python formats
+    the rest, encoded and padded into their rows."""
+    out = np.empty((x.shape[0], _WIDTH), np.uint8)
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         block = x[lo:lo + _BLOCK_ROWS]
         text, proven = _digit_text(block)
-        part = out[lo:lo + block.shape[0]]
-        part[:] = text.view(f"U{_WIDTH}").ravel()
         rest = np.flatnonzero(~proven)
         if rest.shape[0]:
-            part[rest] = list(map("{:.17g}".format, block[rest].tolist()))
+            fallback = np.array(list(map("{:.17g}".format, block[rest].tolist())), f"S{_WIDTH}")
+            text[rest] = fallback.view(np.uint8).reshape(-1, _WIDTH)
+        out[lo:lo + block.shape[0]] = text
     return out
+
+
+def trim(text: np.ndarray) -> np.ndarray:
+    """A left-aligned ``_WIDTH``-column text matrix cut to its longest row,
+    as a contiguous copy, which gathers rows faster than a view: column c
+    holds a character in some row exactly when c is below the longest
+    length."""
+    used = np.array([np.bitwise_or.reduce(word) for word in text.view(np.uint64).T])
+    return np.ascontiguousarray(text[:, :np.count_nonzero(used.view(np.uint8))])
+
+
+def float_text(values) -> np.ndarray:
+    """``"{:.17g}".format`` of each value of a 1-D float array, as an (n, w)
+    uint8 matrix of left-aligned, NUL-padded ASCII, w the longest text:
+    row i without its NULs is the text of value i, byte for byte."""
+    return trim(float_rows(np.asarray(values, np.float64)))
+
+
+def int_text(values) -> np.ndarray:
+    """``str`` of each value of a 1-D integer array as an (n, w) uint8
+    matrix: the digits right-aligned, NULs before them and ``-`` before a
+    negative value's digits, w the longest text. Magnitudes are negated in
+    uint64, which holds the magnitude 2**63 of -2**63 where int64 cannot."""
+    values = np.asarray(values, np.int64)
+    n = values.shape[0]
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    digits = len(str(int(magnitude.max(initial=0))))
+    width = digits + bool(negative.any())
+    out = np.zeros((n, width), np.uint8)
+    length = np.ones(n, np.intp)  # digits of each value, "0" included
+    for j in range(1, digits + 1):
+        quotient = magnitude // 10
+        digit = (magnitude - quotient * 10).astype(np.uint8) + np.uint8(48)
+        if j > 1:
+            live = magnitude != 0
+            digit *= live
+            length += live
+        out[:, width - j] = digit
+        magnitude = quotient
+    rows = np.flatnonzero(negative)
+    out[rows, width - 1 - length[rows]] = ord("-")
+    return out
+
+
+def column_text(column) -> np.ndarray:
+    """The text matrix of a table column: a 2-D uint8 array is text already
+    and is returned as it is; floats are written by ``float_text`` once per
+    distinct bit pattern and gathered by row, integers by ``int_text``."""
+    column = np.asarray(column)
+    if column.ndim == 2:
+        return column
+    if column.dtype.kind == "f":
+        distinct, inverse = _distinct(column.astype(np.float64, copy=False))
+        return np.take(float_text(distinct), inverse, axis=0)
+    return int_text(column)
+
+
+def write_table(fp, texts) -> None:
+    """Write line i as the i-th rows of the ``texts`` matrices (see
+    ``column_text``) without their NULs, comma separated and ending in CRLF,
+    for every row up to the shortest matrix's length. A block of
+    ``_BLOCK_ROWS`` rows is copied into one reused buffer whose separator
+    columns are written once, and its nonzero bytes, in row-major order,
+    are the block's lines."""
+    n = min((t.shape[0] for t in texts), default=0)
+    widths = [t.shape[1] for t in texts]
+    starts = np.cumsum([0] + [w + 1 for w in widths])  # each field and its separator
+    buf = np.zeros((min(n, _BLOCK_ROWS), starts[-1] + 1), np.uint8)
+    buf[:, starts[1:-1] - 1] = ord(",")
+    buf[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = buf[:min(_BLOCK_ROWS, n - lo)]
+        for text, start, width in zip(texts, starts.tolist(), widths):
+            block[:, start:start + width] = text[lo:lo + block.shape[0]]
+        flat = block.ravel()
+        fp.write(flat[flat != 0].tobytes().decode("ascii"))
 
 
 def format_distinct(values, fmt) -> list[str]:
@@ -202,13 +286,6 @@ def format_distinct(values, fmt) -> list[str]:
     distinct, inverse = _distinct(values)
     strings = np.array([fmt(v) for v in distinct.tolist()], dtype=object)
     return strings[inverse].tolist()
-
-
-def format_distinct_17g(values) -> np.ndarray:
-    """``format_17g`` of a float array, run once per distinct bit pattern
-    and gathered, as an object array."""
-    distinct, inverse = _distinct(np.asarray(values, np.float64))
-    return format_17g(distinct)[inverse]
 
 
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:

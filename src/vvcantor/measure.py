@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._format import format_17g, format_distinct, format_distinct_17g, write_rows
+from ._format import column_text, float_rows, trim, write_table
 from .errors import DepthExhaustedError, InvalidInputError
 from .vtree import VTree
 
@@ -64,22 +64,23 @@ class CellDecomposition:
 
     @cached_property
     def endpoint_text(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``.17g`` text of every left and every right end, as object
-        arrays of ``str`` that ``cells_to_csv`` and ``gaps_to_csv`` both
-        read, written by ``format_17g``. Each left is formatted once. A
-        right end with the bit pattern of the next cell's left reuses its
-        string; bits, not values, so a ``-0.0`` end touching ``0.0`` keeps
-        its own text. Only the other right ends are formatted. Computed on
-        first use: the end arrays must not change after it."""
+        """The ``.17g`` text of every left and every right end, as two
+        (n, w) uint8 matrices of NUL-padded ASCII (see ``_format``) that
+        ``cells_to_csv`` and ``gaps_to_csv`` both read. Each left is
+        formatted once. A right end with the bit pattern of the next cell's
+        left reuses its row; bits, not values, so a ``-0.0`` end touching
+        ``0.0`` keeps its own text. Only the other right ends are
+        formatted. Computed on first use: the end arrays must not change
+        after it."""
         lefts = np.asarray(self.lefts, np.float64)
         rights = np.asarray(self.rights, np.float64)
-        left_text = format_17g(lefts)
+        left_text = float_rows(lefts)
         shared = np.zeros(left_text.shape[0], bool)
         shared[:-1] = rights[:-1].view(np.uint64) == lefts[1:].view(np.uint64)
         right_text = np.empty_like(left_text)
         right_text[shared] = left_text[1:][shared[:-1]]
-        right_text[~shared] = format_17g(rights[~shared])
-        return left_text, right_text
+        right_text[~shared] = float_rows(rights[~shared])
+        return trim(left_text), trim(right_text)
 
 
 def decompose(tree: VTree, level: int) -> CellDecomposition:
@@ -135,28 +136,21 @@ def write_meta(fp, meta: dict | None) -> None:
     fp.writelines(f"# {key}={value}\n" for key, value in (meta or {}).items())
 
 
-def _column_text(column):
-    column = np.asarray(column)
-    if column.dtype == object:
-        return column
-    if column.dtype.kind == "f":
-        return format_distinct_17g(column)
-    return format_distinct(column, str)
-
-
 def write_csv(fp, header: str, columns, meta: dict | None = None) -> None:
     """The layout of every table output: meta lines, then ``header`` and one
     line per position of the ``columns`` arrays, comma separated, stopping
     at the shortest; table lines end in CRLF, as ``csv.writer`` ends them.
-    Floats are written with 17 significant digits (``.17g``) by
-    ``format_distinct_17g``, integers by ``str`` through ``format_distinct``,
-    each distinct value formatted once. An object column is text already formatted so (the cell ends of
+    Each column becomes a uint8 text matrix (``_format.column_text``):
+    floats with 17 significant digits (``.17g``), each distinct value
+    formatted once, and integers as ``str`` writes them. A 2-D uint8
+    column is text already (the cell ends of
     ``CellDecomposition.endpoint_text``) and is written as it is.
+    ``_format.write_table`` writes the lines.
     """
-    texts = [_column_text(col) for col in columns]
+    texts = [column_text(col) for col in columns]
     write_meta(fp, meta)
     fp.write(f"{header}\r\n")
-    write_rows(fp, [""] + [","] * (len(texts) - 1) + ["\r\n"], texts)
+    write_table(fp, texts)
 
 
 def cells_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) -> None:
@@ -173,8 +167,9 @@ def gaps_to_csv(decomposition: CellDecomposition, fp, meta: dict | None = None) 
     writers runs first."""
     d = decomposition
     left_text, right_text = d.endpoint_text
-    mask = d._gap_mask
-    write_csv(fp, "left,right", (right_text[:-1][mask], left_text[1:][mask]), meta)
+    gaps = np.flatnonzero(d._gap_mask)
+    write_csv(fp, "left,right", (np.take(right_text, gaps, axis=0),
+                                 np.take(left_text, gaps + 1, axis=0)), meta)
 
 
 def counting_to_csv(fp, xs, counts_d, counts_n, level: int, splits: int,

@@ -465,21 +465,25 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
     Paths are object arrays of text: a generation's paths are its parents'
     gathered by ``parent``, plus the suffix of each node's slot gathered by
     ``pos`` (``"q"`` below the root, ``", q"`` further down), so the cost
-    is linear in the node count. Every other field is formatted once per
-    distinct value of a generation (``format_distinct``).
+    is linear in the node count. Types and system indices are gathered by
+    value from the text of ``0 .. max(v, n_systems) - 1``; the products
+    are formatted once per distinct value of a generation
+    (``format_distinct``).
     """
+    small = np.array([str(i) for i in range(max(tree.v_types, tree.catalog.n_systems))],
+                     dtype=object)
     paths, sep = np.array([""], dtype=object), ""
     for level, gen in enumerate(tree.generations):
         if level:
             suffix = np.array([f"{sep}{q}" for q in range(tree.child.shape[2])], dtype=object)
             paths = paths[gen.parent] + suffix[gen.pos]
             sep = ", "
-        systems = (format_distinct(tree.level_sys[level][gen.types], str)
+        systems = (small[tree.level_sys[level][gen.types]]
                    if level < tree.depth else ["null"] * gen.size)
         write_rows(fp, ('{"m_product": ', ', "path": [', '], "r_product": ',
                         ', "system": ', ', "type": ', '}\n'),
                    (format_distinct(gen.mprod, repr), paths, format_distinct(gen.rprod, repr),
-                    systems, format_distinct(gen.types, str)))
+                    systems, small[gen.types]))
 
 
 def environments_to_obj(tree: VTree) -> list:

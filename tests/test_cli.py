@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -513,11 +514,14 @@ def test_decomposition_round_trips_to_identical_pencil(tmp_path):
 
 
 def test_console_entry_point_runs(tmp_path):
-    env_path = f"{ROOT / 'src'}"
+    env = {"PYTHONPATH": f"{ROOT / 'src'}", "PATH": "/usr/bin:/bin"}
+    # A suite run with PYTHONDONTWRITEBYTECODE set leaves no __pycache__ behind.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-m", "vvcantor.cli", "validate",
          "--config", str(LEBESGUE_CFG), "--out", str(tmp_path)],
-        capture_output=True, text=True, env={"PYTHONPATH": env_path, "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["valid"] is True

@@ -6,9 +6,12 @@ decomposition, in text that ``cells.csv`` and ``gaps.csv`` share whichever
 is written first; ``tree.jsonl`` paths are gathered from their parents'
 paths, checked on a root-only tree and on a width-3 catalog.
 
-``format_17g`` must write ``"{:.17g}".format``'s bytes for every double, and
-its numpy kernel must prove nearly every value it is given: a kernel that
-fell back to Python everywhere would keep the bytes and lose the speed."""
+``float_text`` must write ``"{:.17g}".format``'s bytes for every double and
+``int_text`` ``str``'s for every int64, as rows of NUL-padded text, and the
+float kernel must prove nearly every value it is given: a kernel that fell
+back to Python everywhere would keep the bytes and lose the speed. The
+byte-matrix table writer must write the row template's bytes on tables
+that end on and around its block edges, with every fallback value there."""
 
 import io
 import json
@@ -26,12 +29,12 @@ from vvcantor import (DIRICHLET, NEUMANN, Pencil, Xoshiro256StarStar, assemble,
 from vvcantor.cli import RunConfig, _build
 from vvcantor.measure import CellDecomposition
 from vvcantor import _format
-from vvcantor._format import format_17g, format_distinct, write_rows
-from vvcantor.measure import counting_to_csv
+from vvcantor._format import float_text, format_distinct, int_text, write_rows
+from vvcantor.measure import counting_to_csv, write_csv
 from vvcantor.vtree import tree_to_jsonl
 from conftest import (make_cantor, make_two_system, template_cells_to_csv,
                       template_counting_to_csv, template_gaps_to_csv,
-                      template_pencil_to_csv, template_tree_to_jsonl)
+                      template_pencil_to_csv, template_tree_to_jsonl, template_write_csv)
 from test_properties import catalogs
 
 MAX_ROWS = 2000
@@ -209,7 +212,7 @@ def test_width_three_tree_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# format_17g against Python's formatter
+# float_text and int_text against Python's formatter
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -222,10 +225,22 @@ def _proven(values) -> np.ndarray:
                            for lo in range(0, values.shape[0], step)] or [np.zeros(0, bool)])
 
 
+def _texts(text, align) -> list:
+    """The rows of a text matrix without their NULs, checking that it is
+    uint8, as wide as its longest row, and padded only on the side away
+    from ``align``."""
+    assert text.dtype == np.uint8 and text.ndim == 2
+    rows = [row.tobytes() for row in text]
+    strip = bytes.rstrip if align == "left" else bytes.lstrip
+    texts = [strip(row, b"\0") for row in rows]
+    assert all(b"\0" not in t for t in texts)
+    assert text.shape[1] == max(map(len, texts), default=0)
+    return [t.decode("ascii") for t in texts]
+
+
 def _check_17g(values) -> None:
-    got = format_17g(values)
-    assert got.dtype == object and all(type(t) is str for t in got)
-    assert got.tolist() == ["{:.17g}".format(v) for v in np.asarray(values).tolist()]
+    got = _texts(float_text(values), "left")
+    assert got == ["{:.17g}".format(v) for v in np.asarray(values).tolist()]
 
 
 def _powers_of_ten() -> list:
@@ -265,8 +280,8 @@ def test_format_17g_matches_format_on_every_bit_pattern(bits):
 
 def test_format_17g_edge_values():
     _check_17g(np.array(EDGE_VALUES))
-    assert format_17g(np.array([1234567890123456.75, -1234567890123456.75])).tolist() == [
-        "1234567890123456.8", "-1234567890123456.8"]
+    assert _texts(float_text(np.array([1234567890123456.75, -1234567890123456.75])),
+                  "left") == ["1234567890123456.8", "-1234567890123456.8"]
 
 
 def test_format_17g_across_blocks_with_fallbacks():
@@ -330,3 +345,85 @@ def test_kernel_proves_every_nonzero_cell_end():
 def test_level_12_cells_and_gaps_match_oracle(name):
     _same(cells_to_csv, template_cells_to_csv, _level_12(name), META)
     _same(gaps_to_csv, template_gaps_to_csv, _level_12(name), META)
+
+
+# ---------------------------------------------------------------------------
+# The byte-matrix table writer against the row template
+
+BLOCK = _format._BLOCK_ROWS
+INT_EXTREMES = [0, -1, 9, -10, 2 ** 63 - 1, -2 ** 63]
+FALLBACKS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 1234567890123456.75]
+
+
+def _table(n: int, rng) -> tuple:
+    """An int64 column, an all-distinct and a repeating float column of n
+    rows. Around each block edge (and the table's ends) rows b - 4 .. b + 3
+    take every fallback value, rotated by the edge's number, and the int
+    extremes."""
+    ints = rng.integers(-10 ** 6, 10 ** 6, n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    repeats = rng.choice([0.25, -1 / 3, 1e-5], n)
+    for e, edge in enumerate([*range(0, n, BLOCK), n]):
+        for k, i in enumerate(range(edge - 4, edge + 4)):
+            if 0 <= i < n:
+                floats[i] = FALLBACKS[(k + e) % len(FALLBACKS)]
+                repeats[i] = FALLBACKS[(k + e + 1) % len(FALLBACKS)]
+                ints[i] = INT_EXTREMES[(k + e) % len(INT_EXTREMES)]
+    return ints, floats, repeats
+
+
+def _same_table(ints, floats, repeats) -> None:
+    """``write_csv`` of the columns, with the all-distinct floats both as a
+    float column and as text already formatted, against the template."""
+    got, want = io.StringIO(), io.StringIO()
+    write_csv(got, "i,x,text,r", (ints, floats, float_text(floats), repeats), META)
+    template_write_csv(want, "i,x,text,r", "{},{:.17g},{:.17g},{:.17g}",
+                       (ints.tolist(), floats.tolist(), floats.tolist(), repeats.tolist()),
+                       META)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_table_writer_on_block_edges(n):
+    _same_table(*_table(n, np.random.default_rng(n)))
+
+
+def test_int_text_matches_str():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([INT_EXTREMES, rng.integers(-2 ** 63, 2 ** 63 - 1, 1000,
+                                                        endpoint=True),
+                             10 ** np.arange(19), -10 ** np.arange(19)]).astype(np.int64)
+    assert _texts(int_text(values), "right") == [str(v) for v in values.tolist()]
+    assert _texts(int_text(np.arange(100_000)), "right") == [str(v) for v in range(100_000)]
+    assert int_text(np.zeros(0, np.int64)).shape[0] == 0
+
+
+def test_longest_float_text_fills_the_width():
+    """A negative value with 17 significant digits and a three-digit
+    exponent has the longest ``.17g`` text, 24 characters."""
+    v = -1.2345678901234567e-100
+    assert "{:.17g}".format(v) == "-1.2345678901234567e-100"
+    text = float_text(np.array([0.5, v]))
+    assert text.shape == (2, _format._WIDTH) == (2, 24)
+    assert _texts(text, "left") == ["0.5", "-1.2345678901234567e-100"]
+    _same_table(np.array([-2 ** 63, 0]), np.array([v, v]), np.array([v, 0.5]))
+
+
+@settings(deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63 - 1),
+                               st.one_of(st.integers(0, 2 ** 64 - 1),
+                                         st.floats(width=64).map(_floats_bits)),
+                               st.sampled_from(FALLBACKS + [0.5, -2.0])),
+                     max_size=60))
+def test_table_writer_matches_template_on_random_columns(rows):
+    ints = np.array([r[0] for r in rows], np.int64)
+    floats = _floats([r[1] for r in rows])
+    _same_table(ints, floats, np.array([r[2] for r in rows], np.float64))
+
+
+def test_spectral_sized_pencil_matches_oracle():
+    """two_system_v2 at its own level 12 and splits 1 gives a Dirichlet
+    pencil of 98,782 rows, the size of a spectral workload pencil."""
+    pencil = assemble(refine_uniform(_level_12("two_system_v2"), 1), DIRICHLET)
+    assert pencil.dim == 98_782
+    _same(pencil_to_csv, template_pencil_to_csv, pencil, META)
