@@ -1,15 +1,14 @@
 """Two numeric kernels, vectorized in numpy.
 
 Sturm-sequence inertia counts on assembled symmetric tridiagonal pencils,
-and the per-type dynamic program that evaluates neck block log-sums for
-Monte Carlo batches and for ``vtree.scale_sum_at_neck``. Each has exactly
-one implementation. Shifts (or blocks) are numpy lanes that never
-interact, so one batched call gives the same result as one call per shift.
-The counts the CLI writes come from ``condense``, which reads the tree
-instead of a pencil; the Sturm count serves the ``Pencil`` API
-(``pencil``) and is the test oracle of the condensed counts. Both count
-engines share what this module fixes for them: the chunk budget
-``_CHUNK``, the tie rule below, and the shift domain of
+and the per-type dynamic program that evaluates the neck block log-sums of
+the Monte Carlo batches. Each has exactly one implementation. Shifts (or
+blocks) are numpy lanes that never interact, so one batched call gives the
+same result as one call per shift. The counts the CLI writes come from
+``condense``, which reads the tree instead of a pencil; the Sturm count
+serves ``pencil.inertia_counts`` and is the test oracle of the condensed
+counts. Both count engines share what this module fixes for them: the
+chunk budget ``_CHUNK``, the tie rule below, and the shift domain of
 ``checked_shifts``, finite shifts whose product with a mass scale stays
 within ``MAX_SCALED_MASS``.
 
@@ -34,23 +33,22 @@ re-run with the replacement, row by row.
 
 The neck-block DP runs on a ``BlockLayout``, built once by ``block_layout``
 from entries ``(blocks, level_sys, child)``, each the next table row of
-each listed block, in the order the Monte Carlo lanes draw them or
-``segment_levels`` gathers them. The layout orders the blocks longest
-first, stable by id, so the blocks still running at level p are the first
-``counts[p]``, and stores level p's rows in that order. A DP step then
-works on leading slices of its state and of reused buffers, and the log
-sums go back to block order once, at the end. Per level, one
-``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``, in C order
-(block, type, map slot), to their (block, child type) sums. It adds in
-index order, so a sum runs over types, then slots, ascending: the order of
-an ``np.add.at`` scatter over a flat (CSR) list of the same products, so
-the sums are bit-identical to it, however a block's rows were split into
-entries. A row of the new vector is summed as ``numpy.sum`` sums it: by
-column adds, left to right, below 8 types, and by ``sum`` itself from 8
-on, where numpy sums pairwise. A padded slot's factor is masked to
-exactly 0, never computed as ``0.0 ** x`` (1 at x = 0), so it adds +0.0
-to a nonnegative sum, which changes no bit, and x = 0 still gives log
-node counts.
+each listed block, in the order the Monte Carlo lanes draw them. The
+layout orders the blocks longest first, stable by id, so the blocks still
+running at level p are the first ``counts[p]``, and stores level p's rows
+in that order. A DP step then works on leading slices of its state and of
+reused buffers, and the log sums go back to block order once, at the end.
+Per level, one ``np.bincount`` adds the products ``A[v] *
+(ratio*weight)**x``, in C order (block, type, map slot), to their (block,
+child type) sums. It adds in index order, so a sum runs over types, then
+slots, ascending: the order of an ``np.add.at`` scatter over a flat (CSR)
+list of the same products, so the sums are bit-identical to it, however a
+block's rows were split into entries. A row of the new vector is summed as
+``numpy.sum`` sums it: by column adds, left to right, below 8 types, and
+by ``sum`` itself from 8 on, where numpy sums pairwise. A padded slot's
+factor is masked to exactly 0, never computed as ``0.0 ** x`` (1 at x =
+0), so it adds +0.0 to a nonnegative sum, which changes no bit, and x = 0
+still gives log node counts.
 """
 
 from __future__ import annotations
@@ -140,15 +138,6 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 # Neck block log-sums. Each block runs the per-type vector A through its
 # levels, renormalized by its sum per level while the log-sums accumulate,
 # so the result never over- or underflows.
-
-def segment_levels(level_sys, child, starts, lens):
-    """DP entries for blocks that are segments of one table: block b is
-    rows ``starts[b] .. starts[b] + lens[b] - 1``, one entry per level."""
-    for p in range(int(lens.max(initial=0))):
-        active = np.nonzero(lens > p)[0]
-        rows = starts[active] + p
-        yield active, level_sys[rows], child[rows]
-
 
 @dataclass(frozen=True)
 class BlockLayout:

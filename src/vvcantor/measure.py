@@ -2,14 +2,13 @@
 
 A decomposition holds the generation-n cells of a tree in left-to-right
 order. Each cell carries the exact cumulative weight product as its mass and
-a constant density mass/length, so every interval mass query is closed form.
+a constant density mass/length, so the mass of every interval is closed form.
 Gaps between consecutive cells carry no mass; zero-length gaps (touching
 cells) are dropped.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,25 +110,8 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
     return CellDecomposition(interval=(a, b), lefts=lefts, rights=rights, masses=masses)
 
 
-def cell_mass(decomposition: CellDecomposition, index: int) -> float:
-    """Mass of one cell: the stored cumulative weight product."""
-    if not 0 <= index < decomposition.n_cells:
-        raise IndexError(f"cell index {index} out of range")
-    return float(decomposition.masses[index])
-
-
-def measure_of_interval(decomposition: CellDecomposition, lo: float, hi: float) -> float:
-    """Exact mass of [lo, hi]: density times overlap length, summed."""
-    a, b = decomposition.interval
-    if not (a <= lo <= hi <= b):
-        raise ValueError(f"interval [{lo}, {hi}] must be ordered within [{a}, {b}]")
-    overlap = np.minimum(hi, decomposition.rights) - np.maximum(lo, decomposition.lefts)
-    np.clip(overlap, 0.0, None, out=overlap)
-    return float((decomposition.densities * overlap).sum())
-
-
 # ---------------------------------------------------------------------------
-# CSV export / import
+# CSV export
 
 def write_meta(fp, meta: dict | None) -> None:
     """One ``# key=value`` line (LF-terminated) per meta entry."""
@@ -178,13 +160,3 @@ def counting_to_csv(fp, xs, counts_d, counts_n, level: int, splits: int,
     write_csv(fp, "x,n_dirichlet,n_neumann,level,splits",
               (xs, np.asarray(counts_d, np.int64), np.asarray(counts_n, np.int64),
                np.full(xs.shape, level), np.full(xs.shape, splits)), meta)
-
-
-def cells_from_csv(fp, interval: tuple[float, float]) -> CellDecomposition:
-    """Rebuild a decomposition from its cells CSV; gaps follow from the cells."""
-    rows = [r for r in csv.reader(line for line in fp if not line.startswith("#"))]
-    body = rows[1:]
-    lefts = np.array([float(r[0]) for r in body])
-    rights = np.array([float(r[1]) for r in body])
-    masses = np.array([float(r[2]) for r in body])
-    return CellDecomposition(interval=interval, lefts=lefts, rights=rights, masses=masses)

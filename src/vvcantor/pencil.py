@@ -1,5 +1,5 @@
 """Piecewise-linear Ritz pencils of the energy/mass form pair, and their
-eigenvalue counts and eigenvalues.
+eigenvalue counts.
 
 The mesh is the deduplicated sorted set of cell endpoints; gaps become
 elements of zero density. Per element of length h and constant density rho
@@ -11,10 +11,12 @@ then upper bounds of the corresponding operator eigenvalues for the
 piecewise-uniform measure, because the hat-function space is conforming and
 all element integrals are exact.
 
-Everything read from a pencil is built on Sylvester inertia: the number of
+A pencil is read only through counts, by Sylvester inertia: the number of
 generalized eigenvalues of (K, M) at or below x equals the number of
 nonpositive pivots in the symmetric factorization of K - x M, which costs
 O(dim) per shift (``_kernels.sturm_counts``). Full spectra are never formed.
+The pencil serves ``count``'s ``pencil_dirichlet.csv`` and is the test
+oracle of the condensed counts (``condense``).
 """
 
 from __future__ import annotations
@@ -24,17 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .catalog import scale_extrema
 from .errors import InvalidInputError, SingularMassError, TreeTooLargeError
 from .measure import CellDecomposition, write_csv
 from .vtree import DEFAULT_NODE_CAP
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
-
-# Interior points per bracket-shrinking round of the eigenvalue search; one
-# batched inertia pass shrinks the bracket 16x.
-_LADDER = 15
 
 
 @dataclass
@@ -146,7 +143,7 @@ def pencil_to_csv(pencil: Pencil, fp, meta: dict | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Counts and eigenvalues
+# Counts
 
 def inertia_counts(pencil: Pencil, xs) -> np.ndarray:
     """Batched count of eigenvalues <= x for every x in xs; the mass scale
@@ -156,66 +153,3 @@ def inertia_counts(pencil: Pencil, xs) -> np.ndarray:
     if np.isnan(pencil.kd).any() or np.isnan(pencil.md).any():
         raise InvalidInputError("pencil contains NaN entries")
     return _kernels.sturm_counts(pencil.kd, pencil.ko, pencil.md, pencil.mo, xs)
-
-
-def inertia_count(pencil: Pencil, x: float) -> int:
-    return int(inertia_counts(pencil, [x])[0])
-
-
-def spectral_upper_bound(pencil: Pencil) -> float:
-    """Shift with count == dim, from row-wise |K|/(M diagonal dominance)."""
-    if pencil.dim == 0:
-        return 1.0
-    ko_abs = np.abs(pencil.ko)
-    k_row = np.abs(pencil.kd).copy()
-    k_row[:-1] += ko_abs
-    k_row[1:] += ko_abs
-    m_row = pencil.md.copy()
-    m_row[:-1] -= pencil.mo
-    m_row[1:] -= pencil.mo
-    np.clip(m_row, 1e-300, None, out=m_row)
-    upper = float((k_row / m_row).max()) * (1.0 + 1e-9) + 1e-300
-    for _ in range(200):
-        if inertia_count(pencil, upper) == pencil.dim:
-            return upper
-        upper *= 2.0
-    raise AssertionError("failed to bracket the spectrum from above")
-
-
-def eigenvalue(pencil: Pencil, index: int, rtol: float = 1e-10) -> float:
-    """The index-th smallest generalized eigenvalue (1-based) by bisection.
-
-    The returned value lies in a bracket [lo, hi] with count(lo) < index
-    <= count(hi) and hi - lo <= rtol * hi.
-    """
-    if not 1 <= index <= pencil.dim:
-        raise IndexError(f"eigenvalue index {index} outside 1..{pencil.dim}")
-    if inertia_count(pencil, 0.0) >= index:
-        return 0.0  # nonnegative spectrum: the eigenvalue is zero
-    lo, hi = 0.0, spectral_upper_bound(pencil)
-    for _ in range(60):
-        if hi - lo <= rtol * hi:
-            break
-        grid = lo + (hi - lo) * np.arange(1, _LADDER + 1) / (_LADDER + 1)
-        counts = inertia_counts(pencil, grid)
-        pos = int(np.searchsorted(counts, index))
-        # counts[pos] is the first >= index; bracket between neighbours
-        new_lo = lo if pos == 0 else float(grid[pos - 1])
-        new_hi = hi if pos == _LADDER else float(grid[pos])
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
-
-
-def first_eigenvalue_bounds(catalog) -> tuple[float, float]:
-    """Universal enclosure of the first pinned-end eigenvalue for measures
-    built from the catalog: [1/(b-a), (1-r_inf^2)/((r_inf m_inf (1-r_sup))^2 (b-a))].
-
-    The lower bound holds for every probability measure on [a, b]; the upper
-    bound holds for any decomposition of level >= 2 because the test function
-    it comes from is piecewise linear on second-level cell endpoints.
-    """
-    ex = scale_extrema(catalog)
-    a, b = catalog.interval
-    lower = 1.0 / (b - a)
-    upper = (1.0 - ex.r_inf ** 2) / ((ex.r_inf * ex.m_inf * (1.0 - ex.r_sup)) ** 2 * (b - a))
-    return lower, upper

@@ -16,19 +16,17 @@ a dataclass, the schema of ``environments.json``.
 
 Trees separate two depths. The environment sequence can be long (it costs a
 few integers per level), while node generations are materialized only to the
-requested depth, with an explicit node cap; several operations (block sums,
-Monte Carlo estimates) only need the environments.
+requested depth, with an explicit node cap; the condensed counts
+(``condense``) and the Monte Carlo blocks only need the environments.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._format import format_distinct, write_rows
 from .catalog import Catalog, map_table, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
@@ -305,11 +303,6 @@ class CutSet:
     harmonic_scale: float   # M_k / sum of member products
     max_gap: int            # largest n(l) - n(l-1) over members
 
-    def __iter__(self):
-        for i in range(self.size):
-            yield (int(self.levels[i]), int(self.node_index[i]),
-                   int(self.prev_neck[i]), float(self.products[i]))
-
 
 def cut_set(tree: VTree, k: int) -> CutSet:
     """Members, one per deep path, selected at neck levels by exp(-k), in
@@ -366,68 +359,6 @@ def cut_set(tree: VTree, k: int) -> CutSet:
         harmonic_scale=size / float(prods.sum()),
         max_gap=int((levels - prevs).max()),
     )
-
-
-# ---------------------------------------------------------------------------
-# Block sums of (ratio*weight)**x at neck levels
-
-@dataclass
-class NeckSums:
-    """Direct and block-factorized evaluations of the neck-level sums."""
-
-    x: float
-    k: int
-    neck_levels: tuple[int, ...]
-    block_log_sums: list[float]
-    log_direct: float
-
-    @property
-    def log_block_product(self) -> float:
-        return float(sum(self.block_log_sums))
-
-    @property
-    def direct_sum(self) -> float:
-        return math.exp(self.log_direct)
-
-    @property
-    def rel_gap(self) -> float:
-        """Relative disagreement between the two evaluations."""
-        return abs(self.log_direct - self.log_block_product) / max(1.0, abs(self.log_direct))
-
-
-def scale_sum_at_neck(tree: VTree, x: float | Sequence[float],
-                      k: int) -> NeckSums | list[NeckSums]:
-    """Sum of (ratio*weight)**x over the k-th neck generation, computed both
-    straight through and as a product over neck-to-neck blocks.
-
-    Only the environment sequence is consulted, so the generation itself
-    need not be materialized. ``x`` is one exponent, giving one
-    ``NeckSums``, or a sequence of them, giving a list in the same order:
-    the block layout does not depend on x, so it is built once per call.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    necks = tree.neck_levels
-    if len(necks) < k:
-        raise DepthExhaustedError(
-            f"tree has {len(necks)} neck levels within {tree.env_levels} "
-            f"environments, need {k}", extra_depth_hint=0)
-    bounds = np.array((0,) + necks[:k])
-    # A neck block starts at the common child type of the neck above it (the
-    # root type for the first); one extra block runs from the root straight
-    # to the k-th neck over the same levels. One call runs both in lockstep.
-    roots = np.concatenate(([tree.root_type], tree.child[bounds[1:-1] - 1, 0, 0],
-                            [tree.root_type]))
-    layout = _kernels.block_layout(
-        _kernels.segment_levels(tree.level_sys, tree.child, np.append(bounds[:-1], 0),
-                                np.append(np.diff(bounds), bounds[-1])), roots)
-    table = map_table(tree.catalog)
-    results = []
-    for xi in np.atleast_1d(np.asarray(x, np.float64)).tolist():
-        sums = _kernels.block_log_sums(layout, tree.v_types, table, xi).tolist()
-        results.append(NeckSums(x=xi, k=k, neck_levels=tuple(necks[:k]),
-                                block_log_sums=sums[:-1], log_direct=sums[-1]))
-    return results if np.ndim(x) else results[0]
 
 
 def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:

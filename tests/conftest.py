@@ -185,6 +185,15 @@ def unpack_layout(layout) -> PackedBlocks:
                         layout.by_block(layout.roots))
 
 
+def segment_entries(level_sys, child, starts, lens):
+    """``_kernels.block_layout`` entries of blocks that are segments of one
+    table: block b is rows ``starts[b] .. starts[b] + lens[b] - 1``."""
+    for p in range(int(lens.max(initial=0))):
+        blocks = np.flatnonzero(lens > p)
+        rows = starts[blocks] + p
+        yield blocks, level_sys[rows], child[rows]
+
+
 def scalar_tree_stream(catalog, v_types: int, necks: int, seed: int,
                        cap: int = 100_000) -> tuple[int, list]:
     """The oracle's draws on tree stream 0 of ``seed``: the root type, then
@@ -288,6 +297,12 @@ def lebesgue():
 @pytest.fixture
 def two_system():
     return make_two_system()
+
+
+def interval_mass(dec, lo, hi) -> float:
+    """Mass of [lo, hi] under a decomposition: density times overlap."""
+    overlap = np.minimum(hi, dec.rights) - np.maximum(lo, dec.lefts)
+    return float((dec.densities * np.clip(overlap, 0.0, None)).sum())
 
 
 def dense_eigenvalues(pencil):

@@ -1,6 +1,7 @@
 """What the benchmark in ``perfbench/`` uses of the package: the functions its
-tracer wraps, and the tree stream its workload plans read ahead of the CLI.
-The benchmark only changes on its own, so these must keep working."""
+tracer wraps, the tree stream its workload plans read ahead of the CLI, and
+the command line it runs. The benchmark only changes on its own, so these
+must keep working."""
 
 import json
 
@@ -8,7 +9,7 @@ import pytest
 
 from vvcantor import Xoshiro256StarStar, build_tree, stream_seed
 from vvcantor.catalog import catalog_from_dict, catalog_to_dict
-from vvcantor.cli import RunConfig
+from vvcantor.cli import RunConfig, main
 from vvcantor.spectral import TREE_STREAM
 
 
@@ -33,6 +34,15 @@ def test_tracer_wraps_every_span(perfbench):
     finally:
         tracer.uninstall()
     assert vvcantor.cli.build_tree is original
+
+
+def test_benchmark_command_line_runs(request, tmp_path):
+    """``perfbench/run.py`` passes ``--threads 1`` on every call; a CLI
+    without the flag would exit 2 on each one."""
+    config = request.config.rootpath / "configs" / "cantor.json"
+    assert main(["count", "--config", str(config), "--out", str(tmp_path),
+                 "--threads", "1"]) == 0
+    assert (tmp_path / "counting.csv").exists()
 
 
 @pytest.mark.parametrize("tree_seed", [0, 1, 2, 17678329206797003235])

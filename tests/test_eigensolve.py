@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from vvcantor import (DIRICHLET, NEUMANN, InvalidInputError, Pencil,
-                      Xoshiro256StarStar, assemble, build_tree,
-                      decompose, eigenvalue,
-                      first_eigenvalue_bounds, inertia_count, inertia_counts,
-                      refine_uniform, spectral_upper_bound, stream_seed)
+                      Xoshiro256StarStar, assemble, build_tree, decompose,
+                      inertia_counts, refine_uniform, scale_extrema, stream_seed)
 from conftest import dense_counts, dense_eigenvalues
 
 
@@ -31,26 +29,22 @@ def random_pencil(rng, n):
 
 def test_diagonal_pencil_count():
     pen = diag_pencil([1.0, 4.0], [1.0, 1.0])
-    assert inertia_count(pen, 2.0) == 1
-    assert inertia_count(pen, 0.5) == 0
-    assert inertia_count(pen, 4.0) == 2  # ties count
+    assert inertia_counts(pen, [2.0, 0.5, 4.0]).tolist() == [1, 0, 2]  # ties count
 
 
 def test_one_by_one_pencil_counts_and_tie():
     pen = diag_pencil([4.0], [1 / 3])
-    assert inertia_count(pen, 12.0 - 1e-6) == 0
-    assert inertia_count(pen, 12.0) == 1
-    assert inertia_count(pen, 12.0 + 1e-6) == 1
-    assert math.isclose(eigenvalue(pen, 1), 12.0, rel_tol=1e-10)
+    # the one eigenvalue is 12, and the tie at 12 counts
+    assert inertia_counts(pen, [12.0 - 1e-6, 12.0, 12.0 + 1e-6]).tolist() == [0, 1, 1]
 
 
 def test_negative_shift_counts(lebesgue):
     dec = refine_uniform(decompose(build_tree(lebesgue, 1, 0, rng=rng_for(1)), 0), 8)
     pd = assemble(dec, DIRICHLET)
     pn = assemble(dec, NEUMANN)
-    assert inertia_count(pd, -1.0) == 0
-    assert inertia_count(pn, -1.0) == 0
-    assert inertia_count(pn, 0.0) >= 1  # constant null mode, dyadic mesh
+    assert inertia_counts(pd, [-1.0])[0] == 0
+    assert inertia_counts(pn, [-1.0])[0] == 0
+    assert inertia_counts(pn, [0.0])[0] >= 1  # constant null mode, dyadic mesh
 
 
 def test_inertia_counts_monotone(lebesgue):
@@ -79,7 +73,9 @@ def test_infinite_shift_rejected(lebesgue, shift):
 def test_fine_mesh_first_eigenvalue_close_to_pi_squared(lebesgue):
     dec = refine_uniform(decompose(build_tree(lebesgue, 1, 0, rng=rng_for(1)), 0), 512)
     pen = assemble(dec, DIRICHLET)
-    assert abs(eigenvalue(pen, 1) / math.pi ** 2 - 1) < 1e-3
+    # lambda_1 within 0.1% of pi^2: none below 0.999 pi^2, one by 1.001 pi^2
+    low, high = inertia_counts(pen, [0.999 * math.pi ** 2, 1.001 * math.pi ** 2])
+    assert low == 0 and high >= 1
 
 
 def test_degenerate_pair_returns_equal_values():
@@ -87,15 +83,14 @@ def test_degenerate_pair_returns_equal_values():
     kd = np.array([2.0, 2.0])
     md = np.array([1.0, 1.0])
     pen = diag_pencil(kd, md)
-    assert eigenvalue(pen, 1) == eigenvalue(pen, 2)
+    # both eigenvalues are 2: the count jumps from 0 to 2 there
+    assert inertia_counts(pen, [np.nextafter(2.0, 0.0), 2.0]).tolist() == [0, 2]
 
 
 def test_eigenvalue_index_range():
+    # eigenvalues are indexed 1..dim: counts run from 0 to dim, no further
     pen = diag_pencil([1.0, 2.0], [1.0, 1.0])
-    with pytest.raises(IndexError):
-        eigenvalue(pen, 3)
-    with pytest.raises(IndexError):
-        eigenvalue(pen, 0)
+    assert inertia_counts(pen, [-1e6, 0.5, 1.0, 1.5, 2.0, 1e6]).tolist() == [0, 0, 1, 1, 2, 2]
 
 
 def test_counts_match_dense_oracle_small_random():
@@ -108,38 +103,22 @@ def test_counts_match_dense_oracle_small_random():
         assert np.array_equal(inertia_counts(pen, shifts), dense_counts(pen, shifts))
 
 
-def test_eigenvalues_match_dense_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        n = int(rng.integers(2, 9))
-        pen = random_pencil(rng, n)
-        eigs = dense_eigenvalues(pen)
-        if eigs[0] <= 0:  # bisection brackets [0, upper]; shift to positive
-            pen.kd = pen.kd + (2 * abs(eigs[0]) + 1.0) * pen.md
-            pen.ko = pen.ko + (2 * abs(eigs[0]) + 1.0) * pen.mo
-            eigs = dense_eigenvalues(pen)
-        for i in (1, n):
-            assert math.isclose(eigenvalue(pen, i), eigs[i - 1],
-                                rel_tol=1e-8, abs_tol=1e-12)
-
-
-def test_upper_bound_covers_spectrum():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        pen = random_pencil(rng, int(rng.integers(2, 30)))
-        ub = spectral_upper_bound(pen)
-        assert inertia_count(pen, ub) == pen.dim
-
-
 def test_first_eigenvalue_bounds_hold(two_system):
-    lower, upper = first_eigenvalue_bounds(two_system)
+    """The enclosure of the first pinned-end eigenvalue of every measure
+    built from the catalog, [1/(b-a), (1 - r_inf^2) / ((r_inf m_inf (1 -
+    r_sup))^2 (b-a))]. The lower bound holds for every probability measure
+    on [a, b]; the upper one on meshes of level >= 2, which hold the
+    piecewise linear test function it comes from."""
+    ex = scale_extrema(two_system)
+    a, b = two_system.interval
+    lower = 1.0 / (b - a)
+    upper = (1.0 - ex.r_inf ** 2) / ((ex.r_inf * ex.m_inf * (1.0 - ex.r_sup)) ** 2 * (b - a))
     assert lower == 1.0
     for seed in (3, 4, 5):
         tree = build_tree(two_system, 2, 4, rng=rng_for(seed), node_cap=500_000)
         pen = assemble(decompose(tree, 4), DIRICHLET)
-        lam1 = eigenvalue(pen, 1)
-        assert lam1 >= lower
-        assert lam1 <= upper  # level >= 2 meshes contain the bound's test function
+        below, at_upper = inertia_counts(pen, [np.nextafter(lower, 0.0), upper])
+        assert below == 0 and at_upper >= 1
 
 
 def test_linear_count_bound(two_system):

@@ -93,11 +93,24 @@ def test_write_rows_interleaves_pieces_and_stops_at_shortest():
     assert buf.getvalue() == "".join(f"{a},{b}\r\n" for a, b in zip(left, right))
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``. On a mismatch, fail with the first line that
+    differs, both versions of it and their line ends, instead of letting
+    pytest diff texts of megabytes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    n = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    pytest.fail(f"texts differ from line {n + 1} on:\n  got  {got_lines[n:n + 1]!r}\n"
+                f"  want {want_lines[n:n + 1]!r}", pytrace=False)
+
+
 def _same(write, oracle, *args) -> None:
     got, want = io.StringIO(), io.StringIO()
     write(*args[:1], got, *args[1:])
     oracle(*args[:1], want, *args[1:])
-    assert got.getvalue() == want.getvalue()
+    _assert_same_text(got.getvalue(), want.getvalue())
 
 
 @settings(deadline=None)
@@ -119,7 +132,7 @@ def test_writers_match_row_template_oracle(catalog, v, depth, splits, seed, xs, 
     got, want = io.StringIO(), io.StringIO()
     counting_to_csv(got, xs, np.array(counts[:n]), np.array(counts[-n:]), level, splits, META)
     template_counting_to_csv(want, xs, counts[:n], counts[-n:], level, splits, META)
-    assert got.getvalue() == want.getvalue()
+    _assert_same_text(got.getvalue(), want.getvalue())
 
 
 def test_pencil_with_signed_zeros_and_repeats_matches_oracle():
@@ -380,7 +393,7 @@ def _same_table(ints, floats, repeats) -> None:
     template_write_csv(want, "i,x,text,r", "{},{:.17g},{:.17g},{:.17g}",
                        (ints.tolist(), floats.tolist(), floats.tolist(), repeats.tolist()),
                        META)
-    assert got.getvalue() == want.getvalue()
+    _assert_same_text(got.getvalue(), want.getvalue())
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])

@@ -1,4 +1,5 @@
-"""Every import of the package and test modules binds a name the module uses.
+"""Every import of the package and test modules binds a name the module uses,
+and every name the package exports is read by code that is not a test.
 
 Package ``__init__.py`` files re-export and are skipped, as is any import
 statement with a ``# noqa`` comment (names kept importable for the tracer
@@ -8,7 +9,10 @@ at that module, so when the tracer goes this test lists the imports to drop.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import vvcantor
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for pattern in ("src/vvcantor/*.py", "tests/*.py")
@@ -68,3 +72,48 @@ def test_tracer_only_imports_are_wrapped():
                         unwrapped.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert kept
     assert not unwrapped, "noqa imports the tracer does not wrap:\n" + "\n".join(unwrapped)
+
+
+# Exports that no package module, benchmark module or README example reads,
+# each with the reason it stays.
+KEPT = {
+    "catalog_to_dict": "inverse of catalog_from_dict; the oracle of the benchmark "
+                       "config-parse check in tests/test_benchmark_api.py",
+}
+
+
+def names_read(source: str) -> set[str]:
+    """Names, attributes, imported names and module path parts the source
+    reads, except where a top-level ``def`` or ``class`` reads its own name."""
+    read = set()
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names] + (node.module or "").split(".")
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            else:
+                continue
+            read.update(name for name in names if name != own)
+    return read
+
+
+def test_every_export_is_read_outside_tests():
+    """A name in ``vvcantor.__all__`` is read by another package module or
+    its own (outside its own ``def``/``class``), by ``perfbench/*.py`` or by
+    the README example; otherwise it is in ``KEPT``, with its reason. So an
+    export only tests read cannot come back unnoticed."""
+    sources = [p.read_text() for p in FILES if p.parent.name == "vvcantor"]
+    sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                          re.M | re.S)
+    read = set().union(*map(names_read, sources))
+    unread = sorted(set(vvcantor.__all__) - read - set(KEPT))
+    assert not unread, "exports nothing outside the tests reads:\n" + "\n".join(unread)
+    assert not set(KEPT) - set(vvcantor.__all__), "KEPT names a name not exported"
+    assert not set(KEPT) & read, "KEPT names an export that is read"

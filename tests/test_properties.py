@@ -20,7 +20,7 @@ from vvcantor.vtree import LevelDraws, environments_to_obj, sample_environment
 from conftest import (PackedBlocks, ScalarXoshiro256StarStar, csr_block_log_sums,
                       csr_pack_blocks, dense_counts, make_two_system, pack_blocks,
                       scalar_is_neck, scalar_neck_blocks, scalar_sample_environment,
-                      scalar_stream_seed, unpack_layout)
+                      scalar_stream_seed, segment_entries, unpack_layout)
 
 XS = np.geomspace(1.0, 1e6, 25)
 MAX_CELLS = 256  # keeps the dense oracle cheap
@@ -177,7 +177,7 @@ def _scalar_blocks(catalog, v, lens, seed):
        x=st.one_of(st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.7]), st.floats(0.0, 4.0)))
 def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
     """The dense neck-block DP, fed the ``block_layout`` of the
-    ``segment_levels`` of the block-major table, is bit-identical to the
+    ``segment_entries`` of the block-major table, is bit-identical to the
     CSR layout with its ``np.add.at`` scatter, at x = 0 (log node counts)
     too, on the int64 table and on the same table in ``LevelDraws``'
     dtype. The layout orders the blocks longest first, stable by id."""
@@ -189,7 +189,7 @@ def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
     dtype = LevelDraws(catalog, v).dtype
     starts = np.cumsum(lens) - lens
     for env in ((level_sys, child), (level_sys.astype(dtype), child.astype(dtype))):
-        layout = _kernels.block_layout(_kernels.segment_levels(*env, starts, lens), roots)
+        layout = _kernels.block_layout(segment_entries(*env, starts, lens), roots)
         assert layout.order.tolist() == sorted(range(len(lens)), key=lambda b: -lens[b])
         assert np.array_equal(layout.lens, lens)
         assert _kernels.block_log_sums(layout, v, table, x).tobytes() == want
@@ -208,7 +208,7 @@ def test_block_dp_entries_split_and_permuted(catalog, v, lens, seed, x, data):
     level_sys, child, lens, roots = pack_blocks(v, table.shape[1],
                                                 *_scalar_blocks(catalog, v, lens, seed))
     starts = np.cumsum(lens) - lens
-    levels = list(_kernels.segment_levels(level_sys, child, starts, lens))
+    levels = list(segment_entries(level_sys, child, starts, lens))
     layout = _kernels.block_layout(levels, roots)
     want = _kernels.block_log_sums(layout, v, table, x).tobytes()
     split = []

@@ -14,9 +14,11 @@ from vvcantor import (BracketingResult, Catalog, ClosedForm, ContractionMap,
                       cutset_stats_check, cut_set, empirical_exponent,
                       f_exact_homogeneous, gamma_exact_homogeneous, solve_gamma,
                       solve_gamma_recursive, stream_seed)
+from vvcantor import _kernels
+from vvcantor.catalog import map_table
 from vvcantor.spectral import _recursive_f
 from conftest import (env_table, make_cantor, make_two_system, member_bracketing_sums,
-                      scalar_neck_blocks, scalar_tree_stream)
+                      scalar_neck_blocks, scalar_tree_stream, segment_entries)
 from test_properties import catalogs
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
@@ -274,13 +276,14 @@ def test_noisy_root_raised_when_growth_capped(monkeypatch):
 def test_block_average_converges_along_one_sequence(two_system):
     # running a single environment sequence through 20 necks is the same
     # estimator as averaging 20 blocks
-    from vvcantor import build_tree, scale_sum_at_neck
-
     x = 0.5
     root, envs = scalar_tree_stream(two_system, 2, 20, 123)
     deep = build_tree(two_system, 2, 0, root_type=root,
                       environments=env_table(two_system, 2, envs))
-    lhs = scale_sum_at_neck(deep, x, 20).log_direct / 20.0
+    layout = _kernels.block_layout(segment_entries(deep.level_sys, deep.child, np.array([0]),
+                                                   np.array([deep.neck_levels[19]])),
+                                   np.array([root]))
+    lhs = _kernels.block_log_sums(layout, 2, map_table(two_system), x)[0] / 20.0
     ev = MonteCarloNeckEvaluator(two_system, 2, 2000, master_seed=99)
     fhat, se = ev.f(x)
     se_20 = se * math.sqrt(2000 / 20.0)

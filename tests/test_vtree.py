@@ -7,11 +7,12 @@ import pytest
 
 from vvcantor import (DepthExhaustedError, TreeTooLargeError,
                       Xoshiro256StarStar, build_tree, cut_set, neck_subtree,
-                      sample_environment, scale_extrema, scale_sum_at_neck,
-                      stream_seed)
+                      sample_environment, scale_extrema, stream_seed)
+from vvcantor import _kernels
+from vvcantor.catalog import map_table
 from vvcantor.rng import Xoshiro256StarStarLanes, stream_seeds
 from vvcantor.vtree import LevelDraws, environments_to_obj, neck_mask, tree_to_jsonl
-from conftest import env_table, scalar_tree_stream
+from conftest import env_table, scalar_tree_stream, segment_entries
 
 
 def rng_for(seed, stream=0):
@@ -218,13 +219,23 @@ def test_cut_set_depth_exhausted_hint(cantor):
 # ---------------------------------------------------------------------------
 # neck block sums
 
+def _log_sums(tree, x, starts, lens, roots):
+    """The package DP's log-sums of blocks that are segments of the tree's
+    table, block b starting at level ``starts[b]`` from type ``roots[b]``."""
+    layout = _kernels.block_layout(
+        segment_entries(tree.level_sys, tree.child, np.array(starts), np.array(lens)),
+        np.array(roots))
+    return _kernels.block_log_sums(layout, tree.v_types, map_table(tree.catalog), x)
+
+
 def test_cantor_root_exponent_gives_unit_sums(cantor):
     tree = build_tree(cantor, 1, 8, rng=rng_for(1))
     x = math.log(2.0) / math.log(6.0)
-    ns = scale_sum_at_neck(tree, x, 8)
-    for bls in ns.block_log_sums:
-        assert abs(bls) < 1e-12
-    assert abs(ns.direct_sum - 1.0) < 1e-10
+    assert tree.neck_levels[:8] == tuple(range(1, 9))  # every V = 1 level is a neck
+    blocks = _log_sums(tree, x, range(8), [1] * 8, [0] * 8)
+    assert (np.abs(blocks) < 1e-12).all()
+    direct = _log_sums(tree, x, [0], [8], [0])
+    assert abs(math.exp(direct[0]) - 1.0) < 1e-10
 
 
 def test_single_block_is_plain_map_sum(two_system):
@@ -233,31 +244,28 @@ def test_single_block_is_plain_map_sum(two_system):
                       environments=env_table(two_system, 1, envs))
     assert tree.level_sys.dtype == tree.child.dtype == LevelDraws(two_system, 1).dtype
     x = 0.4
-    ns = scale_sum_at_neck(tree, x, 1)
+    (direct,) = _log_sums(tree, x, [0], [tree.neck_levels[0]], [root])
     j = envs[0].indices[0]
     sys_ = two_system.systems[j]
     expected = sum((m.ratio * w) ** x for m, w in zip(sys_.maps, sys_.weights))
-    assert math.isclose(ns.direct_sum, expected, rel_tol=1e-12)
+    assert math.isclose(math.exp(direct), expected, rel_tol=1e-12)
 
 
 def test_factorization_identity_random_trees(two_system):
+    """The log-sum from the root to the third neck is the sum of those of
+    the neck-to-neck blocks, each starting at its neck's common type."""
     worst = 0.0
     for i, v in enumerate([1, 2, 3] * 4):
         root, envs = scalar_tree_stream(two_system, v, 3, 100 + i)
         tree = build_tree(two_system, v, 0, root_type=root,
                           environments=env_table(two_system, v, envs))
-        for ns in scale_sum_at_neck(tree, (0.2, 0.45, 0.8), 3):
-            worst = max(worst, ns.rel_gap)
+        bounds = np.array((0,) + tree.neck_levels[:3])
+        roots = np.append(root, tree.child[bounds[1:-1] - 1, 0, 0])
+        for x in (0.2, 0.45, 0.8):
+            (direct,) = _log_sums(tree, x, [0], [bounds[-1]], [root])
+            blocks = _log_sums(tree, x, bounds[:-1], np.diff(bounds), roots)
+            worst = max(worst, abs(direct - blocks.sum()) / max(1.0, abs(direct)))
     assert worst < 1e-10
-
-
-def test_several_x_in_one_call_match_single_calls(two_system):
-    root, envs = scalar_tree_stream(two_system, 2, 3, 104)
-    tree = build_tree(two_system, 2, 0, root_type=root,
-                      environments=env_table(two_system, 2, envs))
-    xs = [0.2, 0.45, 0.8]
-    assert scale_sum_at_neck(tree, xs, 3) == [scale_sum_at_neck(tree, x, 3) for x in xs]
-    assert scale_sum_at_neck(tree, np.array([0.45]), 3) == [scale_sum_at_neck(tree, 0.45, 3)]
 
 
 def test_dp_matches_brute_force_node_sum(two_system):
@@ -269,20 +277,13 @@ def test_dp_matches_brute_force_node_sum(two_system):
         if not tree.neck_levels:
             continue
         x = 0.37
-        ns = scale_sum_at_neck(tree, x, 1)
-        gen = tree.generations[tree.neck_levels[0]]
+        neck = tree.neck_levels[0]
+        (direct,) = _log_sums(tree, x, [0], [neck], [tree.root_type])
+        gen = tree.generations[neck]
         brute = float(((gen.rprod * gen.mprod) ** x).sum())
-        assert math.isclose(ns.direct_sum, brute, rel_tol=1e-12)
+        assert math.isclose(math.exp(direct), brute, rel_tol=1e-12)
         return
     pytest.fail("no materializable tree with a neck found")
-
-
-def test_scale_sum_needs_enough_necks(two_system):
-    root, envs = scalar_tree_stream(two_system, 2, 1, 31)
-    tree = build_tree(two_system, 2, 0, root_type=root,
-                      environments=env_table(two_system, 2, envs))
-    with pytest.raises(DepthExhaustedError):
-        scale_sum_at_neck(tree, 0.5, len(tree.neck_levels) + 1)
 
 
 # ---------------------------------------------------------------------------
