@@ -32,15 +32,16 @@ loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
 
 The neck-block DP runs on a ``BlockLayout``, built once by ``block_layout``
-from entries ``(blocks, level_sys, child)``, each the next table row of
-each listed block, in the order the Monte Carlo lanes draw them. The
-layout orders the blocks longest first, stable by id, so the blocks still
-running at level p are the first ``counts[p]``, and stores level p's rows
-in that order. A DP step then works on leading slices of its state and of
-reused buffers, and the log sums go back to block order once, at the end.
-Per level, one ``np.bincount`` adds the products ``A[v] *
-(ratio*weight)**x``, in C order (block, type, map slot), to their (block,
-child type) sums. It adds in index order, so a sum runs over types, then
+from the blocks' lengths, which the Monte Carlo lanes record as each block
+necks, and from entries ``(blocks, level_sys, child)``, each the next table
+row of each listed block, in the order the lanes draw them, read in one
+pass. The layout orders the blocks longest first, stable by id, so the
+blocks still running at level p are the first ``counts[p]``, and stores
+level p's rows in that order. A DP step then works on leading slices of
+its state and of reused buffers, and the log sums go back to block order
+once, at the end. Per level, one ``np.bincount`` adds the products ``A[v]
+* (ratio*weight)**x``, in C order (block, type, map slot), to their
+(block, child type) sums. It adds in index order, so a sum runs over types, then
 slots, ascending: the order of an ``np.add.at`` scatter over a flat (CSR)
 list of the same products, so the sums are bit-identical to it, however a
 block's rows were split into entries. A row of the new vector is summed as
@@ -147,7 +148,8 @@ class BlockLayout:
     order, after those of the levels above it."""
 
     order: np.ndarray  # block ids, length descending, stable by id
-    roots: np.ndarray  # root types, in ``order``
+    roots: np.ndarray  # root types, in block id order
+    lens: np.ndarray  # levels per block, in block id order
     counts: np.ndarray  # blocks of more than p levels, non-increasing in p
     level_sys: np.ndarray
     child: np.ndarray
@@ -175,41 +177,39 @@ class BlockLayout:
         out[self.order] = a
         return out
 
-    @property
-    def lens(self) -> np.ndarray:
-        """Levels per block, in block id order."""
-        return self.by_block(np.searchsorted(-self.counts, -np.arange(self.order.shape[0])))
 
-
-def block_layout(levels, roots) -> BlockLayout:
-    """The layout of the blocks with root types ``roots`` (in block id
-    order) whose DP steps are ``levels``: entries ``(blocks, level_sys,
-    child)`` of distinct blocks, each block's entries in its level order.
-    ``levels`` is read twice, so an iterator is listed first. Each entry's
-    rows are scattered to their blocks' sorted positions."""
-    if iter(levels) is levels:
-        levels = list(levels)
+def block_layout(levels, lens, roots) -> BlockLayout:
+    """The layout of the blocks with ``lens`` levels and root types
+    ``roots`` (both in block id order) whose DP steps are ``levels``:
+    entries ``(blocks, level_sys, child)`` of distinct blocks, each block's
+    entries in its level order, read once. Each entry's rows are scattered
+    to their blocks' sorted positions, in arrays of the first entry's dtype
+    and row shape. Raises ``ValueError`` unless the entries give each
+    block exactly its ``lens`` rows."""
     n_blocks = roots.shape[0]
-    lens = np.zeros(n_blocks, np.int64)
-    for blocks, _, _ in levels:
-        lens[blocks] += 1
     order = np.argsort(-lens, kind="stable")
     counts = n_blocks - np.cumsum(np.bincount(lens))[:-1]
     starts = np.cumsum(counts) - counts
     pos = np.empty(n_blocks, np.int64)
     pos[order] = np.arange(n_blocks)
-    none = np.empty(0, np.int64)
-    _, *sample = next(iter(levels), (none, none, none))  # the table's dtype and row shape
-    level_sys, child = (np.empty((int(lens.sum()),) + col.shape[1:], col.dtype)
-                        for col in sample)
+    level_sys = child = None
     seen = np.zeros(n_blocks, np.int64)
     for blocks, sys_, ch in levels:
+        if level_sys is None:
+            level_sys, child = (np.empty((int(lens.sum()),) + col.shape[1:], col.dtype)
+                                for col in (sys_, ch))
         p = seen[blocks]
+        if (p >= lens[blocks]).any():
+            raise ValueError("an entry gives a block more rows than its length")
         rows = starts[p] + pos[blocks]
         level_sys[rows] = sys_
         child[rows] = ch
         seen[blocks] = p + 1
-    return BlockLayout(order, roots[order], counts, level_sys, child)
+    if not np.array_equal(seen, lens):
+        raise ValueError("the entries give a block fewer rows than its length")
+    if level_sys is None:  # no entries, so no rows
+        level_sys = child = np.empty(0, np.int64)
+    return BlockLayout(order, roots, lens, counts, level_sys, child)
 
 
 def block_log_sums(layout: BlockLayout, v_types: int, table, x: float) -> np.ndarray:
@@ -224,7 +224,7 @@ def block_log_sums(layout: BlockLayout, v_types: int, table, x: float) -> np.nda
     n_blocks = layout.order.shape[0]
     out = np.zeros(n_blocks)
     amat = np.zeros((n_blocks, v_types))
-    amat[np.arange(n_blocks), layout.roots] = 1.0
+    amat[np.arange(n_blocks), layout.roots[layout.order]] = 1.0
     n0 = int(layout.counts[0]) if layout.counts.shape[0] else 0
     base = np.arange(0, n0 * v_types, v_types)[:, None, None]
     products = np.empty((n0, v_types, fx.shape[1]))

@@ -62,10 +62,6 @@ class Catalog:
         object.__setattr__(self, "index_probs", tuple(float(p) for p in self.index_probs))
 
     @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lower, self.upper)
-
-    @property
     def n_systems(self) -> int:
         return len(self.systems)
 
@@ -130,6 +126,15 @@ def map_table(catalog: Catalog) -> np.ndarray:
         table[j, :s.size] = [(m.ratio, w, m.offset) for m, w in zip(s.maps, s.weights)]
     table.setflags(write=False)
     return table
+
+
+@functools.lru_cache(maxsize=256)
+def real_slots(catalog: Catalog) -> np.ndarray:
+    """(n_systems, width) mask of the ``map_table`` slots that hold a map.
+    Read-only, since the cached array is shared."""
+    real = map_table(catalog)[..., 0] > 0.0
+    real.setflags(write=False)
+    return real
 
 
 def validate_catalog(catalog: Catalog) -> ValidationReport:

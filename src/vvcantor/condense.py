@@ -95,7 +95,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 
 from . import _kernels
-from .catalog import map_table
+from .catalog import map_table, real_slots
 from .errors import DepthExhaustedError, InvalidInputError, TreeTooLargeError
 from .measure import touching_tol
 from .vtree import DEFAULT_NODE_CAP, VTree
@@ -197,8 +197,7 @@ def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
     catalog = tree.catalog
     a, b = catalog.lower, catalog.upper
     tol = touching_tol(a, b)
-    table = map_table(catalog)
-    real = table[..., 0] > 0.0
+    table, real = map_table(catalog), real_slots(catalog)
     rm = table[..., 0] * table[..., 1]
     code = np.zeros(rm.shape, np.intp)  # index of each map's r m among the distinct values
     code[real] = np.unique(rm[real], return_inverse=True)[1].reshape(-1)

@@ -53,14 +53,6 @@ class CellDecomposition:
         """True between consecutive cells that do not touch."""
         return self.lefts[1:] > self.rights[:-1]
 
-    @property
-    def gap_lefts(self) -> np.ndarray:
-        return self.rights[:-1][self._gap_mask]
-
-    @property
-    def gap_rights(self) -> np.ndarray:
-        return self.lefts[1:][self._gap_mask]
-
     @cached_property
     def endpoint_text(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``.17g`` text of every left and every right end, as two

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -82,27 +83,16 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluator
 
-class _DrawnLevels:
-    """The ``block_layout`` entries of one ``_draw_blocks`` call, one per
-    level, made anew on each pass: the lanes that drew level p are the
-    blocks whose neck is below it, so their ids are not kept."""
-
-    def __init__(self, rows: list, lens: np.ndarray, first: int):
-        self.rows, self.lens, self.first = rows, lens, first
-
-    def __iter__(self):
-        for p, (level_sys, child) in enumerate(self.rows):
-            yield self.first + np.flatnonzero(self.lens > p), level_sys, child
-
-
 def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
-                 count: int) -> tuple[_DrawnLevels, np.ndarray]:
-    """DP entries and roots of the neck blocks ``first + k``, k < ``count``.
+                 count: int) -> tuple:
+    """``block_layout`` arguments of the neck blocks ``first + k``, k <
+    ``count``: entries, lengths and roots.
 
     Block b draws from stream ``MC_BLOCK_STREAM_BASE + b``: its root type
-    ``(u*V)``, then ``LevelDraws`` levels until a neck. All blocks are drawn
-    in one pass of lockstep lanes; each level gives one ``block_layout``
-    entry ``(blocks, level_sys, child)`` for the lanes that drew it.
+    ``(u*V)``, then ``LevelDraws`` levels until a neck, whose level is its
+    length. All blocks are drawn in one pass of lockstep lanes; the entries
+    are a generator of one ``(blocks, level_sys, child)`` per level, the
+    blocks longer than the level, so no lane ids are kept.
 
     Raises ``TreeTooLargeError`` once the rows of the lanes still running
     (level times lanes) pass ``vtree.DEFAULT_NODE_CAP``, naming the level
@@ -130,7 +120,9 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
             raise TreeTooLargeError(
                 f"{lane.shape[0]} Monte Carlo blocks from block {lane[0]} still run at "
                 f"level {level}, past {DEFAULT_NODE_CAP} rows")
-    return _DrawnLevels(rows, lens, first), roots
+    levels = ((first + np.flatnonzero(lens > p), level_sys, child)
+              for p, (level_sys, child) in enumerate(rows))
+    return levels, lens, roots
 
 
 class MonteCarloNeckEvaluator:
@@ -139,8 +131,9 @@ class MonteCarloNeckEvaluator:
     Block b draws its root type and environments from the stream
     ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
     draw order of ``vtree.LevelDraws``. ``_draw_blocks`` draws the blocks of
-    one call in one pass of lockstep lanes, one per block, and
-    ``_kernels.block_layout`` orders them longest first, once per draw: the
+    one call in one pass of lockstep lanes, one per block, recording each
+    block's length as it necks, and ``_kernels.block_layout`` takes the
+    lengths, reads the rows once and orders the blocks longest first: the
     blocks still running at a level are then a prefix of that order, so
     each DP step of ``log_sums`` works on slices of its state and reused
     buffers, and sums a row of fewer than 8 types left to right, as
@@ -176,11 +169,12 @@ class MonteCarloNeckEvaluator:
 
     def extend(self, extra: int) -> None:
         """Sample additional blocks; existing blocks are untouched."""
-        rows, roots = _draw_blocks(self.catalog, self.v_types, self.master_seed,
-                                   self.blocks, extra)
+        levels, lens, roots = _draw_blocks(self.catalog, self.v_types, self.master_seed,
+                                           self.blocks, extra)
         layout = self._layout
         self._layout = _kernels.block_layout(
-            [*layout.entries(), *rows], np.concatenate((layout.by_block(layout.roots), roots)))
+            chain(layout.entries(), levels), np.concatenate((layout.lens, lens)),
+            np.concatenate((layout.roots, roots)))
         self._last = (None, None)
 
     # -- evaluation ----------------------------------------------------------
@@ -203,10 +197,8 @@ class MonteCarloNeckEvaluator:
 
     def f_by_root_type(self, x: float) -> dict[int, float]:
         """Conditional block means given the root type (diagnostic)."""
-        ls = self.log_sums(x)
-        roots = self._layout.by_block(self._layout.roots)
-        return {int(t): float(ls[roots == t].mean())
-                for t in np.unique(roots)}
+        ls, roots = self.log_sums(x), self._layout.roots
+        return {int(t): float(ls[roots == t].mean()) for t in np.unique(roots)}
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +385,6 @@ class BracketingResult:
     @property
     def n_fail(self) -> int:
         return sum(s == "fail" for s in self.status)
-
-    @property
-    def ok(self) -> bool:
-        return self.n_fail == 0
 
 
 def center_counts(tree: VTree, xs, level: int, splits: int = 1) -> BracketingResult:

@@ -8,11 +8,13 @@ identical, which is what makes cut sets and block factorizations cheap.
 
 Environments are one table: ``level_sys[l, v]`` is the system of type v at
 level l and ``child[l, v, i]`` the type of its child i, 0 past the system's
-maps (``slot_mask``), stored in the dtype of ``LevelDraws``, which draws it
-level by level for every lane of a ``Xoshiro256StarStarLanes`` (a tree's
-stream is one lane, each Monte Carlo block another). It only ever indexes,
-so no arithmetic runs in its narrow dtype. ``Environment`` is one level as
-a dataclass, the schema of ``environments.json``.
+maps. Which slots hold a map is ``catalog.real_slots``, the one mask every
+reader of the table uses. The table is stored in the dtype of
+``LevelDraws``, which draws it level by level for every lane of a
+``Xoshiro256StarStarLanes`` (a tree's stream is one lane, each Monte Carlo
+block another). It only ever indexes, so no arithmetic runs in its narrow
+dtype. ``Environment`` is one level as a dataclass, the schema of
+``environments.json``.
 
 Trees separate two depths. The environment sequence can be long (it costs a
 few integers per level), while node generations are materialized only to the
@@ -24,29 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import compress
 
 import numpy as np
 
 from ._format import format_distinct, write_rows
-from .catalog import Catalog, map_table, scale_extrema
+from .catalog import Catalog, map_table, real_slots, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
 from .rng import Xoshiro256StarStar, categorical_index, cumulative_probs
 
 DEFAULT_NODE_CAP = 10_000_000
 
 
-def _map_counts(catalog: Catalog) -> np.ndarray:
-    return np.array([s.size for s in catalog.systems], np.int64)
-
-
-def slot_mask(sizes: np.ndarray, width: int) -> np.ndarray:
-    """Which of ``width`` slots are real in rows of ``sizes`` maps each."""
-    return np.arange(width) < sizes[..., None]
-
-
 def neck_mask(child, real) -> np.ndarray:
-    """Which levels of the table rows ``child`` are necks: every real slot
-    (``slot_mask``) holds the same type. Slot 0 of type 0 always exists."""
+    """Which levels of the table rows ``child`` are necks: every slot that
+    ``real`` (``real_slots``) marks holds the same type. Slot 0 of type 0 always exists."""
     return ((child == child[..., :1, :1]) | ~real).all(axis=(-2, -1))
 
 
@@ -65,19 +59,19 @@ class LevelDraws:
         if v_types < 1:
             raise ValueError("v_types must be >= 1")
         self.v_types = v_types
-        self.n_maps = _map_counts(catalog)
-        self.width = int(self.n_maps.max())
+        self.real = real_slots(catalog)
+        self._min_size = int(self.real.sum(axis=1).min())  # slots every system has
         self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
         self._cum = cumulative_probs(catalog.index_probs)
 
     def __call__(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(level_sys, child)`` rows of the next level, one per lane of
-        the ``Xoshiro256StarStarLanes`` ``rng``, and their ``slot_mask``."""
-        v, min_size = self.v_types, int(self.n_maps.min())
+        the ``Xoshiro256StarStarLanes`` ``rng``, and their real slots."""
+        v = self.v_types
         sys_ = categorical_index(self._cum, rng.uniforms([None] * v).T).astype(self.dtype)
-        real = slot_mask(self.n_maps[sys_], self.width)
-        u = rng.uniforms([None if i < min_size else real[:, t, i]  # has slot i
-                          for t in range(v) for i in range(self.width)])
+        real = self.real[sys_]
+        u = rng.uniforms([None if i < self._min_size else real[:, t, i]  # has slot i
+                          for t in range(v) for i in range(self.real.shape[1])])
         child = np.where(real, u.T.reshape(real.shape) * v, 0.0).astype(self.dtype)
         return sys_, child, real
 
@@ -94,24 +88,23 @@ class Environment:
     child_types: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_row(cls, level_sys, child, n_maps) -> Environment:
-        """One level ``(level_sys, child)`` of the table."""
+    def from_row(cls, level_sys, child, real) -> Environment:
+        """One level ``(level_sys, child)`` of the table; ``real`` is ``real_slots``."""
         return cls(tuple(level_sys.tolist()),
-                   tuple(tuple(row[:n]) for row, n in
-                         zip(child.tolist(), n_maps[level_sys].tolist())))
+                   tuple(tuple(compress(row, has)) for row, has in
+                         zip(child.tolist(), real[level_sys].tolist())))
 
     @property
     def is_neck(self) -> bool:
-        sizes = [len(row) for row in self.child_types]
-        child = [row + (0,) * (max(sizes) - len(row)) for row in self.child_types]
-        return bool(neck_mask(np.array(child), slot_mask(np.array(sizes), max(sizes))))
+        """Every child slot holds the same type."""
+        return len({t for row in self.child_types for t in row}) == 1
 
 
 def sample_environment(catalog: Catalog, v_types: int, rng: Xoshiro256StarStar) -> Environment:
     """Draw one level with ``LevelDraws`` from the one-lane ``rng``."""
     draw = LevelDraws(catalog, v_types)
     level_sys, child, _ = draw(rng)
-    return Environment.from_row(level_sys[0], child[0], draw.n_maps)
+    return Environment.from_row(level_sys[0], child[0], draw.real)
 
 
 @dataclass
@@ -143,7 +136,7 @@ class VTree:
         self.level_sys = level_sys
         self.child = child
         self.generations = generations
-        necks = neck_mask(child, slot_mask(_map_counts(catalog)[level_sys], child.shape[2]))
+        necks = neck_mask(child, real_slots(catalog)[level_sys])
         self.neck_levels = tuple((np.flatnonzero(necks) + 1).tolist())
 
     @property
@@ -160,28 +153,19 @@ class VTree:
         return sum(g.size for g in self.generations)
 
 
-def next_type_counts(counts: list, sys_row, child_row, n_maps) -> list:
-    """Per-type node counts of the generation that the table level
-    ``(sys_row, child_row)`` splits from one with per-type ``counts``
-    (Python ints, so no overflow)."""
-    nxt = [0] * len(counts)
-    for count, j, row in zip(counts, sys_row.tolist(), child_row.tolist()):
-        for t in row[:n_maps[j]]:
-            nxt[t] += count
-    return nxt
-
-
 def _check_table(level_sys: np.ndarray, child: np.ndarray, v_types: int,
-                 n_maps: np.ndarray) -> None:
-    """Reject a caller's table that does not fit the tree and catalog,
-    naming the first level and type, in order, that does not."""
+                 real: np.ndarray) -> None:
+    """Reject a caller's table that does not fit the tree and catalog (its
+    ``real_slots``), naming the first level and type, in order, that does not."""
     if not (level_sys.ndim == 2 and child.ndim == 3
             and level_sys.shape == child.shape[:2] == (len(level_sys), v_types)):
         raise ValueError("environment type count does not match the tree")
-    known = (level_sys >= 0) & (level_sys < len(n_maps))
-    sizes = n_maps[np.where(known, level_sys, 0)]
-    invalid = (slot_mask(sizes, child.shape[2]) & ((child < 0) | (child >= v_types))).any(axis=2)
-    problem = np.select([~known, sizes > child.shape[2], invalid], [1, 2, 3])
+    known = (level_sys >= 0) & (level_sys < len(real))
+    has = real[np.where(known, level_sys, 0)]
+    w = min(child.shape[2], real.shape[1])
+    bad = (child[..., :w] < 0) | (child[..., :w] >= v_types)
+    problem = np.select([~known, has[..., w:].any(axis=2), (has[..., :w] & bad).any(axis=2)],
+                        [1, 2, 3])
     if problem.any():
         l, v = np.argwhere(problem)[0]
         j = level_sys[l, v]
@@ -226,7 +210,6 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     if not 0 <= root_type < v_types:
         raise ValueError("root_type outside {0..V-1}")
     draw = LevelDraws(catalog, v_types)
-    n_maps = draw.n_maps
 
     # Size precheck from per-type counts (Python ints, no overflow).
     counts = [0] * v_types
@@ -235,7 +218,11 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
 
     def grow(g: int, sys_row, child_row) -> None:
         nonlocal counts, total_nodes
-        counts = next_type_counts(counts, sys_row, child_row, n_maps)
+        nxt = [0] * v_types
+        for count, row, has in zip(counts, child_row.tolist(), draw.real[sys_row].tolist()):
+            for t in compress(row, has):
+                nxt[t] += count
+        counts = nxt
         total_nodes += sum(counts)
         if total_nodes > node_cap:
             raise TreeTooLargeError(
@@ -243,7 +230,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
 
     if environments is None:
         rows = [(np.zeros((0, v_types), draw.dtype),
-                 np.zeros((0, v_types, draw.width), draw.dtype))]
+                 np.zeros((0, v_types, draw.real.shape[1]), draw.dtype))]
         for g in range(env_levels):
             rows.append(draw(rng)[:2])
             if g < depth:
@@ -251,7 +238,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
         level_sys, child = (np.concatenate(col) for col in zip(*rows))
     else:
         level_sys, child = (np.asarray(a) for a in environments)
-        _check_table(level_sys, child, v_types, n_maps)
+        _check_table(level_sys, child, v_types, draw.real)
         level_sys, child = (a.astype(draw.dtype, copy=False) for a in (level_sys, child))
         if level_sys.shape[0] < depth:
             raise ValueError("not enough environments for the requested depth")
@@ -259,7 +246,6 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
             grow(g, level_sys[g], child[g])
 
     table = map_table(catalog)
-    real = table[..., 0] > 0.0
 
     root = Generation(
         parent=np.array([-1], np.int64),
@@ -273,7 +259,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
     for g in range(depth):
         gen = generations[-1]
         parent_sys = level_sys[g][gen.types]
-        parent, pos = np.nonzero(real[parent_sys])  # parent-major, slots in order
+        parent, pos = np.nonzero(draw.real[parent_sys])  # parent-major, slots in order
         system = parent_sys[parent]
         generations.append(Generation(
             parent=parent,
@@ -297,7 +283,6 @@ class CutSet:
     k: int
     levels: np.ndarray      # neck level of each member
     node_index: np.ndarray  # index within its generation
-    prev_neck: np.ndarray   # previous neck level (0 for the first)
     products: np.ndarray    # ratio*weight cumulative product
     size: int
     harmonic_scale: float   # M_k / sum of member products
@@ -310,14 +295,13 @@ def cut_set(tree: VTree, k: int) -> CutSet:
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        return CutSet(0, np.zeros(1, np.int64), np.zeros(1, np.int64),
-                      np.zeros(1, np.int64), np.ones(1), 1, 1.0, 0)
+        return CutSet(0, np.zeros(1, np.int64), np.zeros(1, np.int64), np.ones(1), 1, 1.0, 0)
     thr = math.exp(-float(k))
     neck_set = set(l for l in tree.neck_levels if l <= tree.depth)
 
-    levels, nodes, prevs, prods = [], [], [], []
+    levels, nodes, prods = [], [], []
     anchor = np.ones(1)  # product at the nearest neck at or above each node
-    prev_neck = 0
+    prev_neck = max_gap = 0
     member_count = np.zeros(1, np.int64)
     for g in range(1, tree.depth + 1):
         gen = tree.generations[g]
@@ -330,8 +314,8 @@ def cut_set(tree: VTree, k: int) -> CutSet:
             if idx.size:
                 levels.append(np.full(idx.size, g, np.int64))
                 nodes.append(idx.astype(np.int64))
-                prevs.append(np.full(idx.size, prev_neck, np.int64))
                 prods.append(prod[idx])
+                max_gap = max(max_gap, g - prev_neck)
                 member_count[idx] += 1
             anchor = prod
             prev_neck = g
@@ -350,14 +334,11 @@ def cut_set(tree: VTree, k: int) -> CutSet:
 
     levels = np.concatenate(levels)
     nodes = np.concatenate(nodes)
-    prevs = np.concatenate(prevs)
     prods = np.concatenate(prods)
     size = int(levels.shape[0])
     return CutSet(
-        k=k, levels=levels, node_index=nodes, prev_neck=prevs, products=prods,
-        size=size,
-        harmonic_scale=size / float(prods.sum()),
-        max_gap=int((levels - prevs).max()),
+        k=k, levels=levels, node_index=nodes, products=prods, size=size,
+        harmonic_scale=size / float(prods.sum()), max_gap=max_gap,
     )
 
 
@@ -419,6 +400,6 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
 
 def environments_to_obj(tree: VTree) -> list:
     """Each level of the table as ``asdict`` of its ``Environment``."""
-    n_maps = _map_counts(tree.catalog)
-    return [asdict(Environment.from_row(level_sys, child, n_maps))
+    real = real_slots(tree.catalog)
+    return [asdict(Environment.from_row(level_sys, child, real))
             for level_sys, child in zip(tree.level_sys, tree.child)]

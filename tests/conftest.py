@@ -182,7 +182,7 @@ def unpack_layout(layout) -> PackedBlocks:
     order = np.argsort(blocks, kind="stable")
     return PackedBlocks(level_sys[order], child[order],
                         np.bincount(blocks, minlength=layout.roots.shape[0]),
-                        layout.by_block(layout.roots))
+                        layout.roots)
 
 
 def segment_entries(level_sys, child, starts, lens):
@@ -230,8 +230,9 @@ def template_cells_to_csv(d, fp, meta=None) -> None:
 
 
 def template_gaps_to_csv(d, fp, meta=None) -> None:
+    gap = d.lefts[1:] > d.rights[:-1]
     template_write_csv(fp, "left,right", "{:.17g},{:.17g}",
-                       (d.gap_lefts.tolist(), d.gap_rights.tolist()), meta)
+                       (d.rights[:-1][gap].tolist(), d.lefts[1:][gap].tolist()), meta)
 
 
 def template_pencil_to_csv(pencil, fp, meta=None) -> None:

@@ -112,10 +112,10 @@ def test_criterion_4_factorization_identity():
             # Blocks 0-2 run neck to neck from each neck's common type;
             # block 3 runs from the root straight to the third neck.
             bounds = np.array((0,) + tree.neck_levels[:3])
+            lens = np.append(np.diff(bounds), bounds[-1])
             layout = _kernels.block_layout(
-                segment_entries(tree.level_sys, tree.child, np.append(bounds[:-1], 0),
-                                np.append(np.diff(bounds), bounds[-1])),
-                np.concatenate(([root], tree.child[bounds[1:-1] - 1, 0, 0], [root])))
+                segment_entries(tree.level_sys, tree.child, np.append(bounds[:-1], 0), lens),
+                lens, np.concatenate(([root], tree.child[bounds[1:-1] - 1, 0, 0], [root])))
             for x in (0.2, 0.45, 0.8):
                 *blocks, direct = _kernels.block_log_sums(layout, v, map_table(cat), x)
                 worst = max(worst, abs(direct - sum(blocks)) / max(1.0, abs(direct)))

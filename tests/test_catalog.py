@@ -97,7 +97,7 @@ def test_empty_catalog_raises():
 
 def test_images_tile_interval_without_interior_overlap():
     for cat in (make_cantor(), make_lebesgue(), make_two_system()):
-        a, b = cat.interval
+        a, b = cat.lower, cat.upper
         for sys_ in cat.systems:
             ends = [(m(a), m(b)) for m in sys_.maps]
             assert abs(ends[0][0] - a) < 1e-12

@@ -110,7 +110,7 @@ def test_first_eigenvalue_bounds_hold(two_system):
     on [a, b]; the upper one on meshes of level >= 2, which hold the
     piecewise linear test function it comes from."""
     ex = scale_extrema(two_system)
-    a, b = two_system.interval
+    a, b = two_system.lower, two_system.upper
     lower = 1.0 / (b - a)
     upper = (1.0 - ex.r_inf ** 2) / ((ex.r_inf * ex.m_inf * (1.0 - ex.r_sup)) ** 2 * (b - a))
     assert lower == 1.0

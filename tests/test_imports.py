@@ -9,7 +9,9 @@ at that module, so when the tracer goes this test lists the imports to drop.
 """
 
 import ast
+import inspect
 import re
+from functools import cached_property
 from pathlib import Path
 
 import vvcantor
@@ -103,17 +105,49 @@ def names_read(source: str) -> set[str]:
     return read
 
 
+def read_outside_tests() -> set[str]:
+    """``names_read`` over the package modules, ``perfbench/*.py`` and the
+    README example."""
+    sources = [p.read_text() for p in FILES if p.parent.name == "vvcantor"]
+    sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                          re.M | re.S)
+    return set().union(*map(names_read, sources))
+
+
 def test_every_export_is_read_outside_tests():
     """A name in ``vvcantor.__all__`` is read by another package module or
     its own (outside its own ``def``/``class``), by ``perfbench/*.py`` or by
     the README example; otherwise it is in ``KEPT``, with its reason. So an
     export only tests read cannot come back unnoticed."""
-    sources = [p.read_text() for p in FILES if p.parent.name == "vvcantor"]
-    sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
-    sources += re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
-                          re.M | re.S)
-    read = set().union(*map(names_read, sources))
+    read = read_outside_tests()
     unread = sorted(set(vvcantor.__all__) - read - set(KEPT))
     assert not unread, "exports nothing outside the tests reads:\n" + "\n".join(unread)
     assert not set(KEPT) - set(vvcantor.__all__), "KEPT names a name not exported"
     assert not set(KEPT) & read, "KEPT names an export that is read"
+
+
+# Public members of exported classes that nothing outside the tests reads by
+# name, each ``"Class.member"`` with the reason it stays.
+KEPT_MEMBERS: dict[str, str] = {}
+
+
+def test_every_member_is_read_outside_tests():
+    """A public method, property or ``cached_property`` of a class in
+    ``vvcantor.__all__`` is read by name where an export must be read
+    (``read_outside_tests``), or is in ``KEPT_MEMBERS``: a second accessor
+    only tests read cannot come back unnoticed. Reads are matched by name,
+    so a member counts as read when any attribute of that name is."""
+    read = read_outside_tests()
+    accessors = (property, cached_property, classmethod, staticmethod)
+    members = {f"{cls.__name__}.{name}": name
+               for cls in (getattr(vvcantor, n) for n in vvcantor.__all__)
+               if inspect.isclass(cls)
+               for name, member in vars(cls).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(member) or isinstance(member, accessors))}
+    assert members
+    unread = sorted(m for m, name in members.items() if name not in read and m not in KEPT_MEMBERS)
+    assert not unread, "members nothing outside the tests reads:\n" + "\n".join(unread)
+    assert not set(KEPT_MEMBERS) - set(members), "KEPT_MEMBERS names no exported member"
+    assert not {m for m in KEPT_MEMBERS if members[m] in read}, "KEPT_MEMBERS names a read member"

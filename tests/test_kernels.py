@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vvcantor import MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
-from conftest import dense_counts, make_two_system, sequential_sturm_counts
+from conftest import dense_counts, make_two_system, segment_entries, sequential_sturm_counts
 
 
 def test_sturm_tie_counts_as_at_or_below():
@@ -102,3 +102,19 @@ def test_numpy_dp_handles_unit_blocks():
     ls = ev.log_sums(0.5)
     assert ls.shape == (50,)
     assert np.isfinite(ls).all()
+
+
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_block_layout_rejects_entries_off_the_lengths(block, extra):
+    """Entries that give a block one row more, or one row fewer, than its
+    length raise ``ValueError``; for block 0, the shorter one, a row more
+    would otherwise land on a row of block 1."""
+    level_sys, child = np.zeros((7, 2), np.int64), np.zeros((7, 2, 2), np.int64)
+    starts, lens, roots = np.array([0, 3]), np.array([2, 3]), np.array([0, 1])
+    layout = _kernels.block_layout(segment_entries(level_sys, child, starts, lens), lens, roots)
+    assert layout.counts.tolist() == [2, 2, 1]
+    drawn = lens.copy()
+    drawn[block] += extra
+    with pytest.raises(ValueError):
+        _kernels.block_layout(segment_entries(level_sys, child, starts, drawn), lens, roots)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vvcantor import (DepthExhaustedError, Xoshiro256StarStar, build_tree,
-                      cells_to_csv, cut_set, decompose, stream_seed)
+                      cells_to_csv, cut_set, decompose, gaps_to_csv, stream_seed)
 from conftest import interval_mass
 
 
@@ -18,15 +18,16 @@ def test_cantor_level_one_cells(cantor):
     assert np.allclose(dec.lefts, [0.0, 2 / 3])
     assert np.allclose(dec.rights, [1 / 3, 1.0])
     assert np.allclose(dec.masses, [0.5, 0.5])
-    assert dec.gap_lefts.shape == (1,)
-    assert math.isclose(dec.gap_lefts[0], 1 / 3) and math.isclose(dec.gap_rights[0], 2 / 3)
+    assert dec.lefts[1] > dec.rights[0]  # one gap, (1/3, 2/3)
 
 
 def test_level_zero_single_cell(two_system):
     dec = decompose(build_tree(two_system, 2, 0, rng=rng_for(1)), 0)
     assert dec.n_cells == 1
     assert dec.lefts[0] == 0.0 and dec.rights[0] == 1.0 and dec.masses[0] == 1.0
-    assert dec.gap_lefts.size == 0
+    buf = io.StringIO()
+    gaps_to_csv(dec, buf)
+    assert buf.getvalue() == "left,right\r\n"
 
 
 def test_mass_conservation_at_depth(two_system):
@@ -50,7 +51,7 @@ def test_density_times_length_is_mass(two_system):
 def test_measure_whole_interval_and_gaps(cantor):
     dec = decompose(build_tree(cantor, 1, 4, rng=rng_for(1)), 4)
     assert abs(interval_mass(dec, 0.0, 1.0) - 1.0) < 1e-12
-    for gl, gr in zip(dec.gap_lefts, dec.gap_rights):
+    for gl, gr in zip(dec.rights[:-1], dec.lefts[1:]):  # gaps, or touching cells
         assert interval_mass(dec, gl, gr) == 0.0
 
 
@@ -143,4 +144,8 @@ def test_cells_csv_round_trip(cantor):
     assert np.array_equal(rights, dec.rights)
     assert np.array_equal(masses, dec.masses)
     assert np.array_equal(densities, dec.densities)
-    assert np.array_equal(rights[:-1][lefts[1:] > rights[:-1]], dec.gap_lefts)
+    buf = io.StringIO()
+    gaps_to_csv(dec, buf)
+    gaps = np.array([l.split(",") for l in buf.getvalue().splitlines()[1:]], float).T
+    gap = lefts[1:] > rights[:-1]
+    assert np.array_equal(gaps, [rights[:-1][gap], lefts[1:][gap]])

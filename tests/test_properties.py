@@ -189,9 +189,8 @@ def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
     dtype = LevelDraws(catalog, v).dtype
     starts = np.cumsum(lens) - lens
     for env in ((level_sys, child), (level_sys.astype(dtype), child.astype(dtype))):
-        layout = _kernels.block_layout(segment_entries(*env, starts, lens), roots)
+        layout = _kernels.block_layout(segment_entries(*env, starts, lens), lens, roots)
         assert layout.order.tolist() == sorted(range(len(lens)), key=lambda b: -lens[b])
-        assert np.array_equal(layout.lens, lens)
         assert _kernels.block_log_sums(layout, v, table, x).tobytes() == want
 
 
@@ -209,14 +208,14 @@ def test_block_dp_entries_split_and_permuted(catalog, v, lens, seed, x, data):
                                                 *_scalar_blocks(catalog, v, lens, seed))
     starts = np.cumsum(lens) - lens
     levels = list(segment_entries(level_sys, child, starts, lens))
-    layout = _kernels.block_layout(levels, roots)
+    layout = _kernels.block_layout(levels, lens, roots)
     want = _kernels.block_log_sums(layout, v, table, x).tobytes()
     split = []
     for active, sys_, ch in levels:
         order = np.array(data.draw(st.permutations(range(active.shape[0]))), np.int64)
         cut = data.draw(st.integers(0, active.shape[0]))
         split += [(active[part], sys_[part], ch[part]) for part in (order[:cut], order[cut:])]
-    got = _kernels.block_layout(split, roots)
+    got = _kernels.block_layout(split, lens, roots)
     for name in ("order", "roots", "counts", "level_sys", "child"):
         assert np.array_equal(getattr(got, name), getattr(layout, name)), name
     assert _kernels.block_log_sums(got, v, table, x).tobytes() == want
@@ -254,7 +253,8 @@ def _past_cap(lens, cap) -> bool:
        budget=st.sampled_from([1 << 20, 400, 1]))
 def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
     """Lockstep lanes draw exactly the scalar oracle's blocks, also after
-    ``extend``, while each call's running rows stay within the node cap
+    ``extend``, whose log-sums then have the bits of one draw of all
+    blocks, while each call's running rows stay within the node cap
     ``budget``; past it they raise ``TreeTooLargeError``. Within it a
     timeout names the oracle's block; with a small cap the oracle cannot
     tell whether the lanes past the failing block pass it first, so either
@@ -272,13 +272,14 @@ def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
                 with pytest.raises((NeckTimeoutError, TreeTooLargeError)):
                     MonteCarloNeckEvaluator(catalog, v, n, seed).extend(k)
             return
+        fresh = None
         if _past_cap(want.lens, budget):
             event("past the node cap")
             with pytest.raises(TreeTooLargeError):
                 MonteCarloNeckEvaluator(catalog, v, n + k, seed)
         else:
-            _assert_packed_equal(MonteCarloNeckEvaluator(catalog, v, n + k, seed), want,
-                                 LevelDraws(catalog, v).dtype)
+            fresh = MonteCarloNeckEvaluator(catalog, v, n + k, seed)
+            _assert_packed_equal(fresh, want, LevelDraws(catalog, v).dtype)
         if _past_cap(want.lens[:n], budget) or _past_cap(want.lens[n:], budget):
             with pytest.raises(TreeTooLargeError):
                 MonteCarloNeckEvaluator(catalog, v, n, seed).extend(k)
@@ -286,3 +287,5 @@ def test_mc_lanes_match_scalar_oracle(catalog, v, n, k, seed, budget):
             grown = MonteCarloNeckEvaluator(catalog, v, n, seed)
             grown.extend(k)
             _assert_packed_equal(grown, want, LevelDraws(catalog, v).dtype)
+            if fresh is not None:
+                assert grown.log_sums(0.3).tobytes() == fresh.log_sums(0.3).tobytes()

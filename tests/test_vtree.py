@@ -222,8 +222,9 @@ def test_cut_set_depth_exhausted_hint(cantor):
 def _log_sums(tree, x, starts, lens, roots):
     """The package DP's log-sums of blocks that are segments of the tree's
     table, block b starting at level ``starts[b]`` from type ``roots[b]``."""
+    lens = np.array(lens)
     layout = _kernels.block_layout(
-        segment_entries(tree.level_sys, tree.child, np.array(starts), np.array(lens)),
+        segment_entries(tree.level_sys, tree.child, np.array(starts), lens), lens,
         np.array(roots))
     return _kernels.block_log_sums(layout, tree.v_types, map_table(tree.catalog), x)
 
