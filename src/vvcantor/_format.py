@@ -28,17 +28,16 @@ rows of every column into one buffer whose separator columns are written
 once, and drops the NULs with one compress per block; no output holds a
 NUL, so what is left is the lines' bytes.
 
-``tree.jsonl`` keeps the ``str`` path: ``format_distinct`` formats a
-column once per distinct value as ``str`` objects, and ``write_rows``
-joins a block of rows with one ``str.join`` over the interleaved cells and
-literal pieces.
+``tree.jsonl`` keeps the ``str`` path (``vtree.tree_to_jsonl``): a line is
+its node's path between two texts, each formatted once per distinct
+value among the node classes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Rows per ``write`` of ``write_table`` and ``write_rows``, and values per
+# Rows per ``write`` of ``write_table`` and ``tree_to_jsonl``, and values per
 # ``float_text`` kernel call: bounds the row buffer, the joined text and the
 # kernel's temporaries while keeping the per-block overhead small.
 _BLOCK_ROWS = 4096
@@ -279,15 +278,6 @@ def write_table(fp, texts) -> None:
         fp.write(flat[flat != 0].tobytes().decode("ascii"))
 
 
-def format_distinct(values, fmt) -> list[str]:
-    """``[fmt(v) for v in values.tolist()]`` for a numeric array, calling
-    ``fmt`` once per distinct bit pattern: ``-0.0`` and ``0.0``, and NaNs
-    with different payloads, stay apart, so each value keeps its own text."""
-    distinct, inverse = _distinct(values)
-    strings = np.array([fmt(v) for v in distinct.tolist()], dtype=object)
-    return strings[inverse].tolist()
-
-
 def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of a numeric array, in its dtype, and the
     index of each value among them."""
@@ -295,20 +285,3 @@ def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
     distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     return distinct.view(values.dtype), inverse.ravel()
 
-
-def write_rows(fp, pieces, columns) -> None:
-    """Write line i as ``pieces[0] + columns[0][i] + pieces[1] + ... +
-    columns[-1][i] + pieces[-1]`` for every position of the ``columns``
-    string sequences (lists or object arrays, read a block at a time with
-    no whole-column copy), stopping at the shortest; ``pieces`` holds one
-    literal more than there are columns."""
-    width = len(pieces) + len(columns)
-    n = min(map(len, columns), default=0)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - lo)
-        parts = [""] * (width * rows)
-        for j, piece in enumerate(pieces):
-            parts[2 * j::width] = [piece] * rows
-        for j, column in enumerate(columns):
-            parts[2 * j + 1::width] = column[lo:lo + rows]
-        fp.write("".join(parts))

@@ -30,7 +30,7 @@ from itertools import compress
 
 import numpy as np
 
-from ._format import format_distinct, write_rows
+from ._format import _BLOCK_ROWS
 from .catalog import Catalog, map_table, real_slots, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
 from .rng import Xoshiro256StarStar, categorical_index, cumulative_probs
@@ -366,6 +366,40 @@ def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:
 # ---------------------------------------------------------------------------
 # Exports
 
+def _groups(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group, rows being grouped by equal bits in every one of
+    ``columns``, and one row of each group, by one lexsort of the rows."""
+    keys = [c.view(f"u{c.itemsize}") for c in columns]
+    order = np.lexsort(keys)
+    new = np.zeros(order.shape[0], bool)  # True where a group starts
+    new[0] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    group = np.empty(order.shape[0], np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
+
+
+def _classes(parent_class, classes: int, gen: Generation, width: int):
+    """Each node's class and one node of each class in ``gen``. A class
+    holds equal ``m_product``, ``r_product`` and type bits, which
+    ``build_tree`` fixes from the parent's and the slot (the parent's type
+    fixes its system), so they are fixed by the pair (parent's class, slot),
+    one of ``classes * width``: one node per occurring pair is read, and
+    pairs whose values have the same bits are merged (``_groups``)."""
+    pair = parent_class.take(gen.parent) * width
+    pair += gen.pos
+    rep = np.full(classes * width, -1, np.intp)
+    rep[pair] = np.arange(pair.shape[0])
+    occurs = np.flatnonzero(rep >= 0)
+    rep = rep[occurs]
+    group, first = _groups(gen.mprod[rep], gen.rprod[rep], gen.types[rep])
+    pair_class = np.empty(classes * width, np.intp)
+    pair_class[occurs] = group
+    return pair_class.take(pair), rep[first]
+
+
 def tree_to_jsonl(tree: VTree, fp) -> None:
     """One node per line, generation by generation, left to right: path
     (child positions from the root), type, system index (``level_sys`` of
@@ -377,25 +411,42 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
     Paths are object arrays of text: a generation's paths are its parents'
     gathered by ``parent``, plus the suffix of each node's slot gathered by
     ``pos`` (``"q"`` below the root, ``", q"`` further down), so the cost
-    is linear in the node count. Types and system indices are gathered by
-    value from the text of ``0 .. max(v, n_systems) - 1``; the products
-    are formatted once per distinct value of a generation
-    (``format_distinct``).
+    is linear in the node count. The rest of a line is the same for all
+    nodes of a class (equal products and type, ``_classes``), and the text
+    before the path (``m_product``) and the text after it (``r_product``
+    and type) are formatted once per distinct value among the classes.
+    Each block of lines is joined from one reused (rows, 3) object buffer.
     """
-    small = np.array([str(i) for i in range(max(tree.v_types, tree.catalog.n_systems))],
-                     dtype=object)
-    paths, sep = np.array([""], dtype=object), ""
+    small = [str(i) for i in range(max(tree.v_types, tree.catalog.n_systems))]
+    width = tree.child.shape[2]
+    suffix = np.array([str(q) for q in range(width)], dtype=object)
+    paths = np.array([""], dtype=object)
+    node_class = rep = np.zeros(1, np.intp)
     for level, gen in enumerate(tree.generations):
         if level:
-            suffix = np.array([f"{sep}{q}" for q in range(tree.child.shape[2])], dtype=object)
-            paths = paths[gen.parent] + suffix[gen.pos]
-            sep = ", "
-        systems = (small[tree.level_sys[level][gen.types]]
-                   if level < tree.depth else ["null"] * gen.size)
-        write_rows(fp, ('{"m_product": ', ', "path": [', '], "r_product": ',
-                        ', "system": ', ', "type": ', '}\n'),
-                   (format_distinct(gen.mprod, repr), paths, format_distinct(gen.rprod, repr),
-                    systems, small[gen.types]))
+            paths = paths.take(gen.parent) + suffix.take(gen.pos)
+            suffix = np.array([f", {q}" for q in range(width)], dtype=object)
+            node_class, rep = _classes(node_class, rep.shape[0], gen, width)
+        # Texts per distinct value among the classes, gathered to the classes.
+        mprod, rprod, types = gen.mprod[rep], gen.rprod[rep], gen.types[rep]
+        head_of, first = _groups(mprod)
+        heads = np.array([f'{{"m_product": {m!r}, "path": ['
+                          for m in mprod[first].tolist()], dtype=object).take(head_of)
+        tail_of, first = _groups(rprod, types)
+        types = types[first].tolist()
+        systems = ([small[s] for s in tree.level_sys[level][types].tolist()]
+                   if level < tree.depth else ["null"] * len(types))
+        tails = np.array([f'], "r_product": {r!r}, "system": {s}, "type": {small[t]}}}\n'
+                          for r, s, t in zip(rprod[first].tolist(), systems, types)],
+                         dtype=object).take(tail_of)
+        lines = np.empty((min(gen.size, _BLOCK_ROWS), 3), dtype=object)
+        for lo in range(0, gen.size, _BLOCK_ROWS):
+            block = lines[:gen.size - lo]
+            hi = lo + block.shape[0]
+            block[:, 0] = heads.take(node_class[lo:hi])
+            block[:, 1] = paths[lo:hi]
+            block[:, 2] = tails.take(node_class[lo:hi])
+            fp.write("".join(block.ravel().tolist()))
 
 
 def environments_to_obj(tree: VTree) -> list:

@@ -4,7 +4,10 @@ signed zeros and repeats, and on the shipped configs at level 12. Repeating
 columns are formatted once per distinct value; cell ends once per
 decomposition, in text that ``cells.csv`` and ``gaps.csv`` share whichever
 is written first; ``tree.jsonl`` paths are gathered from their parents'
-paths, checked on a root-only tree and on a width-3 catalog.
+paths and the rest of a line is formatted once per class of nodes, checked
+on a root-only tree, a width-3 catalog, a catalog whose products stay
+distinct, a 256-system tree whose writing must take memory linear in its
+nodes and trees of the benchmark's export size.
 
 ``float_text`` must write ``"{:.17g}".format``'s bytes for every double and
 ``int_text`` ``str``'s for every int64, as rows of NUL-padded text, and the
@@ -15,6 +18,7 @@ that end on and around its block edges, with every fallback value there."""
 
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,12 +28,12 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from vvcantor import (DIRICHLET, NEUMANN, Pencil, Xoshiro256StarStar, assemble,
-                      build_tree, cells_to_csv, decompose, gaps_to_csv,
-                      pencil_to_csv, refine_uniform, stream_seed)
+                      build_tree, catalog_from_dict, cells_to_csv, decompose,
+                      gaps_to_csv, pencil_to_csv, refine_uniform, stream_seed)
 from vvcantor.cli import RunConfig, _build
 from vvcantor.measure import CellDecomposition
 from vvcantor import _format
-from vvcantor._format import float_text, format_distinct, int_text, write_rows
+from vvcantor._format import float_text, int_text
 from vvcantor.measure import counting_to_csv, write_csv
 from vvcantor.vtree import tree_to_jsonl
 from conftest import (make_cantor, make_two_system, template_cells_to_csv,
@@ -40,57 +44,9 @@ from test_properties import catalogs
 MAX_ROWS = 2000
 META = {"seed": 1, "subcommand": "test"}
 
-# Bit patterns: +-0.0, two quiet NaN payloads and a negative NaN, +-inf, the
-# smallest and largest subnormals, the smallest normal and 1.0.
-SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000,
-                0x7FF800000000DEAD, 0xFFF8000000000000, 0x7FF0000000000000,
-                0xFFF0000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
-                0x0010000000000000, 0x3FF0000000000000)
-
 
 def _floats(bits) -> np.ndarray:
     return np.array(bits, dtype=np.uint64).view(np.float64)
-
-
-@st.composite
-def float_arrays(draw):
-    """Up to 200 entries drawn from a pool of some special bit patterns and
-    up to 4 arbitrary ones, so values repeat heavily."""
-    pool = sorted(draw(st.sets(st.sampled_from(SPECIAL_BITS)))) + draw(
-        st.lists(st.integers(0, 2 ** 64 - 1), max_size=4))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=200)) if pool else []
-    return _floats([pool[i] for i in picks])
-
-
-@settings(deadline=None)
-@example(values=_floats([]))
-@example(values=_floats([0x8000000000000000]))
-@example(values=_floats([0x0000000000000000, 0x8000000000000000] * 3))
-@given(values=float_arrays())
-def test_format_distinct_matches_per_value_format(values):
-    for fmt in ("{:.17g}".format, repr):
-        calls = []
-
-        def counted(v, fmt=fmt):
-            calls.append(v)
-            return fmt(v)
-
-        assert format_distinct(values, counted) == [fmt(v) for v in values.tolist()]
-        assert len(calls) == len(set(values.view(np.uint64).tolist()))
-
-
-def test_write_rows_interleaves_pieces_and_stops_at_shortest():
-    buf = io.StringIO()
-    write_rows(buf, ("<", "|", ">\n"), (["a", "b", "c"], ["1", "2"]))
-    assert buf.getvalue() == "<a|1>\n<b|2>\n"
-    n = 2 * _format._BLOCK_ROWS + 3  # rows cross two block boundaries
-    left, right = [str(i) for i in range(n + 1)], [str(-i) for i in range(n)]
-    buf = io.StringIO()
-    write_rows(buf, ("", ",", "\r\n"), (left, right))
-    assert buf.getvalue() == "".join(f"{a},{b}\r\n" for a, b in zip(left, right))
-    buf = io.StringIO()
-    write_rows(buf, ("", ",", "\r\n"), (np.array(left, dtype=object), right))
-    assert buf.getvalue() == "".join(f"{a},{b}\r\n" for a, b in zip(left, right))
 
 
 def _assert_same_text(got: str, want: str) -> None:
@@ -221,6 +177,65 @@ def test_width_three_tree_matches_oracle():
     nodes in every slot at several levels."""
     tree = build_tree(make_two_system(), 2, 5, rng=Xoshiro256StarStar(stream_seed(3, 0)))
     assert sum(int((gen.pos == 2).any()) for gen in tree.generations) >= 2
+    _same(tree_to_jsonl, template_tree_to_jsonl, tree)
+
+
+# Unequal ratios and weights, whose products depend on the order of their
+# factors, so a generation's nodes keep hundreds of distinct products.
+UNEQUAL = {"interval": [0.0, 1.0], "index_distribution": [0.5, 0.5], "systems": [
+    {"maps": [{"r": 0.3, "c": 0.0}, {"r": 0.25, "c": 0.35}, {"r": 0.2, "c": 0.7}],
+     "weights": [0.5, 0.3, 0.2]},
+    {"maps": [{"r": 0.41, "c": 0.0}, {"r": 0.37, "c": 0.55}], "weights": [0.45, 0.55]}]}
+
+
+def test_tree_whose_products_do_not_collapse_matches_oracle():
+    """The line texts are formatted once per class of equal products; here
+    the classes stay many, and their pairs are merged by bits."""
+    tree = build_tree(catalog_from_dict(UNEQUAL), 3, 11,
+                      rng=Xoshiro256StarStar(stream_seed(5, 0)))
+    last = tree.generations[-1]
+    assert tree.node_count == 48_570
+    assert len(set(last.rprod.tolist())) > 100 and len(set(last.mprod.tolist())) > 100
+    _same(tree_to_jsonl, template_tree_to_jsonl, tree)
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_many_system_tree_writes_in_memory_linear_in_its_nodes():
+    """256 two-map systems with distinct weights at V = 256: the classes
+    stay as many as the nodes and the parents' types are spread over the
+    systems. Writing takes under 10 times the tree's own arrays (7.3 times
+    when measured); classes keyed by the parent's system as well scattered
+    over (parent classes) x (systems) x width and took 22 times."""
+    systems = [{"maps": [{"r": 0.3 + 0.0004 * j, "c": 0.0}, {"r": 0.4 - 0.0003 * j, "c": 0.5}],
+                "weights": [0.3 + 0.001 * j, 0.7 - 0.001 * j]} for j in range(256)]
+    catalog = catalog_from_dict({"interval": [0.0, 1.0], "systems": systems,
+                                 "index_distribution": [1 / 256] * 256})
+    tree = build_tree(catalog, 256, 10, rng=Xoshiro256StarStar(stream_seed(7, 0)))
+    assert tree.node_count == 2047
+    assert len(set(tree.generations[-1].mprod.tolist())) > 1000
+    _same(tree_to_jsonl, template_tree_to_jsonl, tree)
+    size = sum(a.nbytes for g in tree.generations
+               for a in (g.parent, g.pos, g.types, g.rprod, g.mprod, g.shift))
+    tracemalloc.start()
+    try:
+        tree_to_jsonl(tree, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * size
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_export_sized_tree_matches_oracle(seed):
+    """two_system_v2 at depth 13 is the size of the benchmark's export tree."""
+    doc = json.loads((CONFIGS / "two_system_v2.json").read_text())
+    cfg = RunConfig.from_dict({**doc, "seed": seed, "depth": 13, "level": 13})
+    tree = _build(cfg, 13)
+    assert tree.node_count == {1: 171_853, 2: 179_699}[seed]
     _same(tree_to_jsonl, template_tree_to_jsonl, tree)
 
 

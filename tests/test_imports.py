@@ -131,23 +131,66 @@ def test_every_export_is_read_outside_tests():
 # name, each ``"Class.member"`` with the reason it stays.
 KEPT_MEMBERS: dict[str, str] = {}
 
+# Public members whose name is also an attribute of another exported class,
+# so a read of the name need not read them: each ``"Class.member"`` with the
+# ``"module.function"`` of the package that reads an attribute of that name.
+SHARED_MEMBERS = {
+    "ClosedForm.f": "spectral.solve_gamma",
+    "MonteCarloNeckEvaluator.f": "spectral.solve_gamma",
+    "MonteCarloNeckEvaluator.blocks": "spectral.solve_gamma",
+    "WeightedIFS.size": "catalog.map_table",
+}
+
+
+def attributes(cls) -> set[str]:
+    """The public fields, methods and properties a class defines itself."""
+    return {name for name in (*vars(cls), *vars(cls).get("__annotations__", {}))
+            if not name.startswith("_")}
+
+
+def site_reads(site: str, name: str) -> bool:
+    """Whether the top-level function ``"module.function"`` of the package
+    reads an attribute ``name``. The read is matched by name: on which
+    class the function reads it is not checked."""
+    module, function = site.split(".")
+    tree = ast.parse((ROOT / "src" / "vvcantor" / f"{module}.py").read_text())
+    body = next((node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == function), None)
+    return body is not None and any(isinstance(node, ast.Attribute) and node.attr == name
+                                    for node in ast.walk(body))
+
 
 def test_every_member_is_read_outside_tests():
     """A public method, property or ``cached_property`` of a class in
     ``vvcantor.__all__`` is read by name where an export must be read
     (``read_outside_tests``), or is in ``KEPT_MEMBERS``: a second accessor
     only tests read cannot come back unnoticed. Reads are matched by name,
-    so a member counts as read when any attribute of that name is."""
+    so a member counts as read when any attribute of that name is; a member
+    whose name another exported class also defines is in ``SHARED_MEMBERS``
+    with a function that reads an attribute of its name, so a new shared
+    name is noticed; that the function reads it on this class is not checked."""
     read = read_outside_tests()
     accessors = (property, cached_property, classmethod, staticmethod)
-    members = {f"{cls.__name__}.{name}": name
-               for cls in (getattr(vvcantor, n) for n in vvcantor.__all__)
-               if inspect.isclass(cls)
+    classes = [cls for cls in (getattr(vvcantor, n) for n in vvcantor.__all__)
+               if inspect.isclass(cls)]
+    members = {f"{cls.__name__}.{name}": (cls, name)
+               for cls in classes
                for name, member in vars(cls).items()
                if not name.startswith("_")
                and (inspect.isfunction(member) or isinstance(member, accessors))}
     assert members
-    unread = sorted(m for m, name in members.items() if name not in read and m not in KEPT_MEMBERS)
+    unread = sorted(m for m, (_, name) in members.items()
+                    if name not in read and m not in KEPT_MEMBERS)
     assert not unread, "members nothing outside the tests reads:\n" + "\n".join(unread)
     assert not set(KEPT_MEMBERS) - set(members), "KEPT_MEMBERS names no exported member"
-    assert not {m for m in KEPT_MEMBERS if members[m] in read}, "KEPT_MEMBERS names a read member"
+    assert not {m for m in KEPT_MEMBERS if members[m][1] in read}, \
+        "KEPT_MEMBERS names a read member"
+
+    shared = {m for m, (cls, name) in members.items()
+              if any(name in attributes(other) for other in classes if other is not cls)}
+    unlisted = sorted(shared - set(SHARED_MEMBERS))
+    assert not unlisted, "members sharing a name with another class:\n" + "\n".join(unlisted)
+    assert not set(SHARED_MEMBERS) - shared, "SHARED_MEMBERS names an unshared member"
+    unsited = sorted(m for m, site in SHARED_MEMBERS.items()
+                     if not site_reads(site, members[m][1]))
+    assert not unsited, "SHARED_MEMBERS sites that do not read the member:\n" + "\n".join(unsited)
