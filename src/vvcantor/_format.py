@@ -18,19 +18,20 @@ writes the same bytes too, but through one Python call per value, and is
 slower than ``format`` itself. Integers are written as ``str`` writes them,
 by digit generation in numpy (``int_text``).
 
-A table column's text is an (n, w) uint8 matrix of ASCII, one row per
-line, NUL-padded to the longest text w: floats left-aligned, integers
-right-aligned. Float columns that repeat are formatted once per distinct
-value and gathered by row (``column_text``); the cell ends of a
-decomposition once per decomposition (``CellDecomposition.endpoint_text``),
-shared by ``cells.csv`` and ``gaps.csv``. ``write_table`` copies a block of
-rows of every column into one buffer whose separator columns are written
-once, and drops the NULs with one compress per block; no output holds a
-NUL, so what is left is the lines' bytes.
+A table column's text is an (n, w) uint8 matrix of ASCII, one row per line,
+NUL-padded to the longest text w: floats left-aligned, integers
+right-aligned. A float column is formatted once per distinct bit pattern,
+found by one ``np.unique`` of its bits, and gathered by row
+(``column_text``); the cell ends of a decomposition once per decomposition
+(``CellDecomposition.endpoint_text``), shared by ``cells.csv`` and
+``gaps.csv``. ``write_table`` copies a block of rows of every column into
+one buffer whose separator columns are written once, and drops the NULs
+with one compress per block; no output holds a NUL, so what is left is the
+lines' bytes.
 
 ``tree.jsonl`` keeps the ``str`` path (``vtree.tree_to_jsonl``): a line is
-its node's path between two texts, each formatted once per distinct
-value among the node classes.
+its node's path between two texts, each formatted once per distinct bit
+pattern among the node classes (``_kernels.groups``).
 """
 
 from __future__ import annotations
@@ -252,8 +253,9 @@ def column_text(column) -> np.ndarray:
     if column.ndim == 2:
         return column
     if column.dtype.kind == "f":
-        distinct, inverse = _distinct(column.astype(np.float64, copy=False))
-        return np.take(float_text(distinct), inverse, axis=0)
+        bits = np.ascontiguousarray(column, np.float64).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        return np.take(float_text(distinct.view(np.float64)), inverse.ravel(), axis=0)
     return int_text(column)
 
 
@@ -276,12 +278,3 @@ def write_table(fp, texts) -> None:
             block[:, start:start + width] = text[lo:lo + block.shape[0]]
         flat = block.ravel()
         fp.write(flat[flat != 0].tobytes().decode("ascii"))
-
-
-def _distinct(values) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of a numeric array, in its dtype, and the
-    index of each value among them."""
-    values = np.ascontiguousarray(values)
-    distinct, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    return distinct.view(values.dtype), inverse.ravel()
-

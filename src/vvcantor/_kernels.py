@@ -1,16 +1,17 @@
-"""Two numeric kernels, vectorized in numpy.
+"""Two numeric kernels and a row grouping, vectorized in numpy.
 
 Sturm-sequence inertia counts on assembled symmetric tridiagonal pencils,
 and the per-type dynamic program that evaluates the neck block log-sums of
-the Monte Carlo batches. Each has exactly one implementation. Shifts (or
-blocks) are numpy lanes that never interact, so one batched call gives the
-same result as one call per shift. The counts the CLI writes come from
-``condense``, which reads the tree instead of a pencil; the Sturm count
-serves ``pencil.inertia_counts`` and is the test oracle of the condensed
-counts. Both count engines share what this module fixes for them: the
-chunk budget ``_CHUNK``, the tie rule below, and the shift domain of
-``checked_shifts``, finite shifts whose product with a mass scale stays
-within ``MAX_SCALED_MASS``.
+the Monte Carlo batches. Each has exactly one implementation, as has
+``groups``, which groups rows by their bits for the condensation keys and
+the node classes of ``tree.jsonl``. Shifts (or blocks) are numpy lanes that
+never interact, so one batched call gives the same result as one call per
+shift. The counts the CLI writes come from ``condense``, which reads the
+tree instead of a pencil; the Sturm count serves ``pencil.inertia_counts``
+and is the test oracle of the condensed counts. Both count engines share
+what this module fixes for them: the chunk budget ``_CHUNK``, the tie rule
+below, and the shift domain of ``checked_shifts``, finite shifts whose
+product with a mass scale stays within ``MAX_SCALED_MASS``.
 
 The inertia count is the row recurrence ``d_i = (kd_i - x md_i) -
 (ko_{i-1} - x mo_{i-1})^2 / d_{i-1}``, evaluated in row chunks of at most
@@ -81,6 +82,23 @@ def checked_shifts(xs, mass: float) -> np.ndarray:
         raise InvalidInputError(
             f"shift times mass {scaled!r} exceeds {MAX_SCALED_MASS!r}: the count would overflow")
     return xs
+
+
+def groups(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group and the first row of each group, for rows grouped
+    by equal bits in every one of ``columns``. Groups are numbered in the
+    order of one stable ``np.lexsort(columns)`` of the rows' unsigned bit
+    views, which for nonnegative integers is their numeric order."""
+    keys = [c.view(f"u{c.itemsize}") for c in columns]
+    order = np.lexsort(keys)
+    new = np.zeros(order.shape[0], bool)  # True where a group starts
+    new[:1] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    group = np.empty(order.shape[0], np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 
 from . import _kernels
+from ._kernels import groups
 from .catalog import map_table, real_slots
 from .errors import DepthExhaustedError, InvalidInputError, TreeTooLargeError
 from .measure import touching_tol
@@ -171,19 +172,6 @@ def _rows(rows, n: int):
     return slice(None) if rows.shape[0] == n else rows
 
 
-def _unique_rows(rows):
-    """The first index of each distinct row of the nonnegative ``rows``, in
-    row order, and the number of each row's distinct row."""
-    rows = rows.astype(np.min_scalar_type(rows.max()), copy=False)
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
-    ordered = rows[order]
-    new = np.ones(order.shape[0], bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
     """Keys of generations 0 .. ``level``, top-down. Each generation above
     ``level`` is ``(first, joins)``: ``first = (keys, ratio)``, the child
@@ -219,7 +207,7 @@ def _plan(tree: VTree, level: int, xmin: float, splits: int) -> list:
         key, slot = np.nonzero(has)  # key-major, slots in order
         rows = np.column_stack((tree.child[g][types[key], slot], expo[key]))
         rows[np.arange(key.shape[0]), 1 + code[sys_[key], slot]] += 1
-        first, inverse = _unique_rows(rows)
+        inverse, first = groups(*rows.T[::-1])
         n_keys += first.shape[0]
         if n_keys > DEFAULT_NODE_CAP:
             raise TreeTooLargeError(
@@ -344,8 +332,7 @@ def condensed_counts(tree: VTree, level: int, splits: int, xs) -> tuple[np.ndarr
         raise ValueError("level must be >= 0")
     if level > tree.env_levels:
         raise DepthExhaustedError(
-            f"tree has {tree.env_levels} environment levels, requested level {level}",
-            extra_depth_hint=level - tree.env_levels)
+            f"tree has {tree.env_levels} environment levels, requested level {level}")
     if splits < 1:
         raise ValueError("splits must be >= 1")
     xs = _kernels.checked_shifts(xs, 1.0)

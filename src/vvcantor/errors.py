@@ -18,16 +18,9 @@ class TreeTooLargeError(VVCantorError):
 
 
 class DepthExhaustedError(VVCantorError):
-    """A tree is too shallow for the requested cut set or neck block.
-
-    ``extra_depth_hint`` is a lower-bound estimate of how many additional
-    levels would be needed (necks are random, so the actual requirement may
-    be larger).
-    """
-
-    def __init__(self, message: str, extra_depth_hint: int = 0):
-        super().__init__(message)
-        self.extra_depth_hint = extra_depth_hint
+    """A tree or its environment table is too shallow for the requested
+    level, cut set or bracketing; the message names the levels it has and
+    those it needs (for a cut set, a lower bound: necks are random)."""
 
 
 class NeckTimeoutError(VVCantorError):
@@ -35,11 +28,8 @@ class NeckTimeoutError(VVCantorError):
 
 
 class SingularMassError(VVCantorError):
-    """Mass matrix failed the positive-definiteness check."""
-
-    def __init__(self, message: str, node: int = -1):
-        super().__init__(message)
-        self.node = node
+    """Mass matrix failed the positive-definiteness check; the message
+    names the first failing node."""
 
 
 class InsufficientDataError(VVCantorError):

@@ -35,7 +35,6 @@ def touching_tol(a: float, b: float) -> float:
 class CellDecomposition:
     """Ordered cells and gaps of one tree generation (or a refinement)."""
 
-    interval: tuple[float, float]
     lefts: np.ndarray
     rights: np.ndarray
     masses: np.ndarray
@@ -80,8 +79,7 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
         raise ValueError("level must be >= 0")
     if level > tree.depth:
         raise DepthExhaustedError(
-            f"tree materialized to depth {tree.depth}, requested level {level}",
-            extra_depth_hint=level - tree.depth)
+            f"tree materialized to depth {tree.depth}, requested level {level}")
     a, b = tree.catalog.lower, tree.catalog.upper
     gen = tree.generations[level]
     lefts = gen.rprod * a + gen.shift
@@ -99,7 +97,7 @@ def decompose(tree: VTree, level: int) -> CellDecomposition:
         lefts = lefts.copy()
         lefts[1:][clamp] = rights[:-1][clamp]
 
-    return CellDecomposition(interval=(a, b), lefts=lefts, rights=rights, masses=masses)
+    return CellDecomposition(lefts=lefts, rights=rights, masses=masses)
 
 
 # ---------------------------------------------------------------------------

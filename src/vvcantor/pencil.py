@@ -70,7 +70,6 @@ def refine_uniform(decomposition: CellDecomposition, splits: int) -> CellDecompo
     edges[:, 0] = decomposition.lefts   # guard fp drift at the
     edges[:, -1] = decomposition.rights  # original endpoints
     return CellDecomposition(
-        interval=decomposition.interval,
         lefts=edges[:, :-1].ravel(),
         rights=edges[:, 1:].ravel(),
         masses=np.repeat(decomposition.masses / splits, splits))
@@ -131,8 +130,7 @@ def _check_mass_definite(pencil: Pencil) -> None:
     ok = pencil.md > 0
     if not ok.all():
         node = int(np.argmin(ok))  # first failing row
-        raise SingularMassError(
-            f"mass matrix is not positive definite near node {node}", node=node)
+        raise SingularMassError(f"mass matrix is not positive definite near node {node}")
 
 
 def pencil_to_csv(pencil: Pencil, fp, meta: dict | None = None) -> None:

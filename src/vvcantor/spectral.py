@@ -303,17 +303,17 @@ def solve_gamma(evaluator, tolerance: float = 1e-3) -> ExponentReport:
                           seed=evaluator.master_seed, ci=ci)
 
 
-def solve_gamma_recursive(catalog: Catalog, tolerance: float = 1e-10) -> float:
+def solve_gamma_recursive(catalog: Catalog) -> float:
     """Root of sum_j p_j sum_i (r_i m_i)^gamma = 1 (the fully random
     construction's exponent; a comparison oracle for large type counts)."""
     evaluator = ClosedForm(partial(_recursive_f, catalog), "recursive-oracle")
-    return solve_gamma(evaluator, tolerance).gamma
+    return solve_gamma(evaluator, 1e-10).gamma
 
 
-def gamma_exact_homogeneous(catalog: Catalog, tolerance: float = 1e-10) -> ExponentReport:
+def gamma_exact_homogeneous(catalog: Catalog) -> ExponentReport:
     """Exact exponent of the one-type-per-level construction."""
     method = "exact-selfsimilar" if catalog.n_systems == 1 else "exact-homogeneous"
-    return solve_gamma(ClosedForm(partial(f_exact_homogeneous, catalog), method), tolerance)
+    return solve_gamma(ClosedForm(partial(f_exact_homogeneous, catalog), method), 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +419,12 @@ def bracketing_check(tree: VTree, k: int, center: BracketingResult) -> Bracketin
     max_level = int(cs.levels.max())
     if level < max_level:
         raise DepthExhaustedError(
-            f"level {level} is shallower than the deepest cut-set member ({max_level})",
-            extra_depth_hint=max_level - level)
+            f"level {level} is shallower than the deepest cut-set member ({max_level})")
 
     lower, upper = np.zeros((2, xs.shape[0]), np.int64)
     for l in np.unique(cs.levels).tolist():
         prods, members = np.unique(cs.products[cs.levels == l], return_counts=True)
-        sub_d, sub_n = condensed_counts(neck_subtree(tree, l, 0), level - l, splits,
+        sub_d, sub_n = condensed_counts(neck_subtree(tree, l), level - l, splits,
                                         np.outer(prods, xs).ravel())
         lower += members @ sub_d.reshape(prods.shape[0], -1)
         upper += members @ sub_n.reshape(prods.shape[0], -1)

@@ -31,6 +31,7 @@ from itertools import compress
 import numpy as np
 
 from ._format import _BLOCK_ROWS
+from ._kernels import groups
 from .catalog import Catalog, map_table, real_slots, scale_extrema
 from .errors import DepthExhaustedError, TreeTooLargeError
 from .rng import Xoshiro256StarStar, categorical_index, cumulative_probs
@@ -328,7 +329,7 @@ def cut_set(tree: VTree, k: int) -> CutSet:
         hint = max(1, math.ceil((k + math.log(worst)) / shrink))
         raise DepthExhaustedError(
             f"cut set {k} incomplete at depth {tree.depth}; "
-            f"needs at least {hint} more levels", extra_depth_hint=hint)
+            f"needs at least {hint} more levels")
     if not (member_count == 1).all():
         raise AssertionError("cut-set property violated: some path not covered exactly once")
 
@@ -342,59 +343,37 @@ def cut_set(tree: VTree, k: int) -> CutSet:
     )
 
 
-def neck_subtree(tree: VTree, level: int, depth: int) -> VTree:
-    """The common subtree rooted at any node of a neck generation.
-
-    All generation-``level`` nodes of a neck level share one type and all
-    deeper environments, so their subtrees coincide; this builds that shared
-    subtree once, materialized to ``depth``, with the whole table below it.
-    """
+def neck_subtree(tree: VTree, level: int) -> VTree:
+    """The subtree shared by every node of neck generation ``level`` (or
+    the whole tree at level 0): its root alone, of the type all those nodes
+    have, with the table below them, ``tree.env_levels - level`` levels.
+    Raises ``ValueError`` for a level that is not a neck."""
     if level == 0:
         start = tree.root_type
     else:
         if level not in tree.neck_levels:
             raise ValueError(f"level {level} is not a neck level")
         start = int(tree.child[level - 1, 0, 0])
-    if level + depth > tree.env_levels:
-        raise DepthExhaustedError(
-            f"subtree at level {level} needs {depth} more environment levels",
-            extra_depth_hint=level + depth - tree.env_levels)
-    return build_tree(tree.catalog, tree.v_types, depth, root_type=start,
+    return build_tree(tree.catalog, tree.v_types, 0, root_type=start,
                       environments=(tree.level_sys[level:], tree.child[level:]))
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
-def _groups(*columns) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's group, rows being grouped by equal bits in every one of
-    ``columns``, and one row of each group, by one lexsort of the rows."""
-    keys = [c.view(f"u{c.itemsize}") for c in columns]
-    order = np.lexsort(keys)
-    new = np.zeros(order.shape[0], bool)  # True where a group starts
-    new[0] = True
-    for k in keys:
-        k = k[order]
-        new[1:] |= k[1:] != k[:-1]
-    group = np.empty(order.shape[0], np.intp)
-    group[order] = np.cumsum(new) - 1
-    return group, order[new]
-
-
 def _classes(parent_class, classes: int, gen: Generation, width: int):
     """Each node's class and one node of each class in ``gen``. A class
-    holds equal ``m_product``, ``r_product`` and type bits, which
-    ``build_tree`` fixes from the parent's and the slot (the parent's type
-    fixes its system), so they are fixed by the pair (parent's class, slot),
-    one of ``classes * width``: one node per occurring pair is read, and
-    pairs whose values have the same bits are merged (``_groups``)."""
+    holds the nodes with equal ``m_product``, ``r_product`` and type bits.
+    ``build_tree`` fixes these from the parent's and the slot (the parent's
+    type fixes its system), so one node per occurring (parent's class,
+    slot) pair is read, and pairs with the same bits share a class."""
     pair = parent_class.take(gen.parent) * width
     pair += gen.pos
     rep = np.full(classes * width, -1, np.intp)
     rep[pair] = np.arange(pair.shape[0])
     occurs = np.flatnonzero(rep >= 0)
     rep = rep[occurs]
-    group, first = _groups(gen.mprod[rep], gen.rprod[rep], gen.types[rep])
+    group, first = groups(gen.mprod[rep], gen.rprod[rep], gen.types[rep])
     pair_class = np.empty(classes * width, np.intp)
     pair_class[occurs] = group
     return pair_class.take(pair), rep[first]
@@ -429,10 +408,10 @@ def tree_to_jsonl(tree: VTree, fp) -> None:
             node_class, rep = _classes(node_class, rep.shape[0], gen, width)
         # Texts per distinct value among the classes, gathered to the classes.
         mprod, rprod, types = gen.mprod[rep], gen.rprod[rep], gen.types[rep]
-        head_of, first = _groups(mprod)
+        head_of, first = groups(mprod)
         heads = np.array([f'{{"m_product": {m!r}, "path": ['
                           for m in mprod[first].tolist()], dtype=object).take(head_of)
-        tail_of, first = _groups(rprod, types)
+        tail_of, first = groups(rprod, types)
         types = types[first].tolist()
         systems = ([small[s] for s in tree.level_sys[level][types].tolist()]
                    if level < tree.depth else ["null"] * len(types))

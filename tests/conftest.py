@@ -278,8 +278,8 @@ def member_bracketing_sums(tree, k, center) -> tuple:
     for l in np.unique(cs.levels):
         prods = cs.products[cs.levels == l]
         args = (prods[:, None] * xs[None, :]).ravel()
-        sub_d, sub_n = condensed_counts(neck_subtree(tree, int(l), level - int(l)),
-                                        level - int(l), splits, args)
+        sub_d, sub_n = condensed_counts(neck_subtree(tree, int(l)), level - int(l),
+                                        splits, args)
         lower += sub_d.reshape(prods.shape[0], -1).sum(axis=0)
         upper += sub_n.reshape(prods.shape[0], -1).sum(axis=0)
     return lower, upper

@@ -503,7 +503,7 @@ def test_decomposition_round_trips_to_identical_pencil(tmp_path):
     lines = [line for line in (tmp_path / "cells.csv").read_text().splitlines()
              if not line.startswith("#")]
     lefts, rights, masses, _ = np.array([l.split(",") for l in lines[1:]], float).T
-    dec = CellDecomposition((0.0, 1.0), lefts, rights, masses)
+    dec = CellDecomposition(lefts, rights, masses)
     from vvcantor import Xoshiro256StarStar, build_tree, decompose, stream_seed
     from conftest import make_cantor
 

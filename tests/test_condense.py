@@ -149,9 +149,9 @@ def test_leaf_chain_matches_the_closed_form(monkeypatch):
 
 def test_level_past_the_tree_is_depth_exhausted():
     tree = _lebesgue_tree(3)
-    with pytest.raises(DepthExhaustedError) as err:
+    with pytest.raises(DepthExhaustedError,
+                       match="tree has 3 environment levels, requested level 4"):
         condensed_counts(tree, 4, 1, [1.0])
-    assert err.value.extra_depth_hint == 1
 
 
 def _inset_catalog(offset):
@@ -367,13 +367,13 @@ def test_underflow_is_refused_while_planning(monkeypatch):
     generation 294, and planning stops there instead of planning 3,000
     generations first. Nor does it read a table row below the refusal,
     for end insets or gaps: those rows name no system here."""
-    planned, unique_rows = [], condense._unique_rows
+    planned, groups = [], condense.groups
 
-    def recorded(rows):
+    def recorded(*columns):
         planned.append(1)
-        return unique_rows(rows)
+        return groups(*columns)
 
-    monkeypatch.setattr(condense, "_unique_rows", recorded)
+    monkeypatch.setattr(condense, "groups", recorded)
     tree = _table(TWO_SYSTEM_V2, 3000)
     tree.level_sys = tree.level_sys.copy()
     tree.level_sys[294:] = 255

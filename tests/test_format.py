@@ -107,7 +107,7 @@ def test_pencil_with_signed_zeros_and_repeats_matches_oracle():
 def _cells(lefts, rights, masses=None) -> CellDecomposition:
     lefts, rights = np.array(lefts, np.float64), np.array(rights, np.float64)
     masses = np.full(lefts.shape, 0.25) if masses is None else np.array(masses, np.float64)
-    return CellDecomposition(interval=(0.0, 1.0), lefts=lefts, rights=rights, masses=masses)
+    return CellDecomposition(lefts=lefts, rights=rights, masses=masses)
 
 
 # Hand-built decompositions: a touching join from -0.0 to 0.0, a zero-length

@@ -9,8 +9,10 @@ at that module, so when the tracer goes this test lists the imports to drop.
 """
 
 import ast
+import dataclasses
 import inspect
 import re
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
@@ -105,14 +107,26 @@ def names_read(source: str) -> set[str]:
     return read
 
 
-def read_outside_tests() -> set[str]:
-    """``names_read`` over the package modules, ``perfbench/*.py`` and the
-    README example."""
+def sources_outside_tests() -> list[str]:
+    """The package modules, ``perfbench/*.py`` and the README example."""
     sources = [p.read_text() for p in FILES if p.parent.name == "vvcantor"]
     sources += [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
     sources += re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
                           re.M | re.S)
-    return set().union(*map(names_read, sources))
+    return sources
+
+
+def read_outside_tests() -> set[str]:
+    """``names_read`` over ``sources_outside_tests``."""
+    return set().union(*map(names_read, sources_outside_tests()))
+
+
+def loaded_outside_tests() -> set[str]:
+    """The attribute names ``sources_outside_tests`` load (``obj.name`` in
+    load context; an assignment to ``obj.name`` is not a read)."""
+    return {node.attr for source in sources_outside_tests()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_export_is_read_outside_tests():
@@ -129,7 +143,9 @@ def test_every_export_is_read_outside_tests():
 
 # Public members of exported classes that nothing outside the tests reads by
 # name, each ``"Class.member"`` with the reason it stays.
-KEPT_MEMBERS: dict[str, str] = {}
+KEPT_MEMBERS = {
+    "CutSet.node_index": "three tests check cut-set membership path by path through it",
+}
 
 # Public members whose name is also an attribute of another exported class,
 # so a read of the name need not read them: each ``"Class.member"`` with the
@@ -148,6 +164,31 @@ def attributes(cls) -> set[str]:
             if not name.startswith("_")}
 
 
+def data_attributes(cls) -> set[str]:
+    """The public fields of a dataclass, or the public attributes the
+    class's own ``__init__`` assigns on ``self``."""
+    if dataclasses.is_dataclass(cls):
+        names = {field.name for field in dataclasses.fields(cls)}
+    elif inspect.isfunction(init := vars(cls).get("__init__")):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(init)))
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    else:
+        names = set()
+    return {name for name in names if not name.startswith("_")}
+
+
+def output_schemas() -> set[str]:
+    """The dataclasses ``cli``'s docstring names as output schemas: ``asdict``
+    and ``astuple`` read their fields, not attribute loads."""
+    from vvcantor import cli
+
+    named = set(re.findall(r"``(\w+)``", cli.__doc__))
+    return {name for name in named
+            if dataclasses.is_dataclass(getattr(vvcantor, name, None))}
+
+
 def site_reads(site: str, name: str) -> bool:
     """Whether the top-level function ``"module.function"`` of the package
     reads an attribute ``name``. The read is matched by name: on which
@@ -163,13 +204,16 @@ def site_reads(site: str, name: str) -> bool:
 def test_every_member_is_read_outside_tests():
     """A public method, property or ``cached_property`` of a class in
     ``vvcantor.__all__`` is read by name where an export must be read
-    (``read_outside_tests``), or is in ``KEPT_MEMBERS``: a second accessor
-    only tests read cannot come back unnoticed. Reads are matched by name,
+    (``read_outside_tests``), and a public dataclass field or attribute its
+    ``__init__`` sets is loaded there (``loaded_outside_tests``), except
+    the fields of the output schemas; otherwise it is in ``KEPT_MEMBERS``.
+    So a second accessor, or a field or error payload only tests read,
+    cannot come back unnoticed. Reads are matched by name,
     so a member counts as read when any attribute of that name is; a member
     whose name another exported class also defines is in ``SHARED_MEMBERS``
     with a function that reads an attribute of its name, so a new shared
     name is noticed; that the function reads it on this class is not checked."""
-    read = read_outside_tests()
+    read, loaded = read_outside_tests(), loaded_outside_tests()
     accessors = (property, cached_property, classmethod, staticmethod)
     classes = [cls for cls in (getattr(vvcantor, n) for n in vvcantor.__all__)
                if inspect.isclass(cls)]
@@ -178,13 +222,17 @@ def test_every_member_is_read_outside_tests():
                for name, member in vars(cls).items()
                if not name.startswith("_")
                and (inspect.isfunction(member) or isinstance(member, accessors))}
-    assert members
-    unread = sorted(m for m, (_, name) in members.items()
-                    if name not in read and m not in KEPT_MEMBERS)
+    schemas = output_schemas()
+    assert members and {"CutsetStatsRow", "ExponentReport", "Environment"} <= schemas
+    data = {f"{cls.__name__}.{name}": (cls, name)
+            for cls in classes if cls.__name__ not in schemas
+            for name in data_attributes(cls)}
+    is_read = {m: name in read for m, (_, name) in members.items()}
+    is_read.update({m: name in loaded for m, (_, name) in data.items()})
+    unread = sorted(m for m, ok in is_read.items() if not ok and m not in KEPT_MEMBERS)
     assert not unread, "members nothing outside the tests reads:\n" + "\n".join(unread)
-    assert not set(KEPT_MEMBERS) - set(members), "KEPT_MEMBERS names no exported member"
-    assert not {m for m in KEPT_MEMBERS if members[m][1] in read}, \
-        "KEPT_MEMBERS names a read member"
+    assert not set(KEPT_MEMBERS) - set(is_read), "KEPT_MEMBERS names no exported member"
+    assert not {m for m in KEPT_MEMBERS if is_read[m]}, "KEPT_MEMBERS names a read member"
 
     shared = {m for m, (cls, name) in members.items()
               if any(name in attributes(other) for other in classes if other is not cls)}

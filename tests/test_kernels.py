@@ -7,6 +7,54 @@ from vvcantor import MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
 from conftest import dense_counts, make_two_system, segment_entries, sequential_sturm_counts
 
 
+def _bit_groups(*columns):
+    """Oracle of ``_kernels.groups``: each row's bit tuple, and the first row
+    holding each tuple."""
+    rows = [tuple(c[i].tobytes() for c in columns) for i in range(len(columns[0]))]
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    return rows, first
+
+
+def test_groups_match_a_bit_tuple_oracle():
+    """Float64, uint8 and int64 columns group by the bits of each row: -0.0
+    and 0.0 apart, equal NaN bit patterns together, the kept row is the
+    first of its group, the kept rows rebuild every column, and no rows
+    give empty arrays."""
+    rng = np.random.default_rng(7)
+    other_nan = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    floats = rng.choice([0.0, -0.0, np.nan, other_nan, 1.5, -2.25, np.inf], 300)
+    small = rng.integers(0, 3, 300).astype(np.uint8)
+    signed = rng.choice([-1, 0, 7, 2 ** 40], 300).astype(np.int64)
+    for columns in ((floats,), (floats, small), (floats, small, signed), (signed, small)):
+        group, first = _kernels.groups(*columns)
+        rows, oracle = _bit_groups(*columns)
+        assert group.shape == (300,) and first.shape == (len(oracle),)
+        assert sorted(first.tolist()) == sorted(oracle.values())
+        assert [first[g] for g in group.tolist()] == [oracle[row] for row in rows]
+        for c in columns:
+            assert c[first][group].tobytes() == c.tobytes()
+
+    group, first = _kernels.groups(np.array([0.0, -0.0, np.nan, 0.0, np.nan, -0.0]))
+    assert group[0] == group[3] != group[1] == group[5]
+    assert group[2] == group[4] and first.tolist().count(2) == 1
+
+    group, first = _kernels.groups(np.zeros(0), np.zeros(0, np.uint8))
+    assert group.shape == first.shape == (0,)
+
+
+def test_groups_of_nonnegative_rows_number_them_in_sorted_order():
+    """``groups(*rows.T[::-1])`` numbers distinct nonnegative integer rows in
+    lexicographic order and keeps each one's first row, as ``np.unique``
+    along axis 0 does."""
+    rows = np.random.default_rng(3).integers(0, 4, (500, 3))
+    rows[:, 1] *= 1 << 33
+    group, first = _kernels.groups(*rows.T[::-1])
+    _, index, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, index) and np.array_equal(group, inverse.ravel())
+
+
 def test_sturm_tie_counts_as_at_or_below():
     # 4 - 12 * (1/3) is exactly 0: the tie lane counts and is replaced
     # without touching its neighbours in the same batch

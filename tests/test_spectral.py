@@ -55,9 +55,11 @@ def test_exact_two_system_root_against_scalar_oracle(two_system):
         else:
             hi = mid
     oracle = 0.5 * (lo + hi)
-    rep = gamma_exact_homogeneous(two_system, tolerance=1e-13)
+    rep = gamma_exact_homogeneous(two_system)
     assert rep.method == "exact-homogeneous"
-    assert abs(rep.gamma - oracle) < 1e-12
+    assert abs(rep.gamma - oracle) < 1e-10
+    exact = ClosedForm(partial(f_exact_homogeneous, two_system), "exact-homogeneous")
+    assert abs(solve_gamma(exact, 1e-13).gamma - oracle) < 1e-12
 
 
 def test_solve_gamma_cantor_closed_form(cantor):
@@ -466,8 +468,8 @@ def test_bracketing_counts_on_root_only_subtrees(two_system, monkeypatch):
     center = center_counts(tree, np.geomspace(2.0, 5e4, 16), tree.depth)
     built = []
 
-    def recorded(tree, level, depth):
-        sub = neck_subtree(tree, level, depth)
+    def recorded(tree, level):
+        sub = neck_subtree(tree, level)
         built.append((sub.node_count, sub.env_levels + level))
         return sub
 
@@ -489,16 +491,17 @@ def test_bracketing_small_shift_zeroes_dirichlet_side(two_system):
 
 
 def test_bracketing_below_a_cut_set_member_raises_depth_exhausted(two_system):
-    """A center level above the deepest cut-set member is a typed error whose
-    hint is the levels missing, not an untyped ``ValueError``."""
+    """A center level above the deepest cut-set member is a typed error that
+    names both levels, not an untyped ``ValueError``."""
     from vvcantor import DepthExhaustedError
 
     tree, _ = _feasible_tree(two_system, 2, 3, 12, range(40))
     deepest = int(cut_set(tree, 3).levels.max())
     center = center_counts(tree, np.geomspace(2.0, 5e4, 4), deepest - 1)
-    with pytest.raises(DepthExhaustedError) as err:
+    with pytest.raises(DepthExhaustedError, match=(
+            f"level {deepest - 1} is shallower than the deepest cut-set member "
+            fr"\({deepest}\)")):
         bracketing_check(tree, 3, center)
-    assert err.value.extra_depth_hint == 1
 
 
 def test_cutset_stats_cantor(cantor):

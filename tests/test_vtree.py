@@ -211,9 +211,8 @@ def test_cut_set_chain_bounds_exact(two_system):
 
 def test_cut_set_depth_exhausted_hint(cantor):
     tree = build_tree(cantor, 1, 2, rng=rng_for(1))
-    with pytest.raises(DepthExhaustedError) as err:
+    with pytest.raises(DepthExhaustedError, match=r"needs at least [1-9]\d* more levels"):
         cut_set(tree, 8)  # needs level ceil(8/log 6) = 5
-    assert err.value.extra_depth_hint >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +311,30 @@ def test_subtrees_below_neck_are_identical(two_system):
             pos = arrs.pos.reshape(gen.size, per)
             assert (types == types[0]).all()
             assert (pos == pos[0]).all()
-        sub = neck_subtree(tree, l, 2)
+        sub = neck_subtree(tree, l)
         assert sub.root_type == gen.types[0]
         assert sub.level_sys.dtype == sub.child.dtype == LevelDraws(two_system, 2).dtype
         return
     pytest.fail("no tree with an early neck found")
+
+
+def test_neck_subtree_is_the_neck_root_over_the_table_below(two_system):
+    """At a neck level l the subtree is one node of type ``child[l - 1, 0, 0]``
+    over the table's last ``env_levels - l`` levels; level 0 gives the tree's
+    own root type, and a level that is not a neck is refused."""
+    tree = build_tree(two_system, 2, 0, rng=rng_for(1), env_levels=40)
+    necks = set(tree.neck_levels)
+    assert necks and len(necks) < 40
+    for l in [0, *sorted(necks)]:
+        sub = neck_subtree(tree, l)
+        assert sub.root_type == (tree.root_type if l == 0 else tree.child[l - 1, 0, 0])
+        assert sub.node_count == 1 and sub.depth == 0
+        assert sub.env_levels == tree.env_levels - l
+        assert np.array_equal(sub.level_sys, tree.level_sys[l:])
+        assert np.array_equal(sub.child, tree.child[l:])
+    for l in sorted(set(range(1, 41)) - necks):
+        with pytest.raises(ValueError, match=f"level {l} is not a neck level"):
+            neck_subtree(tree, l)
 
 
 # ---------------------------------------------------------------------------
