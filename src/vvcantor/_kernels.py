@@ -38,23 +38,27 @@ necks, and from entries ``(blocks, level_sys, child)``, each the next table
 row of each listed block, in the order the lanes draw them, read in one
 pass. The layout orders the blocks longest first, stable by id, so the
 blocks still running at level p are the first ``counts[p]``, and stores
-level p's rows in that order. A DP step then works on leading slices of
-its state and of reused buffers, and the log sums go back to block order
-once, at the end. Per level, one ``np.bincount`` adds the products ``A[v]
-* (ratio*weight)**x``, in C order (block, type, map slot), to their
-(block, child type) sums. It adds in index order, so a sum runs over types, then
-slots, ascending: the order of an ``np.add.at`` scatter over a flat (CSR)
-list of the same products, so the sums are bit-identical to it, however a
-block's rows were split into entries. A row of the new vector is summed as
-``numpy.sum`` sums it: by column adds, left to right, below 8 types, and
-by ``sum`` itself from 8 on, where numpy sums pairwise. A padded slot's
-factor is masked to exactly 0, never computed as ``0.0 ** x`` (1 at x =
-0), so it adds +0.0 to a nonnegative sum, which changes no bit, and x = 0
-still gives log node counts.
+level p's rows as consecutive columns in that order: lanes-last, with the
+blocks on the last, contiguous axis, as the lanes draw them. A DP step
+then works on leading column slices of its (V, blocks) state and of
+reused buffers, with every numpy loop running along the blocks, and the
+log sums go back to block order once, at the end. Per level, one
+``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``, in C order
+(type, map slot, block), to their (block, child type) sums. It adds in
+index order, so the sum of one block and child type still runs over
+types, then slots, ascending: the order of an ``np.add.at`` scatter over a
+flat (CSR) list of the same products, so the sums are bit-identical to it,
+however a block's rows were split into entries. A row of the new vector
+is summed as ``numpy.sum`` sums it: by column adds, left to right, below 8
+types, and by ``sum`` itself from 8 on, where numpy sums pairwise. A
+padded slot's factor is masked to exactly 0, never computed as ``0.0 **
+x`` (1 at x = 0), so it adds +0.0 to a nonnegative sum, which changes no
+bit, and x = 0 still gives log node counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -162,8 +166,10 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 class BlockLayout:
     """Neck blocks longest first: the blocks that run at level p are the
     first ``counts[p]`` of ``order``, and level p's table rows are
-    ``counts[p]`` consecutive rows of ``level_sys`` and ``child`` in that
-    order, after those of the levels above it."""
+    ``counts[p]`` consecutive columns of ``level_sys`` (V, rows) and
+    ``child`` (V, W, rows) in that order, after those of the levels above
+    it. The blocks are the last, contiguous axis, as the lanes draw them and
+    as the DP reads them."""
 
     order: np.ndarray  # block ids, length descending, stable by id
     roots: np.ndarray  # root types, in block id order
@@ -173,21 +179,21 @@ class BlockLayout:
     child: np.ndarray
 
     def runs(self):
-        """Runs of levels with the same running blocks: ``(n, level_sys,
-        child)``, the rows of the run's levels as views with a leading
-        level axis."""
+        """Runs of levels with the same running blocks: ``(n, levels)``,
+        where ``levels`` yields each level's ``(level_sys, child)`` as
+        column views, (V, n) and (V, W, n)."""
         start = 0
         for n, run in groupby(self.counts.tolist()):
             stop = start + n * len(list(run))
-            yield (n, *(rows[start:stop].reshape((-1, n) + rows.shape[1:])
-                        for rows in (self.level_sys, self.child)))
+            yield n, ((self.level_sys[:, lo:lo + n], self.child[..., lo:lo + n])
+                      for lo in range(start, stop, n))
             start = stop
 
     def entries(self):
         """The layout as ``block_layout`` entries, one per level."""
-        for n, run_sys, run_child in self.runs():
-            for level_sys, child in zip(run_sys, run_child):
-                yield self.order[:n], level_sys, child
+        for n, levels in self.runs():
+            for level_sys, child in levels:
+                yield self.order[:n], level_sys.T, child.transpose(2, 0, 1)
 
     def by_block(self, a: np.ndarray) -> np.ndarray:
         """``a``, given in ``order``, put in block id order."""
@@ -199,11 +205,12 @@ class BlockLayout:
 def block_layout(levels, lens, roots) -> BlockLayout:
     """The layout of the blocks with ``lens`` levels and root types
     ``roots`` (both in block id order) whose DP steps are ``levels``:
-    entries ``(blocks, level_sys, child)`` of distinct blocks, each block's
-    entries in its level order, read once. Each entry's rows are scattered
-    to their blocks' sorted positions, in arrays of the first entry's dtype
-    and row shape. Raises ``ValueError`` unless the entries give each
-    block exactly its ``lens`` rows."""
+    entries ``(blocks, level_sys, child)`` of distinct blocks, level_sys
+    (blocks, V) and child (blocks, V, W), each block's entries in its level
+    order, read once. Each entry's rows are scattered to their blocks'
+    sorted columns, in lanes-last arrays of the first entry's dtype and row
+    shape. Raises ``ValueError`` unless the entries give each block exactly
+    its ``lens`` rows."""
     n_blocks = roots.shape[0]
     order = np.argsort(-lens, kind="stable")
     counts = n_blocks - np.cumsum(np.bincount(lens))[:-1]
@@ -214,14 +221,17 @@ def block_layout(levels, lens, roots) -> BlockLayout:
     seen = np.zeros(n_blocks, np.int64)
     for blocks, sys_, ch in levels:
         if level_sys is None:
-            level_sys, child = (np.empty((int(lens.sum()),) + col.shape[1:], col.dtype)
+            level_sys, child = (np.empty(col.shape[1:] + (int(lens.sum()),), col.dtype)
                                 for col in (sys_, ch))
         p = seen[blocks]
         if (p >= lens[blocks]).any():
             raise ValueError("an entry gives a block more rows than its length")
         rows = starts[p] + pos[blocks]
-        level_sys[rows] = sys_
-        child[rows] = ch
+        for dst, src in ((level_sys, sys_), (child, ch)):
+            # One 1-d scatter per (type, slot) row runs along the blocks.
+            k = math.prod(src.shape[1:])
+            for d, r in zip(dst.reshape(k, -1), src.reshape(-1, k).T):
+                d[rows] = r
         seen[blocks] = p + 1
     if not np.array_equal(seen, lens):
         raise ValueError("the entries give a block fewer rows than its length")
@@ -233,39 +243,48 @@ def block_layout(levels, lens, roots) -> BlockLayout:
 def block_log_sums(layout: BlockLayout, v_types: int, table, x: float) -> np.ndarray:
     """log of sum over block paths of the per-path (ratio*weight)**x
     products, in block id order; ``table`` is ``catalog.map_table``. Level
-    p updates the running blocks, the first ``layout.counts[p]`` rows of
-    the state, in buffers sliced once per run of equal counts."""
+    p updates the running blocks, the first ``layout.counts[p]`` columns
+    of the (V, blocks) state, in buffers sliced once per run of equal
+    counts. Products and targets are (V, W, n) views of flat buffers, so
+    ``np.bincount`` reads them without a copy, in (type, slot, block)
+    order: each (block, child type) bin still gets its products type by
+    type, slots ascending."""
     rm = table[..., 0] * table[..., 1]
     real = table[..., 0] > 0.0
     fx = np.zeros(rm.shape)
     fx[real] = rm[real] ** x
+    fx_t = np.ascontiguousarray(fx.T)  # (W, systems): one take per type
     n_blocks = layout.order.shape[0]
     out = np.zeros(n_blocks)
-    amat = np.zeros((n_blocks, v_types))
-    amat[np.arange(n_blocks), layout.roots[layout.order]] = 1.0
     n0 = int(layout.counts[0]) if layout.counts.shape[0] else 0
-    base = np.arange(0, n0 * v_types, v_types)[:, None, None]
-    products = np.empty((n0, v_types, fx.shape[1]))
+    amat = np.zeros((v_types, n0))
+    amat[layout.roots[layout.order[:n0]], np.arange(n0)] = 1.0
+    width = fx.shape[1]
+    base = np.arange(0, n0 * v_types, v_types)
+    products = np.empty(v_types * width * n0)
     targets = np.empty(products.shape, np.int64)
     sums = np.empty(n0)
     pairwise = v_types >= 8  # numpy's row sum; below 8 it adds left to right
-    for n, run_sys, run_child in layout.runs():
-        a, o, prod, tgt, s = amat[:n], out[:n], products[:n], targets[:n], sums[:n]
-        a3, b3, prod1, tgt1, s2 = a[:, :, None], base[:n], prod.ravel(), tgt.ravel(), s[:, None]
-        for level_sys, child in zip(run_sys, run_child):
+    for n, levels in layout.runs():
+        a, o, s = amat[:, :n], out[:n], sums[:n]
+        prod1, tgt1 = products[:v_types * width * n], targets[:v_types * width * n]
+        prod, tgt = prod1.reshape(v_types, width, n), tgt1.reshape(v_types, width, n)
+        a3, b1 = a[:, None, :], base[:n]
+        for level_sys, child in levels:
             # System ids are in range; "clip" spares "raise"'s buffered copy.
-            fx.take(level_sys, axis=0, out=prod, mode="clip")
-            np.multiply(a3, prod, out=prod)
-            np.add(b3, child, out=tgt)
+            for sys_v, prod_v in zip(level_sys, prod):
+                fx_t.take(sys_v, axis=1, out=prod_v, mode="clip")
+            np.multiply(prod, a3, out=prod)
+            np.add(child, b1, out=tgt)
             new = np.bincount(tgt1, prod1, n * v_types).reshape(n, v_types)
             if pairwise:
                 new.sum(axis=1, out=s)
             else:
-                first, *rest = new.T
-                np.copyto(s, first)
-                for col in rest:
-                    np.add(s, col, out=s)
-            np.divide(new, s2, out=a)
+                np.copyto(s, new[:, 0])
+                for t in range(1, v_types):
+                    np.add(s, new[:, t], out=s)
+            np.divide(new.T, s, out=a)
+            del new  # freed before the next level's sums are allocated
             np.log(s, out=s)
             np.add(o, s, out=o)
     return layout.by_block(out)

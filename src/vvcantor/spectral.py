@@ -16,6 +16,7 @@ noise; noise enters only through the reported confidence interval.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -90,9 +91,12 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
 
     Block b draws from stream ``MC_BLOCK_STREAM_BASE + b``: its root type
     ``(u*V)``, then ``LevelDraws`` levels until a neck, whose level is its
-    length. All blocks are drawn in one pass of lockstep lanes; the entries
-    are a generator of one ``(blocks, level_sys, child)`` per level, the
-    blocks longer than the level, so no lane ids are kept.
+    length. All blocks are drawn in one pass of lockstep lanes, and each
+    level's rows are kept lanes-last, as drawn. The entries are a generator
+    of one ``(blocks, level_sys, child)`` per level, the blocks longer than
+    the level, so no lane ids are kept; it hands on transposed views,
+    (lanes, V) and (lanes, V, W), as ``block_layout`` reads them, and drops
+    each level once it has handed it on.
 
     Raises ``TreeTooLargeError`` once the rows of the lanes still running
     (level times lanes) pass ``vtree.DEFAULT_NODE_CAP``, naming the level
@@ -103,14 +107,14 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
     lane = first + np.arange(count)
     rng = Xoshiro256StarStarLanes(stream_seeds(master_seed, MC_BLOCK_STREAM_BASE + lane))
     roots = (rng.uniforms([None])[0] * v_types).astype(np.int64)
-    lens, rows, level = np.zeros(count, np.int64), [], 0
+    lens, rows, level = np.zeros(count, np.int64), deque(), 0
     while lane.shape[0]:
         if level == DEFAULT_ENV_CAP:
             raise NeckTimeoutError(f"block {lane[0]} saw no neck within {level} levels")
         level += 1
         sys_, child, real = draw(rng)
         rows.append((sys_, child))
-        neck = neck_mask(child, real)
+        neck = neck_mask(child.transpose(2, 0, 1), real.transpose(2, 0, 1))
         if neck.any():
             lens[lane[neck] - first] = level
             running = ~neck
@@ -120,9 +124,13 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
             raise TreeTooLargeError(
                 f"{lane.shape[0]} Monte Carlo blocks from block {lane[0]} still run at "
                 f"level {level}, past {DEFAULT_NODE_CAP} rows")
-    levels = ((first + np.flatnonzero(lens > p), level_sys, child)
-              for p, (level_sys, child) in enumerate(rows))
-    return levels, lens, roots
+
+    def levels():
+        for p in range(len(rows)):
+            level_sys, child = rows.popleft()
+            yield first + np.flatnonzero(lens > p), level_sys.T, child.transpose(2, 0, 1)
+
+    return levels(), lens, roots
 
 
 class MonteCarloNeckEvaluator:
@@ -137,7 +145,10 @@ class MonteCarloNeckEvaluator:
     blocks still running at a level are then a prefix of that order, so
     each DP step of ``log_sums`` works on slices of its state and reused
     buffers, and sums a row of fewer than 8 types left to right, as
-    ``numpy.sum`` does (pairwise from 8 on). The layout is the evaluator's
+    ``numpy.sum`` does (pairwise from 8 on). The rows stay lanes-last from
+    the draw to the DP, blocks on the contiguous axis, and each (block,
+    type) sum still adds its products type by type, slots ascending, so the
+    log-sums do not depend on the storage order. The layout is the evaluator's
     only copy of the drawn rows, shared by all x (common random numbers);
     the log-sums of the last x are kept until ``extend``.
     ``NeckTimeoutError`` names the lowest block that saw no neck within

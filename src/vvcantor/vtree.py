@@ -41,7 +41,10 @@ DEFAULT_NODE_CAP = 10_000_000
 
 def neck_mask(child, real) -> np.ndarray:
     """Which levels of the table rows ``child`` are necks: every slot that
-    ``real`` (``real_slots``) marks holds the same type. Slot 0 of type 0 always exists."""
+    ``real`` (``real_slots``) marks holds the same type. Slot 0 of type 0
+    always exists. Types and slots are the last two axes, as in the table
+    (levels, V, W); ``LevelDraws``' lanes-last rows (V, W, lanes) pass
+    ``rows.transpose(2, 0, 1)`` views."""
     return ((child == child[..., :1, :1]) | ~real).all(axis=(-2, -1))
 
 
@@ -54,6 +57,11 @@ class LevelDraws:
     slot, one ``randint(V)`` each. A lane draws only the slots its type's system has,
     so its stream does not depend on the other lanes. ``dtype``, the
     smallest unsigned dtype that holds a type and a system, is the table's.
+
+    The rows come lanes-last, as the generator makes them: one uniform row
+    per draw, so ``level_sys`` is (V, lanes) and ``child`` and its real
+    slots are (V, W, lanes), and every operation on them runs along the
+    lanes. A one-lane caller reads its row as ``[..., 0]``.
     """
 
     def __init__(self, catalog: Catalog, v_types: int):
@@ -62,19 +70,23 @@ class LevelDraws:
         self.v_types = v_types
         self.real = real_slots(catalog)
         self._min_size = int(self.real.sum(axis=1).min())  # slots every system has
+        self._real_t = np.ascontiguousarray(self.real.T)  # (W, systems)
+        self._gate_t = self._real_t[self._min_size:].astype(np.uint64)  # as draw masks
         self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
         self._cum = cumulative_probs(catalog.index_probs)
 
     def __call__(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(level_sys, child)`` rows of the next level, one per lane of
-        the ``Xoshiro256StarStarLanes`` ``rng``, and their real slots."""
+        """``(level_sys, child)`` of the next level for the lanes of the
+        ``Xoshiro256StarStarLanes`` ``rng``, (V, lanes) and (V, W, lanes),
+        and the real slots of ``child``."""
         v = self.v_types
-        sys_ = categorical_index(self._cum, rng.uniforms([None] * v).T).astype(self.dtype)
-        real = self.real[sys_]
-        u = rng.uniforms([None if i < self._min_size else real[:, t, i]  # has slot i
+        sys_ = categorical_index(self._cum, rng.uniforms([None] * v)).astype(self.dtype)
+        gate = self._gate_t.take(sys_, axis=1)  # has slot i, as 0 or 1
+        u = rng.uniforms([None if i < self._min_size else gate[i - self._min_size, t]
                           for t in range(v) for i in range(self.real.shape[1])])
-        child = np.where(real, u.T.reshape(real.shape) * v, 0.0).astype(self.dtype)
-        return sys_, child, real
+        # A lane without slot i drew 0 there, so its child type is 0.
+        child = np.multiply(u, v, out=u).reshape(v, self.real.shape[1], -1).astype(self.dtype)
+        return sys_, child, self._real_t.take(sys_, axis=1).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -105,7 +117,7 @@ def sample_environment(catalog: Catalog, v_types: int, rng: Xoshiro256StarStar) 
     """Draw one level with ``LevelDraws`` from the one-lane ``rng``."""
     draw = LevelDraws(catalog, v_types)
     level_sys, child, _ = draw(rng)
-    return Environment.from_row(level_sys[0], child[0], draw.real)
+    return Environment.from_row(level_sys[..., 0], child[..., 0], draw.real)
 
 
 @dataclass
@@ -230,13 +242,13 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
                 f"tree needs more than {node_cap} nodes by generation {g + 1}")
 
     if environments is None:
-        rows = [(np.zeros((0, v_types), draw.dtype),
-                 np.zeros((0, v_types, draw.real.shape[1]), draw.dtype))]
+        level_sys = np.empty((env_levels, v_types), draw.dtype)
+        child = np.empty((env_levels, v_types, draw.real.shape[1]), draw.dtype)
         for g in range(env_levels):
-            rows.append(draw(rng)[:2])
+            sys_, ch, _ = draw(rng)
+            level_sys[g], child[g] = sys_[..., 0], ch[..., 0]
             if g < depth:
-                grow(g, rows[-1][0][0], rows[-1][1][0])
-        level_sys, child = (np.concatenate(col) for col in zip(*rows))
+                grow(g, level_sys[g], child[g])
     else:
         level_sys, child = (np.asarray(a) for a in environments)
         _check_table(level_sys, child, v_types, draw.real)

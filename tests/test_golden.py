@@ -102,3 +102,18 @@ def test_golden_digests(name, tmp_path):
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == 0, sub
         got.update(checks.digests(sub, out))
     assert got == GOLDEN[name]
+
+
+# two_system_v2 at v = 3, level 8 and 2,000 blocks: the shipped configs pin
+# the neck-block estimate at v = 1 and 2 only.
+GOLDEN_V3_EXPONENT = "ac1a8232bcb28e75ad0d1bdf41fe0cb1902bcc34ec7020e25650a0f6e5588887"
+
+
+def test_golden_exponent_at_three_types(tmp_path):
+    doc = json.loads((ROOT / "configs" / "two_system_v2.json").read_text())
+    doc.update(v=3, depth=8, level=8, mc_blocks=2000)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["exponent", "--config", str(cfg), "--out", str(out)]) == 0
+    assert checks.digests("exponent", out) == {"exponent.json": GOLDEN_V3_EXPONENT}

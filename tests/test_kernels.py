@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vvcantor import MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
+from vvcantor.catalog import map_table
 from conftest import dense_counts, make_two_system, segment_entries, sequential_sturm_counts
 
 
@@ -142,6 +143,22 @@ def test_sturm_working_memory_is_bounded():
     xs = np.linspace(0.0, 5.0, 810_000)
     assert (_peak_bytes(_kernels.sturm_counts, *short, xs)
             <= _peak_bytes(sequential_sturm_counts, *short, xs))
+
+
+def test_block_dp_working_memory_is_its_buffers():
+    """The neck-block DP allocates, above the layout it reads, its
+    products, targets, state and sums, sized by the blocks of the largest
+    level, plus the block offsets, the log-sums and one level's (block,
+    type) sums; numpy's ufunc buffers fit in the 256 KiB slack. A (W, V,
+    blocks) gather buffer beside the products, or the previous level's
+    sums kept alive while the next are allocated, would not fit."""
+    cat, v = make_two_system(), 2
+    layout = MonteCarloNeckEvaluator(cat, v, 20_000, master_seed=1)._layout
+    table = map_table(cat)
+    n0, width = int(layout.counts[0]), table.shape[1]
+    buffers = 8 * n0 * (2 * v * width + v + 1)  # products, targets, state, sums
+    slack = 8 * n0 * (v + 1) + 8 * layout.order.shape[0] + (256 << 10)
+    assert _peak_bytes(_kernels.block_log_sums, layout, v, table, 0.4) <= buffers + slack
 
 
 def test_numpy_dp_handles_unit_blocks():

@@ -16,7 +16,8 @@ from vvcantor import (DIRICHLET, NEUMANN, Catalog, ContractionMap,
                       inertia_counts, stream_seed, validate_catalog)
 from vvcantor import _kernels, spectral
 from vvcantor.catalog import map_table
-from vvcantor.vtree import LevelDraws, environments_to_obj, sample_environment
+from vvcantor.vtree import (Environment, LevelDraws, environments_to_obj,
+                            sample_environment)
 from conftest import (PackedBlocks, ScalarXoshiro256StarStar, csr_block_log_sums,
                       csr_pack_blocks, dense_counts, make_two_system, pack_blocks,
                       scalar_is_neck, scalar_neck_blocks, scalar_sample_environment,
@@ -192,6 +193,40 @@ def test_block_dp_matches_csr_oracle(catalog, v, lens, seed, x):
         layout = _kernels.block_layout(segment_entries(*env, starts, lens), lens, roots)
         assert layout.order.tolist() == sorted(range(len(lens)), key=lambda b: -lens[b])
         assert _kernels.block_log_sums(layout, v, table, x).tobytes() == want
+
+
+def test_block_dp_adds_each_bin_type_by_type():
+    """At level 1 of block 1, one (block, child type) bin gets six
+    products, three map slots from each of two types, whose sum slot by
+    slot differs in the last bit from their sum type by type, and so do
+    the log-sums built on them. The DP, on lanes-last rows with several
+    blocks, equals the CSR oracle byte for byte, so it adds type by type,
+    slots ascending, as the oracle does."""
+    catalog = Catalog(0.0, 1.0, (WeightedIFS(
+        (ContractionMap(0.1, 0.0), ContractionMap(0.2, 0.3), ContractionMap(0.3, 0.6)),
+        (0.2, 0.3, 0.5)),), (1.0,))
+    v, x = 2, 0.3
+    split = Environment((0, 0), ((0, 1, 1), (1, 1, 1)))
+    merge = Environment((0, 0), ((1, 1, 1), (1, 1, 1)))
+    roots, blocks = [1, 0, 0], [[merge], [split, merge], [split, merge, merge]]
+    f = (map_table(catalog)[0, :, 0] * map_table(catalog)[0, :, 1]) ** x
+    # Level 0 of block 1 (root type 0) gives the state a; level 1 sends
+    # a[t] * f[i] for every type t and slot i to child type 1.
+    s0 = f[0] + (f[1] + f[2])
+    a = (f[0] / s0, (f[1] + f[2]) / s0)
+    by_type = by_slot = 0.0
+    for t, i in np.ndindex(v, 3):
+        by_type += a[t] * f[i]
+    for i, t in np.ndindex(3, v):
+        by_slot += a[t] * f[i]
+    assert by_type != by_slot
+    assert np.log(s0) + np.log(by_type) != np.log(s0) + np.log(by_slot)
+    level_sys, child, lens, roots = pack_blocks(v, 3, roots, blocks)
+    layout = _kernels.block_layout(segment_entries(level_sys, child, np.cumsum(lens) - lens,
+                                                   lens), lens, roots)
+    *csr, rm = csr_pack_blocks(catalog, v, roots, blocks)
+    assert (_kernels.block_log_sums(layout, v, map_table(catalog), x).tobytes()
+            == csr_block_log_sums(*csr, rm ** x, v).tobytes())
 
 
 @settings(deadline=None)

@@ -112,6 +112,21 @@ def test_masked_lanes_follow_their_scalar_streams():
         assert u[2, k] == g.uniform()
 
 
+@pytest.mark.parametrize("dtype", [bool, np.uint64])
+def test_lanes_outside_a_mask_draw_zero(dtype):
+    """A bool or 0/1 integer mask selects the same lanes, and every lane it
+    leaves out draws exactly 0, which ``LevelDraws`` turns into the table's
+    0 past a system's maps."""
+    seeds = [scalar_stream_seed(5, i) for i in range(9)]
+    lanes = Xoshiro256StarStarLanes(seeds)
+    scalar = [ScalarXoshiro256StarStar(s) for s in seeds]
+    for step in range(20):
+        mask = np.random.default_rng(step).random(len(seeds)) < 0.5
+        u = lanes.uniforms([mask.astype(dtype)])[0]
+        assert (u[~mask] == 0.0).all()
+        assert u[mask].tolist() == [g.uniform() for g, m in zip(scalar, mask) if m]
+
+
 class _FixedDraw(ScalarXoshiro256StarStar):
     """An oracle generator whose every uniform draw is ``u``."""
 

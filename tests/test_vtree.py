@@ -40,7 +40,8 @@ def test_neck_frequency_matches_enumeration(cantor):
     exact = 2 * 2.0 ** (-4)
     n = 20_000
     draw = LevelDraws(cantor, 2)
-    hits = int(neck_mask(*draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n))))[1:]).sum())
+    rows = draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n))))[1:]
+    hits = int(neck_mask(*(np.moveaxis(r, -1, 0) for r in rows)).sum())
     se = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) < 4 * se
 
