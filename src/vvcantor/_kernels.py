@@ -32,33 +32,31 @@ divides; ties "eigenvalue == x" therefore count as "<= x". The fast row
 loop does not replace: a chunk that produced an exact zero is refilled and
 re-run with the replacement, row by row.
 
-The neck-block DP runs on a ``BlockLayout``, built once by ``block_layout``
-from the blocks' lengths, which the Monte Carlo lanes record as each block
-necks, and from entries ``(blocks, level_sys, child)``, each the next table
-row of each listed block, in the order the lanes draw them, read in one
-pass. The layout orders the blocks longest first, stable by id, so the
-blocks still running at level p are the first ``counts[p]``, and stores
-level p's rows as consecutive columns in that order: lanes-last, with the
-blocks on the last, contiguous axis, as the lanes draw them. A DP step
-then works on leading column slices of its (V, blocks) state and of
-reused buffers, with every numpy loop running along the blocks, and the
-log sums go back to block order once, at the end. Per level, one
-``np.bincount`` adds the products ``A[v] * (ratio*weight)**x``, in C order
-(type, map slot, block), to their (block, child type) sums. It adds in
-index order, so the sum of one block and child type still runs over
-types, then slots, ascending: the order of an ``np.add.at`` scatter over a
-flat (CSR) list of the same products, so the sums are bit-identical to it,
-however a block's rows were split into entries. A row of the new vector
-is summed as ``numpy.sum`` sums it: by column adds, left to right, below 8
-types, and by ``sum`` itself from 8 on, where numpy sums pairwise. A
-padded slot's factor is masked to exactly 0, never computed as ``0.0 **
-x`` (1 at x = 0), so it adds +0.0 to a nonnegative sum, which changes no
-bit, and x = 0 still gives log node counts.
+The neck-block DP runs on a ``BlockLayout``, built once by
+``block_layout`` from the blocks' lengths, which the Monte Carlo lanes
+record as each block necks, and from the levels as the lanes draw them:
+level p's rows of the blocks longer than p, in block id order. The layout
+orders the blocks longest first, stable by id, so the blocks still running
+at level p are the first ``counts[p]``, and stores level p's rows as
+consecutive columns in that order: lanes-last, with the blocks on the
+last, contiguous axis, as the lanes draw them. A DP step then works on
+leading column slices of its (V, blocks) state and of reused buffers,
+with every numpy loop running along the blocks, and the log sums go back
+to block order once, at the end. Per level, one ``np.bincount`` adds the
+products ``A[v] * (ratio*weight)**x``, in C order (type, map slot,
+block), to their (block, child type) sums. It adds in index order, so the
+sum of one block and child type still runs over types, then slots,
+ascending: the order of an ``np.add.at`` scatter over a flat (CSR) list
+of the same products, so the sums are bit-identical to it. A row of the
+new vector is summed as ``numpy.sum`` sums it: by column adds, left to
+right, below 8 types, and by ``sum`` itself from 8 on, where numpy sums
+pairwise. A padded slot's factor is masked to exactly 0, never computed as
+``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative sum, which
+changes no bit, and x = 0 still gives log node counts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -189,12 +187,6 @@ class BlockLayout:
                       for lo in range(start, stop, n))
             start = stop
 
-    def entries(self):
-        """The layout as ``block_layout`` entries, one per level."""
-        for n, levels in self.runs():
-            for level_sys, child in levels:
-                yield self.order[:n], level_sys.T, child.transpose(2, 0, 1)
-
     def by_block(self, a: np.ndarray) -> np.ndarray:
         """``a``, given in ``order``, put in block id order."""
         out = np.empty_like(a)
@@ -204,13 +196,13 @@ class BlockLayout:
 
 def block_layout(levels, lens, roots) -> BlockLayout:
     """The layout of the blocks with ``lens`` levels and root types
-    ``roots`` (both in block id order) whose DP steps are ``levels``:
-    entries ``(blocks, level_sys, child)`` of distinct blocks, level_sys
-    (blocks, V) and child (blocks, V, W), each block's entries in its level
-    order, read once. Each entry's rows are scattered to their blocks'
-    sorted columns, in lanes-last arrays of the first entry's dtype and row
-    shape. Raises ``ValueError`` unless the entries give each block exactly
-    its ``lens`` rows."""
+    ``roots`` (both in block id order) whose DP steps are ``levels``: for
+    each level p in turn, ``(level_sys, child)`` of the blocks longer than
+    p, (V, n) and (V, W, n) in block id order, read once. Each level's rows
+    are scattered to their blocks' sorted columns, in lanes-last arrays of
+    the first level's dtype and row shape. Raises ``ValueError`` unless
+    there is one level per p below the longest length, each with a row per
+    block longer than p."""
     n_blocks = roots.shape[0]
     order = np.argsort(-lens, kind="stable")
     counts = n_blocks - np.cumsum(np.bincount(lens))[:-1]
@@ -218,24 +210,22 @@ def block_layout(levels, lens, roots) -> BlockLayout:
     pos = np.empty(n_blocks, np.int64)
     pos[order] = np.arange(n_blocks)
     level_sys = child = None
-    seen = np.zeros(n_blocks, np.int64)
-    for blocks, sys_, ch in levels:
+    p = -1
+    for p, (sys_, ch) in enumerate(levels):
+        n = int(counts[p]) if p < counts.shape[0] else 0
+        if not sys_.shape[-1] == ch.shape[-1] == n:
+            raise ValueError(f"level {p} gives {sys_.shape[-1]} rows for {n} longer blocks")
         if level_sys is None:
-            level_sys, child = (np.empty(col.shape[1:] + (int(lens.sum()),), col.dtype)
+            level_sys, child = (np.empty(col.shape[:-1] + (int(lens.sum()),), col.dtype)
                                 for col in (sys_, ch))
-        p = seen[blocks]
-        if (p >= lens[blocks]).any():
-            raise ValueError("an entry gives a block more rows than its length")
-        rows = starts[p] + pos[blocks]
+        cols = starts[p] + pos[lens > p]
         for dst, src in ((level_sys, sys_), (child, ch)):
             # One 1-d scatter per (type, slot) row runs along the blocks.
-            k = math.prod(src.shape[1:])
-            for d, r in zip(dst.reshape(k, -1), src.reshape(-1, k).T):
-                d[rows] = r
-        seen[blocks] = p + 1
-    if not np.array_equal(seen, lens):
-        raise ValueError("the entries give a block fewer rows than its length")
-    if level_sys is None:  # no entries, so no rows
+            for d, r in zip(dst.reshape(-1, dst.shape[-1]), src.reshape(-1, n)):
+                d[cols] = r
+    if p + 1 != counts.shape[0]:
+        raise ValueError(f"{p + 1} levels for blocks of up to {counts.shape[0]} levels")
+    if level_sys is None:  # no levels, so no rows
         level_sys = child = np.empty(0, np.int64)
     return BlockLayout(order, roots, lens, counts, level_sys, child)
 

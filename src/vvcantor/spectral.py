@@ -19,7 +19,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -84,19 +83,16 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluator
 
-def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
-                 count: int) -> tuple:
-    """``block_layout`` arguments of the neck blocks ``first + k``, k <
-    ``count``: entries, lengths and roots.
+def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, count: int) -> tuple:
+    """``block_layout`` arguments of the neck blocks 0 .. ``count`` - 1:
+    levels, lengths and roots.
 
     Block b draws from stream ``MC_BLOCK_STREAM_BASE + b``: its root type
     ``(u*V)``, then ``LevelDraws`` levels until a neck, whose level is its
-    length. All blocks are drawn in one pass of lockstep lanes, and each
-    level's rows are kept lanes-last, as drawn. The entries are a generator
-    of one ``(blocks, level_sys, child)`` per level, the blocks longer than
-    the level, so no lane ids are kept; it hands on transposed views,
-    (lanes, V) and (lanes, V, W), as ``block_layout`` reads them, and drops
-    each level once it has handed it on.
+    length. All blocks are drawn in one pass of lockstep lanes. The levels
+    are a generator of each level's lanes-last rows as drawn, ``(level_sys
+    (V, n), child (V, W, n))`` of the n blocks longer than the level in id
+    order, which drops each level once it has handed it on.
 
     Raises ``TreeTooLargeError`` once the rows of the lanes still running
     (level times lanes) pass ``vtree.DEFAULT_NODE_CAP``, naming the level
@@ -104,7 +100,8 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
     block that saw no neck within ``DEFAULT_ENV_CAP`` levels; every lower
     block has necked by then."""
     draw = LevelDraws(catalog, v_types)
-    lane = first + np.arange(count)
+    real_t = np.ascontiguousarray(draw.real.T)  # (W, systems)
+    lane = np.arange(count)
     rng = Xoshiro256StarStarLanes(stream_seeds(master_seed, MC_BLOCK_STREAM_BASE + lane))
     roots = (rng.uniforms([None])[0] * v_types).astype(np.int64)
     lens, rows, level = np.zeros(count, np.int64), deque(), 0
@@ -112,11 +109,12 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
         if level == DEFAULT_ENV_CAP:
             raise NeckTimeoutError(f"block {lane[0]} saw no neck within {level} levels")
         level += 1
-        sys_, child, real = draw(rng)
+        sys_, child = draw(rng)
         rows.append((sys_, child))
-        neck = neck_mask(child.transpose(2, 0, 1), real.transpose(2, 0, 1))
+        neck = neck_mask(child.transpose(2, 0, 1),
+                         real_t.take(sys_, axis=1).transpose(2, 1, 0))
         if neck.any():
-            lens[lane[neck] - first] = level
+            lens[lane[neck]] = level
             running = ~neck
             lane = lane[running]
             rng.keep(running)
@@ -126,9 +124,8 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
                 f"level {level}, past {DEFAULT_NODE_CAP} rows")
 
     def levels():
-        for p in range(len(rows)):
-            level_sys, child = rows.popleft()
-            yield first + np.flatnonzero(lens > p), level_sys.T, child.transpose(2, 0, 1)
+        while rows:
+            yield rows.popleft()
 
     return levels(), lens, roots
 
@@ -136,24 +133,14 @@ def _draw_blocks(catalog: Catalog, v_types: int, master_seed: int, first: int,
 class MonteCarloNeckEvaluator:
     """Estimates f(x) from independently seeded neck blocks.
 
-    Block b draws its root type and environments from the stream
-    ``MC_BLOCK_STREAM_BASE + b`` until the first neck environment, in the
-    draw order of ``vtree.LevelDraws``. ``_draw_blocks`` draws the blocks of
-    one call in one pass of lockstep lanes, one per block, recording each
-    block's length as it necks, and ``_kernels.block_layout`` takes the
-    lengths, reads the rows once and orders the blocks longest first: the
-    blocks still running at a level are then a prefix of that order, so
-    each DP step of ``log_sums`` works on slices of its state and reused
-    buffers, and sums a row of fewer than 8 types left to right, as
-    ``numpy.sum`` does (pairwise from 8 on). The rows stay lanes-last from
-    the draw to the DP, blocks on the contiguous axis, and each (block,
-    type) sum still adds its products type by type, slots ascending, so the
-    log-sums do not depend on the storage order. The layout is the evaluator's
-    only copy of the drawn rows, shared by all x (common random numbers);
-    the log-sums of the last x are kept until ``extend``.
+    Block b draws its root type and environments from its own stream,
+    ``MC_BLOCK_STREAM_BASE + b``, until its first neck environment, so a
+    block's rows do not depend on how many blocks are drawn. The blocks
+    are drawn once and shared by every x (common random numbers), so f is
+    a deterministic, decreasing function of x. ``extend(k)`` makes the
+    evaluator that of ``blocks + k`` blocks, bit for bit as a fresh one.
     ``NeckTimeoutError`` names the lowest block that saw no neck within
-    ``DEFAULT_ENV_CAP`` levels, the one drawing the blocks one by one would
-    fail on, unless the rows of the running lanes pass
+    ``DEFAULT_ENV_CAP`` levels, unless the rows of the running lanes pass
     ``vtree.DEFAULT_NODE_CAP`` first: that is a ``TreeTooLargeError``.
     """
 
@@ -166,7 +153,7 @@ class MonteCarloNeckEvaluator:
         self.v_types = v_types
         self.master_seed = master_seed
         self._layout = _kernels.block_layout(
-            *_draw_blocks(catalog, v_types, master_seed, 0, blocks))
+            *_draw_blocks(catalog, v_types, master_seed, blocks))
         self._last = (None, None)  # the last x and its read-only log-sums
 
     @property
@@ -179,13 +166,14 @@ class MonteCarloNeckEvaluator:
         return self._layout.lens
 
     def extend(self, extra: int) -> None:
-        """Sample additional blocks; existing blocks are untouched."""
-        levels, lens, roots = _draw_blocks(self.catalog, self.v_types, self.master_seed,
-                                           self.blocks, extra)
-        layout = self._layout
+        """Grow to ``blocks + extra`` blocks by drawing them all again: the
+        existing blocks come out bit-identical, and the node cap bounds all
+        of them at once, as for a fresh evaluator. On an error the evaluator
+        stays as it was."""
+        if extra < 0:
+            raise ValueError("extra must be >= 0")
         self._layout = _kernels.block_layout(
-            chain(layout.entries(), levels), np.concatenate((layout.lens, lens)),
-            np.concatenate((layout.roots, roots)))
+            *_draw_blocks(self.catalog, self.v_types, self.master_seed, self.blocks + extra))
         self._last = (None, None)
 
     # -- evaluation ----------------------------------------------------------
@@ -255,7 +243,8 @@ def solve_gamma(evaluator, tolerance: float = 1e-3) -> ExponentReport:
     extends. An evaluator with blocks gets a confidence interval, ``SIGN_Z``
     standard errors at the root through a secant slope. It keys on
     ``blocks``, not on se: the alike blocks of one system at v = 1 have se
-    0 or rounding, and their interval has no width.
+    0 or rounding, and their interval has no width. An exact 0 of f, at a
+    bracket point or a midpoint, is the root.
     """
     evals: list[FEval] = []
     initial_blocks = evaluator.blocks
@@ -275,16 +264,20 @@ def solve_gamma(evaluator, tolerance: float = 1e-3) -> ExponentReport:
             v, se = feval(x)
         return v
 
-    # Bracket from 1: doubling while f > 0, else halving while f <= 0.
-    sign = 1.0 if resolved(1.0) > 0 else -1.0
+    # Bracket from 1: doubling while f > 0, else halving while f < 0.
     x = 1.0
+    v = resolved(x)
+    sign = 1.0 if v > 0 else -1.0
     for _ in range(200):
+        if v == 0.0:
+            break
         prev, x = x, x * 2.0 ** sign
-        if sign * resolved(x) < 0:
+        v = resolved(x)
+        if sign * v < 0:
             break
     else:
         raise AssertionError("no sign change found from x = 1")
-    lo, hi = min(prev, x), max(prev, x)
+    lo, hi = (x, x) if v == 0.0 else (min(prev, x), max(prev, x))
 
     trace = [{"lo": lo, "hi": hi, "mid": None, "f_mid": None}]
     while hi - lo > tolerance:
@@ -292,6 +285,8 @@ def solve_gamma(evaluator, tolerance: float = 1e-3) -> ExponentReport:
         vm, _ = feval(mid)
         if vm > 0:
             lo = mid
+        elif vm == 0.0:
+            lo = hi = mid
         else:
             hi = mid
         trace.append({"lo": lo, "hi": hi, "mid": mid, "f_mid": vm})

@@ -43,8 +43,8 @@ def neck_mask(child, real) -> np.ndarray:
     """Which levels of the table rows ``child`` are necks: every slot that
     ``real`` (``real_slots``) marks holds the same type. Slot 0 of type 0
     always exists. Types and slots are the last two axes, as in the table
-    (levels, V, W); ``LevelDraws``' lanes-last rows (V, W, lanes) pass
-    ``rows.transpose(2, 0, 1)`` views."""
+    (levels, V, W); a caller with ``LevelDraws``' lanes-last rows passes
+    (lanes, V, W) views."""
     return ((child == child[..., :1, :1]) | ~real).all(axis=(-2, -1))
 
 
@@ -59,9 +59,9 @@ class LevelDraws:
     smallest unsigned dtype that holds a type and a system, is the table's.
 
     The rows come lanes-last, as the generator makes them: one uniform row
-    per draw, so ``level_sys`` is (V, lanes) and ``child`` and its real
-    slots are (V, W, lanes), and every operation on them runs along the
-    lanes. A one-lane caller reads its row as ``[..., 0]``.
+    per draw, so ``level_sys`` is (V, lanes) and ``child`` is (V, W,
+    lanes), and every operation on them runs along the lanes. A one-lane
+    caller reads its row as ``[..., 0]``.
     """
 
     def __init__(self, catalog: Catalog, v_types: int):
@@ -70,15 +70,13 @@ class LevelDraws:
         self.v_types = v_types
         self.real = real_slots(catalog)
         self._min_size = int(self.real.sum(axis=1).min())  # slots every system has
-        self._real_t = np.ascontiguousarray(self.real.T)  # (W, systems)
-        self._gate_t = self._real_t[self._min_size:].astype(np.uint64)  # as draw masks
+        self._gate_t = self.real.T[self._min_size:].astype(np.uint64, order="C")  # draw masks
         self.dtype = np.min_scalar_type(max(v_types, catalog.n_systems) - 1)
         self._cum = cumulative_probs(catalog.index_probs)
 
-    def __call__(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __call__(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """``(level_sys, child)`` of the next level for the lanes of the
-        ``Xoshiro256StarStarLanes`` ``rng``, (V, lanes) and (V, W, lanes),
-        and the real slots of ``child``."""
+        ``Xoshiro256StarStarLanes`` ``rng``, (V, lanes) and (V, W, lanes)."""
         v = self.v_types
         sys_ = categorical_index(self._cum, rng.uniforms([None] * v)).astype(self.dtype)
         gate = self._gate_t.take(sys_, axis=1)  # has slot i, as 0 or 1
@@ -86,7 +84,7 @@ class LevelDraws:
                           for t in range(v) for i in range(self.real.shape[1])])
         # A lane without slot i drew 0 there, so its child type is 0.
         child = np.multiply(u, v, out=u).reshape(v, self.real.shape[1], -1).astype(self.dtype)
-        return sys_, child, self._real_t.take(sys_, axis=1).transpose(1, 0, 2)
+        return sys_, child
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,7 @@ class Environment:
 def sample_environment(catalog: Catalog, v_types: int, rng: Xoshiro256StarStar) -> Environment:
     """Draw one level with ``LevelDraws`` from the one-lane ``rng``."""
     draw = LevelDraws(catalog, v_types)
-    level_sys, child, _ = draw(rng)
+    level_sys, child = draw(rng)
     return Environment.from_row(level_sys[..., 0], child[..., 0], draw.real)
 
 
@@ -245,7 +243,7 @@ def build_tree(catalog: Catalog, v_types: int, depth: int, *,
         level_sys = np.empty((env_levels, v_types), draw.dtype)
         child = np.empty((env_levels, v_types, draw.real.shape[1]), draw.dtype)
         for g in range(env_levels):
-            sys_, ch, _ = draw(rng)
+            sys_, ch = draw(rng)
             level_sys[g], child[g] = sys_[..., 0], ch[..., 0]
             if g < depth:
                 grow(g, level_sys[g], child[g])

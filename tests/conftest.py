@@ -176,22 +176,25 @@ def pack_blocks(v_types: int, width: int, root_types, blocks) -> PackedBlocks:
 
 def unpack_layout(layout) -> PackedBlocks:
     """The blocks of a ``_kernels.block_layout``, block-major: each block's
-    rows in its entries' order, ``lens`` counted from the entries, roots in
-    block order."""
-    blocks, level_sys, child = (np.concatenate(col) for col in zip(*layout.entries()))
+    rows in level order, ``lens`` counted from the levels' columns, roots
+    in block order."""
+    blocks, level_sys, child = (np.concatenate(col) for col in zip(*(
+        (layout.order[:n], sys_.T, ch.transpose(2, 0, 1))
+        for n, levels in layout.runs() for sys_, ch in levels)))
     order = np.argsort(blocks, kind="stable")
     return PackedBlocks(level_sys[order], child[order],
                         np.bincount(blocks, minlength=layout.roots.shape[0]),
                         layout.roots)
 
 
-def segment_entries(level_sys, child, starts, lens):
-    """``_kernels.block_layout`` entries of blocks that are segments of one
-    table: block b is rows ``starts[b] .. starts[b] + lens[b] - 1``."""
+def segment_levels(level_sys, child, starts, lens):
+    """``_kernels.block_layout`` levels of blocks that are segments of one
+    table: block b is rows ``starts[b] .. starts[b] + lens[b] - 1``. Level
+    p holds the rows of the blocks longer than p, lanes-last, (V, n) and
+    (V, W, n), in block order."""
     for p in range(int(lens.max(initial=0))):
-        blocks = np.flatnonzero(lens > p)
-        rows = starts[blocks] + p
-        yield blocks, level_sys[rows], child[rows]
+        rows = starts[lens > p] + p
+        yield level_sys[rows].T, child[rows].transpose(1, 2, 0)
 
 
 def scalar_tree_stream(catalog, v_types: int, necks: int, seed: int,

@@ -20,7 +20,7 @@ from vvcantor import _kernels
 from vvcantor.catalog import map_table
 from conftest import (dense_counts, dense_eigenvalues, env_table, interval_mass,
                       make_cantor, make_lebesgue, make_two_system,
-                      scalar_tree_stream, segment_entries)
+                      scalar_tree_stream, segment_levels)
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
 
@@ -114,7 +114,7 @@ def test_criterion_4_factorization_identity():
             bounds = np.array((0,) + tree.neck_levels[:3])
             lens = np.append(np.diff(bounds), bounds[-1])
             layout = _kernels.block_layout(
-                segment_entries(tree.level_sys, tree.child, np.append(bounds[:-1], 0), lens),
+                segment_levels(tree.level_sys, tree.child, np.append(bounds[:-1], 0), lens),
                 lens, np.concatenate(([root], tree.child[bounds[1:-1] - 1, 0, 0], [root])))
             for x in (0.2, 0.45, 0.8):
                 *blocks, direct = _kernels.block_log_sums(layout, v, map_table(cat), x)

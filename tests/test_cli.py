@@ -330,6 +330,17 @@ def test_exponent_builds_the_block_layout_once(tmp_path, monkeypatch, config):
     assert len(calls) == 1
 
 
+def test_lebesgue_gammas_are_exactly_one_half(tmp_path):
+    """On the shipped Lebesgue config f(1/2) is exactly 0 in every
+    evaluator, so the exact, recursive and Monte Carlo roots are 1/2 and
+    the Monte Carlo interval is [1/2, 1/2]."""
+    assert main(["exponent", "--config", str(LEBESGUE_CFG), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "exponent.json").read_text())
+    assert [doc["gamma"], doc["exact_homogeneous"]["gamma"], doc["recursive_oracle"],
+            doc["monte_carlo"]["gamma"]] == [0.5] * 4
+    assert doc["monte_carlo"]["ci"] == [0.5, 0.5]
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_cfg(tmp_path, small_cantor_doc(v=2, mc_blocks=100))
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -32,7 +32,7 @@ GOLDEN = {
         "environments.json":
             "ab05cc514198d41b9797949c01cfedb9ba037232cda800dd334fb80d8be2f748",
         "exponent.json":
-            "e4c543f7509d6c289b469e9deef1c499facc364fd5042e6ae0a98c06f62b2824",
+            "74e2bedca02880e2189d01cf932c277dd57315af109782fa04f01a9055278a63",
         "gaps.csv":
             "42b117c042c4e2e8bd4b6bfae316cf1ee19672387302ae6849587068b76528e3",
         "necks.json":

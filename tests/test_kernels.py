@@ -5,7 +5,7 @@ import pytest
 
 from vvcantor import MonteCarloNeckEvaluator, Pencil, _kernels, inertia_counts
 from vvcantor.catalog import map_table
-from conftest import dense_counts, make_two_system, segment_entries, sequential_sturm_counts
+from conftest import dense_counts, make_two_system, segment_levels, sequential_sturm_counts
 
 
 def _bit_groups(*columns):
@@ -172,14 +172,16 @@ def test_numpy_dp_handles_unit_blocks():
 @pytest.mark.parametrize("block", [0, 1])
 @pytest.mark.parametrize("extra", [1, -1])
 def test_block_layout_rejects_entries_off_the_lengths(block, extra):
-    """Entries that give a block one row more, or one row fewer, than its
-    length raise ``ValueError``; for block 0, the shorter one, a row more
-    would otherwise land on a row of block 1."""
+    """Levels drawn for lengths one off a block's raise ``ValueError``. For
+    block 0, the shorter one, a level gets a row too many or too few; for
+    block 1, the longest, the levels run one long, a level with a row for
+    no block, or stop one early."""
     level_sys, child = np.zeros((7, 2), np.int64), np.zeros((7, 2, 2), np.int64)
     starts, lens, roots = np.array([0, 3]), np.array([2, 3]), np.array([0, 1])
-    layout = _kernels.block_layout(segment_entries(level_sys, child, starts, lens), lens, roots)
+    layout = _kernels.block_layout(segment_levels(level_sys, child, starts, lens), lens, roots)
     assert layout.counts.tolist() == [2, 2, 1]
     drawn = lens.copy()
     drawn[block] += extra
-    with pytest.raises(ValueError):
-        _kernels.block_layout(segment_entries(level_sys, child, starts, drawn), lens, roots)
+    match = "levels for blocks" if (block, extra) == (1, -1) else "rows for . longer blocks"
+    with pytest.raises(ValueError, match=match):
+        _kernels.block_layout(segment_levels(level_sys, child, starts, drawn), lens, roots)

@@ -18,7 +18,7 @@ from vvcantor import _kernels
 from vvcantor.catalog import map_table
 from vvcantor.spectral import _recursive_f
 from conftest import (env_table, make_cantor, make_two_system, member_bracketing_sums,
-                      scalar_neck_blocks, scalar_tree_stream, segment_entries)
+                      scalar_neck_blocks, scalar_tree_stream, segment_levels)
 from test_properties import catalogs
 
 GAMMA_CANTOR = math.log(2.0) / math.log(6.0)
@@ -134,6 +134,16 @@ def test_hand_written_evaluator_solves_without_a_ci():
     assert rep.ci is None and rep.method == "line"
 
 
+@pytest.mark.parametrize("root", [0.5, 1.0, 2.0, 0.375])
+def test_an_exact_zero_of_f_is_the_root(root):
+    """An f that is exactly 0 at a bracket point (1/2, 1, 2) or at a
+    bisection midpoint (3/8, between 1/4 and 1/2) has its root there, not
+    within the tolerance of it; the search stops at that evaluation."""
+    rep = solve_gamma(ClosedForm(lambda x: root - x, "line"))
+    assert rep.gamma == root
+    assert rep.f_evaluations[-1].x == root and rep.f_evaluations[-1].value == 0.0
+
+
 def test_exponent_ordering_diagnostic(two_system):
     hom = gamma_exact_homogeneous(two_system).gamma
     rec = solve_gamma_recursive(two_system)
@@ -201,7 +211,7 @@ def test_f_by_root_type_reports_every_type(two_system):
 def test_extend_matches_fresh_evaluator(two_system):
     grown = MonteCarloNeckEvaluator(two_system, 2, 30, master_seed=17)
     grown.log_sums(0.4)  # a log-sums memo must not outlive extend
-    grown.extend(0)  # draws nothing
+    grown.extend(0)  # draws the same 30 blocks again
     grown.extend(25)
     fresh = MonteCarloNeckEvaluator(two_system, 2, 55, master_seed=17)
     assert grown.blocks == fresh.blocks == 55
@@ -209,6 +219,13 @@ def test_extend_matches_fresh_evaluator(two_system):
     for x in (0.4, 0.0, 1.3):  # 0.4 first, where a stale memo would answer
         assert grown.log_sums(x).tobytes() == fresh.log_sums(x).tobytes()
     assert grown.f_by_root_type(0.4) == fresh.f_by_root_type(0.4)
+
+
+def test_extend_by_a_negative_count_is_refused(two_system):
+    ev = MonteCarloNeckEvaluator(two_system, 2, 30, master_seed=17)
+    with pytest.raises(ValueError, match="extra must be >= 0"):
+        ev.extend(-1)
+    assert ev.blocks == 30
 
 
 def test_neck_timeout_with_tiny_cap(two_system, monkeypatch):
@@ -283,7 +300,7 @@ def test_block_average_converges_along_one_sequence(two_system):
     deep = build_tree(two_system, 2, 0, root_type=root,
                       environments=env_table(two_system, 2, envs))
     lens = np.array([deep.neck_levels[19]])
-    layout = _kernels.block_layout(segment_entries(deep.level_sys, deep.child, np.array([0]), lens),
+    layout = _kernels.block_layout(segment_levels(deep.level_sys, deep.child, np.array([0]), lens),
                                    lens, np.array([root]))
     lhs = _kernels.block_log_sums(layout, 2, map_table(two_system), x)[0] / 20.0
     ev = MonteCarloNeckEvaluator(two_system, 2, 2000, master_seed=99)

@@ -12,7 +12,7 @@ from vvcantor import _kernels
 from vvcantor.catalog import map_table
 from vvcantor.rng import Xoshiro256StarStarLanes, stream_seeds
 from vvcantor.vtree import LevelDraws, environments_to_obj, neck_mask, tree_to_jsonl
-from conftest import env_table, scalar_tree_stream, segment_entries
+from conftest import env_table, scalar_tree_stream, segment_levels
 
 
 def rng_for(seed, stream=0):
@@ -40,8 +40,8 @@ def test_neck_frequency_matches_enumeration(cantor):
     exact = 2 * 2.0 ** (-4)
     n = 20_000
     draw = LevelDraws(cantor, 2)
-    rows = draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n))))[1:]
-    hits = int(neck_mask(*(np.moveaxis(r, -1, 0) for r in rows)).sum())
+    level_sys, child = draw(Xoshiro256StarStarLanes(stream_seeds(5, range(n))))
+    hits = int(neck_mask(np.moveaxis(child, -1, 0), draw.real[level_sys.T]).sum())
     se = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) < 4 * se
 
@@ -224,7 +224,7 @@ def _log_sums(tree, x, starts, lens, roots):
     table, block b starting at level ``starts[b]`` from type ``roots[b]``."""
     lens = np.array(lens)
     layout = _kernels.block_layout(
-        segment_entries(tree.level_sys, tree.child, np.array(starts), lens), lens,
+        segment_levels(tree.level_sys, tree.child, np.array(starts), lens), lens,
         np.array(roots))
     return _kernels.block_log_sums(layout, tree.v_types, map_table(tree.catalog), x)
 
