@@ -50,18 +50,19 @@ ascending: the order of an ``np.add.at`` scatter over a flat (CSR) list
 of the same products, so the sums are bit-identical to it. A row of the
 new vector is summed as ``numpy.sum`` sums it: by column adds, left to
 right, below 8 types, and by ``sum`` itself from 8 on, where numpy sums
-pairwise. A padded slot's factor is masked to exactly 0, never computed as
-``0.0 ** x`` (1 at x = 0), so it adds +0.0 to a nonnegative sum, which
-changes no bit, and x = 0 still gives log node counts.
+pairwise. A padded slot's factor, off ``catalog.real_slots``, is masked to
+exactly 0, never computed as ``0.0 ** x`` (1 at x = 0), so it adds +0.0 to
+a nonnegative sum, which changes no bit, and x = 0 still gives log node
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
+from .catalog import Catalog, map_table, real_slots
 from .errors import InvalidInputError
 
 _EPS = 1.1102230246251565e-16  # 2^-53
@@ -162,12 +163,11 @@ def sturm_counts(kd, ko, md, mo, xs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Neck blocks longest first: the blocks that run at level p are the
-    first ``counts[p]`` of ``order``, and level p's table rows are
-    ``counts[p]`` consecutive columns of ``level_sys`` (V, rows) and
-    ``child`` (V, W, rows) in that order, after those of the levels above
-    it. The blocks are the last, contiguous axis, as the lanes draw them and
-    as the DP reads them."""
+    """Neck blocks longest first, laid out as the module docstring
+    states: the blocks that run at level p are the first ``counts[p]`` of
+    ``order``, and level p's rows are the ``counts[p]`` columns of
+    ``level_sys`` (V, rows) and ``child`` (V, W, rows) that follow those
+    of the levels above it."""
 
     order: np.ndarray  # block ids, length descending, stable by id
     roots: np.ndarray  # root types, in block id order
@@ -175,17 +175,6 @@ class BlockLayout:
     counts: np.ndarray  # blocks of more than p levels, non-increasing in p
     level_sys: np.ndarray
     child: np.ndarray
-
-    def runs(self):
-        """Runs of levels with the same running blocks: ``(n, levels)``,
-        where ``levels`` yields each level's ``(level_sys, child)`` as
-        column views, (V, n) and (V, W, n)."""
-        start = 0
-        for n, run in groupby(self.counts.tolist()):
-            stop = start + n * len(list(run))
-            yield n, ((self.level_sys[:, lo:lo + n], self.child[..., lo:lo + n])
-                      for lo in range(start, stop, n))
-            start = stop
 
     def by_block(self, a: np.ndarray) -> np.ndarray:
         """``a``, given in ``order``, put in block id order."""
@@ -230,17 +219,17 @@ def block_layout(levels, lens, roots) -> BlockLayout:
     return BlockLayout(order, roots, lens, counts, level_sys, child)
 
 
-def block_log_sums(layout: BlockLayout, v_types: int, table, x: float) -> np.ndarray:
+def block_log_sums(layout: BlockLayout, v_types: int, catalog: Catalog,
+                   x: float) -> np.ndarray:
     """log of sum over block paths of the per-path (ratio*weight)**x
-    products, in block id order; ``table`` is ``catalog.map_table``. Level
-    p updates the running blocks, the first ``layout.counts[p]`` columns
-    of the (V, blocks) state, in buffers sliced once per run of equal
-    counts. Products and targets are (V, W, n) views of flat buffers, so
-    ``np.bincount`` reads them without a copy, in (type, slot, block)
-    order: each (block, child type) bin still gets its products type by
-    type, slots ascending."""
+    products, in block id order, laid out and summed as the module
+    docstring states. Level p updates the running blocks, the first
+    ``layout.counts[p]`` columns of the (V, blocks) state; the state and
+    the buffers are sliced again only where that count changes. Products
+    and targets are (V, W, n) views of flat buffers, so ``np.bincount``
+    reads them without a copy."""
+    table, real = map_table(catalog), real_slots(catalog)
     rm = table[..., 0] * table[..., 1]
-    real = table[..., 0] > 0.0
     fx = np.zeros(rm.shape)
     fx[real] = rm[real] ** x
     fx_t = np.ascontiguousarray(fx.T)  # (W, systems): one take per type
@@ -255,26 +244,30 @@ def block_log_sums(layout: BlockLayout, v_types: int, table, x: float) -> np.nda
     targets = np.empty(products.shape, np.int64)
     sums = np.empty(n0)
     pairwise = v_types >= 8  # numpy's row sum; below 8 it adds left to right
-    for n, levels in layout.runs():
-        a, o, s = amat[:, :n], out[:n], sums[:n]
-        prod1, tgt1 = products[:v_types * width * n], targets[:v_types * width * n]
-        prod, tgt = prod1.reshape(v_types, width, n), tgt1.reshape(v_types, width, n)
-        a3, b1 = a[:, None, :], base[:n]
-        for level_sys, child in levels:
-            # System ids are in range; "clip" spares "raise"'s buffered copy.
-            for sys_v, prod_v in zip(level_sys, prod):
-                fx_t.take(sys_v, axis=1, out=prod_v, mode="clip")
-            np.multiply(prod, a3, out=prod)
-            np.add(child, b1, out=tgt)
-            new = np.bincount(tgt1, prod1, n * v_types).reshape(n, v_types)
-            if pairwise:
-                new.sum(axis=1, out=s)
-            else:
-                np.copyto(s, new[:, 0])
-                for t in range(1, v_types):
-                    np.add(s, new[:, t], out=s)
-            np.divide(new.T, s, out=a)
-            del new  # freed before the next level's sums are allocated
-            np.log(s, out=s)
-            np.add(o, s, out=o)
+    lo = cut = 0  # level p's first column; the block count the slices hold
+    for n in layout.counts.tolist():
+        if n != cut:
+            cut = n
+            a, o, s = amat[:, :n], out[:n], sums[:n]
+            prod1, tgt1 = products[:v_types * width * n], targets[:v_types * width * n]
+            prod, tgt = prod1.reshape(v_types, width, n), tgt1.reshape(v_types, width, n)
+            a3, b1 = a[:, None, :], base[:n]
+        level_sys, child = layout.level_sys[:, lo:lo + n], layout.child[..., lo:lo + n]
+        lo += n
+        # System ids are in range; "clip" spares "raise"'s buffered copy.
+        for sys_v, prod_v in zip(level_sys, prod):
+            fx_t.take(sys_v, axis=1, out=prod_v, mode="clip")
+        np.multiply(prod, a3, out=prod)
+        np.add(child, b1, out=tgt)
+        new = np.bincount(tgt1, prod1, n * v_types).reshape(n, v_types)
+        if pairwise:
+            new.sum(axis=1, out=s)
+        else:
+            np.copyto(s, new[:, 0])
+            for t in range(1, v_types):
+                np.add(s, new[:, t], out=s)
+        np.divide(new.T, s, out=a)
+        del new  # freed before the next level's sums are allocated
+        np.log(s, out=s)
+        np.add(o, s, out=o)
     return layout.by_block(out)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .catalog import Catalog, map_table, scale_extrema
+from .catalog import Catalog, scale_extrema
 from .condense import condensed_counts
 from .errors import (DepthExhaustedError, InsufficientDataError, NeckTimeoutError,
                      NoisyRootError, TreeTooLargeError)
@@ -181,8 +181,7 @@ class MonteCarloNeckEvaluator:
     def log_sums(self, x: float) -> np.ndarray:
         """Per-block log-sums at x, read-only."""
         if self._last[0] != x:
-            ls = _kernels.block_log_sums(self._layout, self.v_types,
-                                         map_table(self.catalog), x)
+            ls = _kernels.block_log_sums(self._layout, self.v_types, self.catalog, x)
             ls.setflags(write=False)
             self._last = (x, ls)
         return self._last[1]

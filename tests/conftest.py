@@ -178,9 +178,11 @@ def unpack_layout(layout) -> PackedBlocks:
     """The blocks of a ``_kernels.block_layout``, block-major: each block's
     rows in level order, ``lens`` counted from the levels' columns, roots
     in block order."""
+    starts = np.cumsum(layout.counts) - layout.counts
     blocks, level_sys, child = (np.concatenate(col) for col in zip(*(
-        (layout.order[:n], sys_.T, ch.transpose(2, 0, 1))
-        for n, levels in layout.runs() for sys_, ch in levels)))
+        (layout.order[:n], layout.level_sys[:, lo:lo + n].T,
+         layout.child[..., lo:lo + n].transpose(2, 0, 1))
+        for n, lo in zip(layout.counts.tolist(), starts.tolist()))))
     order = np.argsort(blocks, kind="stable")
     return PackedBlocks(level_sys[order], child[order],
                         np.bincount(blocks, minlength=layout.roots.shape[0]),

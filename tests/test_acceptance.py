@@ -17,7 +17,6 @@ from vvcantor import (DIRICHLET, NEUMANN, DepthExhaustedError,
                       gamma_exact_homogeneous, inertia_counts, refine_uniform,
                       scale_extrema, solve_gamma, stream_seed)
 from vvcantor import _kernels
-from vvcantor.catalog import map_table
 from conftest import (dense_counts, dense_eigenvalues, env_table, interval_mass,
                       make_cantor, make_lebesgue, make_two_system,
                       scalar_tree_stream, segment_levels)
@@ -117,7 +116,7 @@ def test_criterion_4_factorization_identity():
                 segment_levels(tree.level_sys, tree.child, np.append(bounds[:-1], 0), lens),
                 lens, np.concatenate(([root], tree.child[bounds[1:-1] - 1, 0, 0], [root])))
             for x in (0.2, 0.45, 0.8):
-                *blocks, direct = _kernels.block_log_sums(layout, v, map_table(cat), x)
+                *blocks, direct = _kernels.block_log_sums(layout, v, cat, x)
                 worst = max(worst, abs(direct - sum(blocks)) / max(1.0, abs(direct)))
             count += 1
         assert count == 50

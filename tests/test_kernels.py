@@ -158,7 +158,7 @@ def test_block_dp_working_memory_is_its_buffers():
     n0, width = int(layout.counts[0]), table.shape[1]
     buffers = 8 * n0 * (2 * v * width + v + 1)  # products, targets, state, sums
     slack = 8 * n0 * (v + 1) + 8 * layout.order.shape[0] + (256 << 10)
-    assert _peak_bytes(_kernels.block_log_sums, layout, v, table, 0.4) <= buffers + slack
+    assert _peak_bytes(_kernels.block_log_sums, layout, v, cat, 0.4) <= buffers + slack
 
 
 def test_numpy_dp_handles_unit_blocks():

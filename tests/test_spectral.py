@@ -15,7 +15,6 @@ from vvcantor import (BracketingResult, Catalog, ClosedForm, ContractionMap,
                       f_exact_homogeneous, gamma_exact_homogeneous, solve_gamma,
                       solve_gamma_recursive, stream_seed)
 from vvcantor import _kernels
-from vvcantor.catalog import map_table
 from vvcantor.spectral import _recursive_f
 from conftest import (env_table, make_cantor, make_two_system, member_bracketing_sums,
                       scalar_neck_blocks, scalar_tree_stream, segment_levels)
@@ -302,7 +301,7 @@ def test_block_average_converges_along_one_sequence(two_system):
     lens = np.array([deep.neck_levels[19]])
     layout = _kernels.block_layout(segment_levels(deep.level_sys, deep.child, np.array([0]), lens),
                                    lens, np.array([root]))
-    lhs = _kernels.block_log_sums(layout, 2, map_table(two_system), x)[0] / 20.0
+    lhs = _kernels.block_log_sums(layout, 2, two_system, x)[0] / 20.0
     ev = MonteCarloNeckEvaluator(two_system, 2, 2000, master_seed=99)
     fhat, se = ev.f(x)
     se_20 = se * math.sqrt(2000 / 20.0)

@@ -9,7 +9,6 @@ from vvcantor import (DepthExhaustedError, TreeTooLargeError,
                       Xoshiro256StarStar, build_tree, cut_set, neck_subtree,
                       sample_environment, scale_extrema, stream_seed)
 from vvcantor import _kernels
-from vvcantor.catalog import map_table
 from vvcantor.rng import Xoshiro256StarStarLanes, stream_seeds
 from vvcantor.vtree import LevelDraws, environments_to_obj, neck_mask, tree_to_jsonl
 from conftest import env_table, scalar_tree_stream, segment_levels
@@ -226,7 +225,7 @@ def _log_sums(tree, x, starts, lens, roots):
     layout = _kernels.block_layout(
         segment_levels(tree.level_sys, tree.child, np.array(starts), lens), lens,
         np.array(roots))
-    return _kernels.block_log_sums(layout, tree.v_types, map_table(tree.catalog), x)
+    return _kernels.block_log_sums(layout, tree.v_types, tree.catalog, x)
 
 
 def test_cantor_root_exponent_gives_unit_sums(cantor):
